@@ -323,7 +323,7 @@ Zhang–Shasha only for close/borderline pairs) under a per-cell error
 budget, and print a post-sweep tier stats line. -tier-budget 0 engages the
 tiered path in exact mode — output is byte-identical to the exact sweep.
 
-  silvervale matrix tealeaf -tier-budget 0.05   # ~10x more units/sweep
+  silvervale matrix tealeaf -tier-budget 0.5    # screening: 6.5x faster, max cell error 0.471
 
 phi and experiment accept -phi-source measured: performance figures are
 derived from interpreter-measured cost vectors (statements, loop trips,

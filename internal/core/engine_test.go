@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"silvervale/internal/corpus"
+	"silvervale/internal/obs"
 	"silvervale/internal/ted"
 )
 
@@ -118,6 +119,33 @@ func TestEngineMatrixMatchesSerial(t *testing.T) {
 				t.Fatalf("%s with %d workers: matrix differs from serial\nserial:   %v\nparallel: %v",
 					metric, workers, want, got)
 			}
+		}
+	}
+}
+
+// TestPathStrategyMatrixBitIdentical: on a real corpus the TED path
+// strategy (mirrored root-child sub-DPs, DESIGN.md §13) engages, and the
+// matrix stays bit-identical to the monolithic left-path DP at every
+// worker count.
+func TestPathStrategyMatrixBitIdentical(t *testing.T) {
+	idxs, order := buildIndexes(t, "babelstream-fortran")
+	ref := ted.NewCache()
+	ref.SetSubtreeMemo(false)
+	want, err := NewEngineWithCache(1, ref).Matrix(idxs, order, MetricTsem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		rec := obs.NewRecorder()
+		got, err := NewEngineObs(workers, ted.NewCache(), rec).Matrix(idxs, order, MetricTsem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(want, got) {
+			t.Fatalf("workers=%d: path-strategy matrix differs from the monolithic DP", workers)
+		}
+		if rec.Counter("ted.subdp_mirrored").Value() == 0 {
+			t.Fatalf("workers=%d: no mirrored sub-DP ran; the strategy never engaged", workers)
 		}
 	}
 }

@@ -72,8 +72,11 @@ func TestWarmStartMatrixDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold, coldOrder := buildMatrixWithStore(t, 2, st)
-	if s := st.Stats(); s.Hits != 0 {
-		t.Fatalf("cold run should not hit the store: %+v", s)
+	// A cold run must not warm-start from the distance or index tiers. The
+	// sub tier may legitimately serve a block a peer worker persisted
+	// earlier in the same run (DESIGN.md §13), so it is not asserted here.
+	if s := st.Stats(); s.TierBytes["ted"].Read != 0 || s.TierBytes["idx"].Read != 0 {
+		t.Fatalf("cold run should not read the ted or idx tiers: %+v", s)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -39,6 +39,7 @@ type Cache struct {
 	approx   map[approxKey]float64
 	profiles map[tree.Fingerprint]PQGramProfile
 	flats    map[tree.Fingerprint]*flat
+	mirrors  map[tree.Fingerprint]*flat // mirrored flats, keyed by the unmirrored tree's fingerprint
 	sigs     map[sigKey]Signature
 	routes   map[routeKey]routeVal
 
@@ -65,6 +66,11 @@ type Cache struct {
 	rows     map[rowKey][]rowSlot
 	rowBytes int64 // guarded by subMu
 	rowMax   int64 // eviction bound in bytes
+
+	// pathMin is the path strategy's threshold (DESIGN.md §13): a root
+	// child's sub-DP runs mirrored only when that is predicted to save at
+	// least this many DP cells.
+	pathMin int64
 
 	subOn       atomic.Bool
 	subHits     atomic.Uint64
@@ -119,6 +125,9 @@ type cacheObs struct {
 	rowHits     *obs.Counter   // ted.probe_rows_hit — keyroot rows served by the probe-row memo
 	rowMisses   *obs.Counter   // ted.probe_rows_miss — keyroot rows probed slot by slot
 	rowEvicted  *obs.Counter   // ted.probe_rows_evicted — probe rows dropped by the bound
+	dpCells     *obs.Counter   // ted.dp_cells — forest-distance cells computed by the DP
+	subdpLeft   *obs.Counter   // ted.subdp_left — root-child sub-DPs run in left-path orientation
+	subdpMirror *obs.Counter   // ted.subdp_mirrored — root-child sub-DPs run on mirrored trees
 	pairNodes   *obs.Histogram // ted.pair_nodes — size bucket per call
 }
 
@@ -143,6 +152,7 @@ func NewCache() *Cache {
 		approx:   map[approxKey]float64{},
 		profiles: map[tree.Fingerprint]PQGramProfile{},
 		flats:    map[tree.Fingerprint]*flat{},
+		mirrors:  map[tree.Fingerprint]*flat{},
 		sigs:     map[sigKey]Signature{},
 		routes:   map[routeKey]routeVal{},
 		subs:     map[subKey]*subBlock{},
@@ -153,6 +163,7 @@ func NewCache() *Cache {
 		ckptMin:  ckptDefaultMinRows,
 		rows:     map[rowKey][]rowSlot{},
 		rowMax:   rowDefaultMaxBytes,
+		pathMin:  pathDefaultMinSaving,
 	}
 	c.subOn.Store(true)
 	return c
@@ -188,6 +199,9 @@ func (c *Cache) SetRecorder(rec *obs.Recorder) {
 		rowHits:     rec.Counter("ted.probe_rows_hit"),
 		rowMisses:   rec.Counter("ted.probe_rows_miss"),
 		rowEvicted:  rec.Counter("ted.probe_rows_evicted"),
+		dpCells:     rec.Counter("ted.dp_cells"),
+		subdpLeft:   rec.Counter("ted.subdp_left"),
+		subdpMirror: rec.Counter("ted.subdp_mirrored"),
 		pairNodes:   rec.Histogram("ted.pair_nodes"),
 	})
 }
@@ -447,9 +461,12 @@ func (c *Cache) compute(t1, t2 *tree.Node, fa, fb tree.Fingerprint, costs Costs,
 			o.boundPruned.Add(1)
 		}
 	} else if c.subOn.Load() && a.krFP != nil && b.krFP != nil {
-		d = c.zsDistanceMemo(a, b, costs, sc, o)
+		d = c.zsDistanceMemo(a, b, costs, sc, o, t1, t2)
 	} else {
 		d = zsDistance(a, b, costs, sc)
+		if o != nil {
+			o.dpCells.Add(a.wL * b.wL)
+		}
 	}
 	putScratch(sc)
 	return d
@@ -480,6 +497,29 @@ func (c *Cache) flatFor(t *tree.Node, fp tree.Fingerprint, o *cacheObs) *flat {
 		f = prior
 	} else {
 		c.flats[fp] = f
+	}
+	c.mu.Unlock()
+	return f
+}
+
+// mirrorFlat returns the memoised flat of t's mirror image, building it on
+// first sight of fp, t's own fingerprint. The mirrored flat carries the
+// true fingerprints of the mirrored subtrees, so everything keyed on them
+// (blocks, probe rows, the store's sub tier) stays content-addressed.
+// Racing builders keep the first, like flatFor.
+func (c *Cache) mirrorFlat(t *tree.Node, fp tree.Fingerprint) *flat {
+	c.mu.RLock()
+	f, ok := c.mirrors[fp]
+	c.mu.RUnlock()
+	if ok {
+		return f
+	}
+	f = newFlat(mirrorTree(t))
+	c.mu.Lock()
+	if prior, ok := c.mirrors[fp]; ok {
+		f = prior
+	} else {
+		c.mirrors[fp] = f
 	}
 	c.mu.Unlock()
 	return f

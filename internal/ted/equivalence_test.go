@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"silvervale/internal/obs"
 	"silvervale/internal/tree"
 )
 
@@ -411,6 +412,161 @@ func TestPQGramProfileMatchesSeed(t *testing.T) {
 				if got[k] != want[k] {
 					t.Fatalf("%s: gram[%d] = %#x, seed %#x", s.name, k, got[k], want[k])
 				}
+			}
+		}
+	}
+}
+
+// --- path strategy (DESIGN.md §13) --------------------------------------------
+
+// heavyTree builds an n-node spine whose every node has a small light
+// subtree on one side and the heavy rest on the other: with right=true the
+// heavy child is last, so every spine node is a left-path keyroot (a
+// costly left-path DP) while the right-path keyroots are the light
+// subtrees — the shape where mirrored sub-DPs pay. right=false is its
+// mirror image.
+func heavyTree(r *rand.Rand, n int, right bool) *tree.Node {
+	labels := []string{"A", "B", "C", "D"}
+	nd := tree.New(labels[r.Intn(len(labels))])
+	if n <= 1 {
+		return nd
+	}
+	light := min(n-1, 1+r.Intn(3))
+	nd.Add(randTree(r, light))
+	if heavy := n - 1 - light; heavy > 0 {
+		h := heavyTree(r, heavy, right)
+		if right {
+			nd.Add(h)
+		} else {
+			nd.Children = append([]*tree.Node{h}, nd.Children...)
+		}
+	}
+	return nd
+}
+
+// rootOf returns a root labelled "R" over the given children.
+func rootOf(children ...*tree.Node) *tree.Node { return tree.New("R", children...) }
+
+// strategyShapes are the row-side shapes the path strategy must handle:
+// a right-heavy root child is mirrored, a left-heavy one stays left, and
+// single-child, leaf and wide roots exercise the plan's edge cases.
+var strategyShapes = []struct {
+	name string
+	gen  func(r *rand.Rand, n int) *tree.Node
+}{
+	{"right-heavy", func(r *rand.Rand, n int) *tree.Node { return heavyTree(r, n, true) }},
+	{"left-heavy", func(r *rand.Rand, n int) *tree.Node { return heavyTree(r, n, false) }},
+	{"single-child", func(r *rand.Rand, n int) *tree.Node { return rootOf(heavyTree(r, n-1, true)) }},
+	{"leaf", func(r *rand.Rand, n int) *tree.Node { return tree.New("R") }},
+	{"wide", func(r *rand.Rand, n int) *tree.Node {
+		var kids []*tree.Node
+		for left := n - 1; left > 0; {
+			k := min(left, 1+r.Intn(12))
+			kids = append(kids, heavyTree(r, k, r.Intn(3) > 0))
+			left -= k
+		}
+		return rootOf(kids...)
+	}},
+	{"random", randTree},
+}
+
+// pathCache is memoCache with the path strategy taken for any predicted
+// saving, so fuzz-sized trees engage it, and a recorder attached so the
+// tests can see which sub-DPs ran.
+func pathCache() (*Cache, *obs.Recorder) {
+	c := memoCache()
+	c.pathMin = 1
+	rec := obs.NewRecorder()
+	c.SetRecorder(rec)
+	return c, rec
+}
+
+// TestPathStrategyMatchesReference checks the path strategy and its
+// mirrored sub-DPs against the seed Zhang–Shasha on every pairing of
+// strategy shapes, under unit and Insert≠Delete costs, cold, after a
+// relabel (warm blocks), after a row-side append (checkpoint resume) and
+// in the default-threshold cache.
+func TestPathStrategyMatchesReference(t *testing.T) {
+	costs := []Costs{UnitCosts(), {Insert: 2, Delete: 1, Rename: 1}, {Insert: 1, Delete: 3, Rename: 2}}
+	var mirroredRuns int64
+	for _, sa := range strategyShapes {
+		for _, sb := range strategyShapes {
+			t.Run(sa.name+"-vs-"+sb.name, func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(len(sa.name)*37 + len(sb.name))))
+				c, rec := pathCache()
+				cdef := NewCache()
+				for i := 0; i < 4; i++ {
+					a := sa.gen(r, 20+r.Intn(60))
+					b := sb.gen(r, 20+r.Intn(60))
+					b2 := relabelSome(r, b, 1+r.Intn(4))
+					a2 := appendChild(a, heavyTree(r, 2+r.Intn(12), true))
+					for _, cs := range costs {
+						for _, p := range [][2]*tree.Node{{a, b}, {a, b2}, {a2, b}, {b, a}} {
+							want := refDistanceWithCosts(p[0], p[1], cs)
+							if got := c.DistanceWithCosts(p[0], p[1], cs); got != want {
+								t.Fatalf("strategy costs %+v: got %d, seed %d\na=%s\nb=%s", cs, got, want, p[0], p[1])
+							}
+							if got := cdef.DistanceWithCosts(p[0], p[1], cs); got != want {
+								t.Fatalf("default cache costs %+v: got %d, seed %d\na=%s\nb=%s", cs, got, want, p[0], p[1])
+							}
+						}
+					}
+				}
+				mirroredRuns += rec.Counter("ted.subdp_mirrored").Value()
+			})
+		}
+	}
+	if mirroredRuns == 0 {
+		t.Fatal("no pair ran a mirrored sub-DP: the strategy was never engaged")
+	}
+}
+
+// TestMirrorInvariance pins the property the mirrored sub-DPs rest on:
+// reversing every child list of both trees leaves the distance unchanged,
+// d(mirror a, mirror b) == d(a, b), under any cost model.
+func TestMirrorInvariance(t *testing.T) {
+	r := rand.New(rand.NewSource(91))
+	c, _ := pathCache()
+	for trial := 0; trial < 60; trial++ {
+		sa := strategyShapes[r.Intn(len(strategyShapes))]
+		sb := strategyShapes[r.Intn(len(strategyShapes))]
+		a, b := sa.gen(r, 2+r.Intn(50)), sb.gen(r, 2+r.Intn(50))
+		cs := Costs{Insert: 1 + r.Intn(3), Delete: 1 + r.Intn(3), Rename: 1 + r.Intn(3)}
+		want := refDistanceWithCosts(a, b, cs)
+		ma, mb := mirrorTree(a), mirrorTree(b)
+		if got := refDistanceWithCosts(ma, mb, cs); got != want {
+			t.Fatalf("seed d(mirror a, mirror b) = %d, d(a, b) = %d\na=%s\nb=%s", got, want, a, b)
+		}
+		if got := c.DistanceWithCosts(ma, mb, cs); got != want {
+			t.Fatalf("cached d(mirror a, mirror b) = %d, d(a, b) = %d\na=%s\nb=%s", got, want, a, b)
+		}
+	}
+}
+
+// TestMirrorMap pins the flat's mirror map against an explicitly mirrored
+// tree: node mir[r] of the tree is the node at post-order r of the mirror,
+// and each root child's window of it maps the child's own mirror.
+func TestMirrorMap(t *testing.T) {
+	r := rand.New(rand.NewSource(92))
+	for trial := 0; trial < 40; trial++ {
+		tr := randTree(r, 1+r.Intn(80))
+		f := newFlat(tr)
+		nodes := postorderNodes(tr, nil)
+		mnodes := postorderNodes(mirrorTree(tr), nil)
+		for p, x := range f.mir {
+			if nodes[x].Label != mnodes[p].Label || nodes[x].Size() != mnodes[p].Size() {
+				t.Fatalf("mir[%d] = %d does not map the mirrored post-order", p, x)
+			}
+		}
+		for m, k := range f.kids {
+			kn := postorderNodes(mirrorTree(tr.Children[m]), nil)
+			for p, x := range f.mir[k.off : k.off+k.size] {
+				if nodes[x].Label != kn[p].Label || nodes[x].Size() != kn[p].Size() {
+					t.Fatalf("child %d: mirrored post-order %d maps to %d", m, p, x)
+				}
+			}
+			if k.fp != tr.Children[m].Fingerprint() {
+				t.Fatalf("child %d: fingerprint mismatch", m)
 			}
 		}
 	}

@@ -74,6 +74,28 @@ type flat struct {
 	// Used as the tree's left-operand state only; nil on the pooled path.
 	ckptRow []int32
 	ckptFP  []tree.Fingerprint
+
+	// Path-strategy shape data (DESIGN.md §13), nil/zero on the pooled
+	// path. wL and wR are the tree's left- and right-path keyroot weights
+	// W(T) = Σ |T(k)| over keyroots k, the factors of the Zhang–Shasha cell
+	// count W(T1)·W(T2). mir[r] is the post-order index of the node at
+	// post-order r of the mirrored tree (post_mirror(x) = n−1−pre(x)), and
+	// kids describes each root child as the row side of a sub-DP.
+	wL, wR int64
+	mir    []int32
+	kids   []kidShape
+}
+
+// kidShape is one root child Cm of a memoised flat, seen as the row side
+// of a root-child sub-DP (Cm, b).
+type kidShape struct {
+	fp         tree.Fingerprint // content address of Cm (mirror-flat memo key)
+	start      int32            // first post-order index inside Cm
+	size       int32            // |Cm|
+	off        int32            // Cm's mirrored post-order window is mir[off:off+size]
+	kiLo, kiHi int32            // kr[kiLo:kiHi]: the keyroot rows inside Cm (the root's spine excluded)
+	wL         int64            // Σ keyroot-subtree sizes over kr[kiLo:kiHi]
+	wR         int64            // right-path keyroot weight of Cm as a standalone tree
 }
 
 // flattener drives the post-order walk. A struct method recurses without
@@ -196,4 +218,88 @@ func (f *flat) buildSpines(t *tree.Node) {
 			f.ckptFP[ci] = acc
 		}
 	}
+	f.buildPaths(t, sub)
+}
+
+// buildPaths fills the path-strategy shape data: the mirror map and the
+// right-path weights from one pre-order walk, the left-path weights from
+// the keyroot array, and per root child its keyroot-row range and both
+// weights.
+func (f *flat) buildPaths(t *tree.Node, sub []tree.Fingerprint) {
+	n := int32(len(f.labels))
+	for _, k := range f.kr {
+		f.wL += int64(k - int(f.lmld[k]) + 1)
+	}
+	// The root is first in pre-order and last in both post-orders; its
+	// children are walked here so each one's standalone weight is kept.
+	w := pathWalker{mir: make([]int32, n), n: n, pre: 1}
+	w.mir[n-1] = n - 1
+	f.mir = w.mir
+	f.wR = int64(n)
+	if len(t.Children) == 0 {
+		return
+	}
+	f.kids = make([]kidShape, len(t.Children))
+	start := int32(0)
+	for m, ch := range t.Children {
+		size, inside := w.node(ch)
+		if m < len(t.Children)-1 {
+			f.wR += size
+		}
+		f.wR += inside
+		k := &f.kids[m]
+		k.fp = sub[start+int32(size)-1]
+		k.start, k.size = start, int32(size)
+		k.off = n - k.size - start - 1 // pre(Cm) = start+1
+		k.kiLo = int32(sort.SearchInts(f.kr, int(start)))
+		k.kiHi = int32(sort.SearchInts(f.kr, int(start+k.size)))
+		for _, x := range f.kr[k.kiLo:k.kiHi] {
+			k.wL += int64(x - int(f.lmld[x]) + 1)
+		}
+		k.wR = size + inside
+		start += k.size
+	}
+}
+
+// pathWalker numbers nodes in pre- and post-order to fill the mirror map.
+type pathWalker struct {
+	mir       []int32
+	n         int32
+	pre, post int32
+}
+
+// node walks one subtree and returns its size and the summed sizes of its
+// strict descendants that have a right sibling: the subtree's standalone
+// right-path keyroot weight is their sum (its root plus every node with a
+// right sibling).
+func (w *pathWalker) node(nd *tree.Node) (size, inside int64) {
+	p := w.pre
+	w.pre++
+	size = 1
+	last := len(nd.Children) - 1
+	for ci, ch := range nd.Children {
+		s, in := w.node(ch)
+		size += s
+		inside += in
+		if ci < last {
+			inside += s
+		}
+	}
+	w.mir[w.n-1-p] = w.post
+	w.post++
+	return size, inside
+}
+
+// mirrorTree returns a copy of t with every child list reversed — the tree
+// whose left paths are t's right paths. Source positions are dropped; TED
+// and fingerprints ignore them.
+func mirrorTree(t *tree.Node) *tree.Node {
+	m := &tree.Node{Label: t.Label}
+	if nc := len(t.Children); nc > 0 {
+		m.Children = make([]*tree.Node, nc)
+		for i, c := range t.Children {
+			m.Children[nc-1-i] = mirrorTree(c)
+		}
+	}
+	return m
 }

@@ -26,6 +26,8 @@ type dpScratch struct {
 	blocks         []*subBlock // per-keyroot-pair probe results (memoised path)
 	done           []bool      // per-keyroot-pair lazily-restored marks (memoised path)
 	ckrefs         []ckptRef   // per-b-keyroot checkpoint probe results (memoised path)
+	mirrored       []bool      // per-root-child mirrored-orientation marks (path strategy)
+	skip           []bool      // per-a-keyroot rows owned by a mirrored sub-DP (path strategy)
 
 	stamp []int32 // bound gate: label-id stamps, indexed by interned id
 	cnt   []int32 // bound gate: label multiplicities for stamped ids
@@ -91,6 +93,21 @@ func (s *dpScratch) ckptRefs(n int) []ckptRef {
 		s.ckrefs = make([]ckptRef, n)
 	}
 	return s.ckrefs[:n]
+}
+
+// pathMarks returns cleared scratch mark slices for k root children and
+// k1 a-side keyroot rows.
+func (s *dpScratch) pathMarks(k, k1 int) (mirrored, skip []bool) {
+	if cap(s.mirrored) < k {
+		s.mirrored = make([]bool, k)
+	}
+	if cap(s.skip) < k1 {
+		s.skip = make([]bool, k1)
+	}
+	mirrored, skip = s.mirrored[:k], s.skip[:k1]
+	clear(mirrored)
+	clear(skip)
+	return mirrored, skip
 }
 
 // matrix shapes rows r x c row headers over backing, growing both to the

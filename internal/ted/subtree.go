@@ -66,6 +66,12 @@ const (
 
 	// rowEntryOverhead approximates per-entry bookkeeping bytes.
 	rowEntryOverhead = 112
+
+	// pathDefaultMinSaving is the smallest predicted saving, in DP cells,
+	// for which a root child's sub-DP runs mirrored. Below it the sub-DP's
+	// fixed costs (a second scratch, its own probe and publish, the copy
+	// back) outweigh the cells it saves.
+	pathDefaultMinSaving = 1 << 12
 )
 
 // Forest-prefix fold hashing (same FNV-1a / djb2 construction as
@@ -218,7 +224,7 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 	}
 	var evicted uint64
 	if c.subBytes > c.subMax {
-		evicted = c.evictSubBlocksLocked()
+		evicted = evictLocked(c.subs, &c.subBytes, c.subMax, subBlockBytes)
 	}
 	for _, e := range freshCk {
 		if _, ok := c.ckpts[e.key]; ok {
@@ -229,7 +235,7 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 	}
 	var ckEvicted uint64
 	if c.ckptBytes > c.ckptMax {
-		ckEvicted = c.evictCkptsLocked()
+		ckEvicted = evictLocked(c.ckpts, &c.ckptBytes, c.ckptMax, ckptRowBytes)
 	}
 	for _, e := range freshRows {
 		if _, ok := c.rows[e.key]; ok {
@@ -240,7 +246,7 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 	}
 	var rowEvicted uint64
 	if c.rowBytes > c.rowMax {
-		rowEvicted = c.evictRowsLocked()
+		rowEvicted = evictLocked(c.rows, &c.rowBytes, c.rowMax, rowEntryBytes)
 	}
 	c.subMu.Unlock()
 	if evicted > 0 {
@@ -266,56 +272,25 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 	}
 }
 
-// evictSubBlocksLocked drops entries in map-iteration order until the
-// memo is back under three quarters of its bound — hysteresis so a memo
-// riding the limit does not evict on every publish. Random-order eviction
-// is sound: a dropped block only costs a future recompute, never a wrong
-// answer, and the bound is sized so normal corpora never get here.
-func (c *Cache) evictSubBlocksLocked() uint64 {
-	target := c.subMax - c.subMax/4
+// evictLocked drops entries of one memo map in map-iteration order until
+// its accounted size is back under three quarters of bound — hysteresis so a
+// memo riding the limit does not evict on every publish — and returns how
+// many it dropped. Random-order eviction is sound for every memo it serves:
+// a dropped block costs a future recompute, a dropped checkpoint row a
+// future full root-row DP, and a dropped probe row a future slot-by-slot
+// probe, never a wrong answer; the bounds are sized so normal corpora never
+// get here. Probe rows pin the blocks they reference even past block
+// eviction (blocks are immutable, so a pinned block still restores
+// correctly); dropping the row releases them. Callers hold subMu.
+func evictLocked[K comparable, V any](m map[K]V, bytes *int64, bound int64, size func(V) int64) uint64 {
+	target := bound - bound/4
 	var n uint64
-	for k, b := range c.subs {
-		if c.subBytes <= target {
+	for k, v := range m {
+		if *bytes <= target {
 			break
 		}
-		delete(c.subs, k)
-		c.subBytes -= subBlockBytes(b)
-		n++
-	}
-	return n
-}
-
-// evictRowsLocked is the probe-row-memo mirror of evictSubBlocksLocked.
-// A dropped row only costs a future slot-by-slot probe. Probe rows pin
-// the blocks they reference even past block eviction (the pointers stay
-// valid — blocks are immutable — so a pinned block still restores
-// correctly); dropping the row releases them.
-func (c *Cache) evictRowsLocked() uint64 {
-	target := c.rowMax - c.rowMax/4
-	var n uint64
-	for k, slots := range c.rows {
-		if c.rowBytes <= target {
-			break
-		}
-		delete(c.rows, k)
-		c.rowBytes -= rowEntryBytes(slots)
-		n++
-	}
-	return n
-}
-
-// evictCkptsLocked is the checkpoint-memo mirror of evictSubBlocksLocked:
-// drop entries in map-iteration order until back under three quarters of
-// the bound. A dropped row only costs a future full root-row DP.
-func (c *Cache) evictCkptsLocked() uint64 {
-	target := c.ckptMax - c.ckptMax/4
-	var n uint64
-	for k, vals := range c.ckpts {
-		if c.ckptBytes <= target {
-			break
-		}
-		delete(c.ckpts, k)
-		c.ckptBytes -= ckptRowBytes(vals)
+		delete(m, k)
+		*bytes -= size(v)
 		n++
 	}
 	return n
@@ -392,7 +367,7 @@ func (c *Cache) ImportSubtreeBlocks(recs []SubtreeBlockRecord) int {
 	}
 	var evicted uint64
 	if c.subBytes > c.subMax {
-		evicted = c.evictSubBlocksLocked()
+		evicted = evictLocked(c.subs, &c.subBytes, c.subMax, subBlockBytes)
 	}
 	c.subMu.Unlock()
 	c.subEvicted.Add(evicted)

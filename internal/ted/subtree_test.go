@@ -180,12 +180,13 @@ func TestSubtreeMemoMatchesMonolithic(t *testing.T) {
 // TestSubtreeMemoConcurrent shares one cache across 8 goroutines computing
 // overlapping pairs — racing builders of the same block must keep-first
 // without torn payloads, and every answer must stay bit-identical to the
-// monolithic DP. Run under -race this also proves the publication
-// discipline.
+// monolithic DP. The second cache takes the path strategy for any saving,
+// so goroutines also race on mirrored flats and mirrored sub-DP blocks.
+// Run under -race this also proves the publication discipline.
 func TestSubtreeMemoConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	var trees []*tree.Node
-	base := randTree(r, 120)
+	base := rootOf(heavyTree(r, 40, true), randTree(r, 40), heavyTree(r, 40, true))
 	trees = append(trees, base)
 	for i := 0; i < 5; i++ {
 		trees = append(trees, relabelSome(r, base, 1+r.Intn(8)))
@@ -201,33 +202,38 @@ func TestSubtreeMemoConcurrent(t *testing.T) {
 			want[p] = DistanceWithCosts(trees[i], trees[j], costs)
 		}
 	}
-	c := memoCache()
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for rep := 0; rep < 3; rep++ {
-				for _, p := range pairs {
-					if got := c.DistanceWithCosts(trees[p.a], trees[p.b], costs); got != want[p] {
-						select {
-						case errs <- "": // detail printed by the main goroutine
-						default:
+	pc, rec := pathCache()
+	for _, c := range []*Cache{memoCache(), pc} {
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for rep := 0; rep < 3; rep++ {
+					for _, p := range pairs {
+						if got := c.DistanceWithCosts(trees[p.a], trees[p.b], costs); got != want[p] {
+							select {
+							case errs <- "": // detail printed by the main goroutine
+							default:
+							}
+							return
 						}
-						return
 					}
 				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		if _, bad := <-errs; bad {
+			t.Fatal("concurrent memoised distance diverged from monolithic DP")
+		}
+		if s := c.Stats(); s.SubtreeHits == 0 {
+			t.Fatalf("shared cache never hit: %+v", s)
+		}
 	}
-	wg.Wait()
-	close(errs)
-	if _, bad := <-errs; bad {
-		t.Fatal("concurrent memoised distance diverged from monolithic DP")
-	}
-	if s := c.Stats(); s.SubtreeHits == 0 {
-		t.Fatalf("shared cache never hit: %+v", s)
+	if rec.Counter("ted.subdp_mirrored").Value() == 0 {
+		t.Fatal("the path-strategy cache ran no mirrored sub-DP")
 	}
 }
 
@@ -344,6 +350,51 @@ func TestRootRowCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestPathStrategyKeepsCheckpoints is the edit-path regression test for
+// the path strategy: appending one function (root child) to the row-side
+// tree of a pair whose root children run mirrored must still resume the
+// left-path root row from a forest-prefix checkpoint, and must run the
+// sub-DP of the appended child only — never those of the unchanged
+// children before the resume boundary. Mirroring whole trees loses both.
+func TestPathStrategyKeepsCheckpoints(t *testing.T) {
+	r := rand.New(rand.NewSource(93))
+	var newMirrored int64
+	for trial := 0; trial < 20; trial++ {
+		var kids []*tree.Node
+		for k := 3 + r.Intn(4); k > 0; k-- {
+			kids = append(kids, heavyTree(r, 10+r.Intn(20), true))
+		}
+		a := rootOf(kids...)
+		b := relabelSome(r, a, 1+r.Intn(4))
+		costs := Costs{Insert: 1 + r.Intn(2), Delete: 1 + r.Intn(2), Rename: 1 + r.Intn(2)}
+		c, rec := pathCache()
+		mirrored, left := rec.Counter("ted.subdp_mirrored"), rec.Counter("ted.subdp_left")
+		if got, want := c.DistanceWithCosts(a, b, costs), refDistanceWithCosts(a, b, costs); got != want {
+			t.Fatalf("warming pass: %d != seed %d", got, want)
+		}
+		if mirrored.Value() == 0 {
+			t.Fatalf("warming pass ran no mirrored sub-DP: the strategy was not engaged\na=%s", a)
+		}
+		m0, l0, ck0 := mirrored.Value(), left.Value(), c.Stats().CheckpointHits
+
+		a2 := appendChild(a, heavyTree(r, 20+r.Intn(10), true))
+		if got, want := c.DistanceWithCosts(a2, b, costs), refDistanceWithCosts(a2, b, costs); got != want {
+			t.Fatalf("append edit: %d != seed %d\na2=%s\nb=%s", got, want, a2, b)
+		}
+		if s := c.Stats(); s.CheckpointHits == ck0 {
+			t.Fatalf("append edit did not resume the root row from a checkpoint: %+v", s)
+		}
+		dm, dl := mirrored.Value()-m0, left.Value()-l0
+		if dm+dl != 1 {
+			t.Fatalf("append edit ran %d mirrored and %d left sub-DPs, want only the appended child's", dm, dl)
+		}
+		newMirrored += dm
+	}
+	if newMirrored == 0 {
+		t.Fatal("no appended child ever ran mirrored")
+	}
+}
+
 // TestProbeRowMemo pins the probe-row fast path: a keyroot row whose
 // probe once came back all-hit is recorded and replayed on the next pair
 // that shares the (a keyroot subtree, b tree, costs) address, with
@@ -435,6 +486,18 @@ func FuzzSubtreeMemo(f *testing.F) {
 		want2 := DistanceWithCosts(a2, b, costs)
 		if got := c.DistanceWithCosts(a2, b, costs); got != want2 {
 			t.Fatalf("resumed memoised %d != monolithic %d\na2=%s\nb=%s costs=%+v",
+				got, want2, a2, b, costs)
+		}
+		// the same pair and append edit with the path strategy engaged:
+		// mirrored root-child sub-DPs on the warm pass, the left-path root
+		// row resuming from a checkpoint on the edit
+		cp, _ := pathCache()
+		if got := cp.DistanceWithCosts(a, b, costs); got != want {
+			t.Fatalf("path strategy %d != monolithic %d\na=%s\nb=%s costs=%+v",
+				got, want, a, b, costs)
+		}
+		if got := cp.DistanceWithCosts(a2, b, costs); got != want2 {
+			t.Fatalf("path strategy resumed %d != monolithic %d\na2=%s\nb=%s costs=%+v",
 				got, want2, a2, b, costs)
 		}
 		// default thresholds: trees this size straddle subMin, so this is

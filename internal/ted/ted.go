@@ -5,11 +5,14 @@
 // (Section III.B of the paper; Bille's survey; Zhang & Shasha). The exact
 // algorithm implemented here is Zhang–Shasha with keyroots, which runs in
 // O(n1*n2*min(d1,l1)*min(d2,l2)) time and O(n1*n2) space. The paper uses
-// APTED, whose worst case is O(n^2) space as well; for the unit-sized trees
-// produced by the indexing step the Zhang–Shasha bound is equivalent in
-// practice, and the package additionally provides a pq-gram approximation
-// (see approx.go) as the memory-friendly mode the paper lists as future
-// work.
+// APTED, which picks a decomposition path per subproblem. The cached path
+// takes a two-level step in that direction (DESIGN.md §13): the root's
+// keyroot row stays left-path, so its forest-prefix checkpoints survive
+// edits, while each root child's sub-DP runs on the mirrored trees
+// (right-path decomposition) whenever the tree shapes predict fewer cells.
+// The package-level functions keep the monolithic left-path DP as the
+// reference. The package also provides a pq-gram approximation (see
+// approx.go) as the memory-friendly mode the paper lists as future work.
 //
 // The hot path is organised around reuse (DESIGN.md §6): labels intern into
 // one process-wide table (flatten.go), per-call buffers — flattened trees,
@@ -142,7 +145,7 @@ func zsDistance(a, b *flat, c Costs, sc *dpScratch) int {
 // subtree, b tree, costs) and replayed as one map probe plus a pointer
 // copy, so a warm re-probe pays one lookup per row instead of one per
 // memoisable slot (§13).
-func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheObs) int {
+func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheObs, ta, tb *tree.Node) int {
 	n1 := len(a.labels)
 	n2 := len(b.labels)
 	td, fd, boff := sc.dpTables(n1, n2)
@@ -151,14 +154,29 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 	blocks, done := sc.blockRefs(k1 * k2)
 	minCells := c.subMin
 	lastKi := k1 - 1
+	var computed int64 // forest-distance cells this run computes
 
+	// A nil ta marks a mirrored root-child sub-DP (mirroredSubDP): it runs
+	// the plain keyroot loop, never resumes (its caller copies the whole
+	// td rectangle out, so no prefix may stay unproduced) and materialises
+	// everything at the end.
+	sub := ta == nil
 	// ckEligible also requires n1 >= minCells: with it, every root-row
 	// pair has cells = n1*m2 >= n1 >= minCells, so the all-or-nothing
-	// resume rule never has to reason about below-threshold pairs.
-	ckEligible := len(a.ckptRow) > 0 && n1 >= c.ckptMin && n1 >= minCells
+	// resume rule never has to reason about below-threshold pairs. The
+	// path strategy relies on the same guard: the root pair is never
+	// deferred, so mirrored rows are only ever read by the root row.
+	ckEligible := !sub && len(a.ckptRow) > 0 && n1 >= c.ckptMin && n1 >= minCells
 	var resume []ckptRef
 	if ckEligible {
 		resume = sc.ckptRefs(k2)
+	}
+	// skip marks the a keyroot rows inside mirrored root children: the
+	// grid never probes, computes or materialises them; their td cells come
+	// from the children's mirrored sub-DPs instead (nil: plain loop).
+	var mirrored, skip []bool
+	if !sub && n1 >= minCells {
+		mirrored, skip = c.planPaths(a, b, sc)
 	}
 
 	var hits, misses, ckHits, ckMisses, rowHits, rowMisses uint64
@@ -166,6 +184,9 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 	bRoot := b.krFP[k2-1] // root is the last keyroot: the whole b tree
 	c.subMu.RLock()
 	for ki, i := range a.kr {
+		if skip != nil && skip[ki] {
+			continue
+		}
 		m1 := i - int(a.lmld[i]) + 1
 		row := blocks[ki*k2 : (ki+1)*k2]
 		// One probe-row memo hit replaces the whole slot-by-slot scan.
@@ -254,6 +275,9 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 		kiLo := sort.SearchInts(a.kr, aLo)
 		kjLo := sort.SearchInts(b.kr, bLo)
 		for ki := kiLo; ki < k1 && a.kr[ki] <= aHi; ki++ {
+			if skip != nil && skip[ki] {
+				continue
+			}
 			i := a.kr[ki]
 			m1 := i - int(a.lmld[i]) + 1
 			row := blocks[ki*k2 : (ki+1)*k2]
@@ -272,8 +296,38 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 				} else if j := b.kr[kj]; m1*(j-int(b.lmld[j])+1) < minCells {
 					rdone[kj] = true
 					treedist(a, b, i, j, costs, td, fd, boff)
+					computed += int64(m1 * (j - int(b.lmld[j]) + 1))
 				}
 			}
+		}
+	}
+
+	// runKids produces the td rectangles Cm × b of the mirrored root
+	// children whose first post-order index is at least lo — what the root
+	// row reads of them, whole when it runs from row 0 and past the
+	// shallowest resume boundary when resumed — once, just before the
+	// first root-row DP. A root row served entirely by blocks runs none.
+	kidsRun := mirrored == nil
+	runKids := func(lo int) {
+		if kidsRun {
+			return
+		}
+		kidsRun = true
+		var nLeft, nMirrored int64
+		for m := range a.kids {
+			k := &a.kids[m]
+			switch {
+			case int(k.start) < lo:
+			case mirrored[m]:
+				nMirrored++
+				c.mirroredSubDP(ta.Children[m], k, a, tb, b, costs, td, o)
+			default:
+				nLeft++
+			}
+		}
+		if o != nil {
+			o.subdpLeft.Add(nLeft)
+			o.subdpMirror.Add(nMirrored)
 		}
 	}
 
@@ -282,6 +336,9 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 	suffixDone := false
 	st := c.backing.Load()
 	for ki, i := range a.kr {
+		if skip != nil && skip[ki] {
+			continue
+		}
 		li := int(a.lmld[i])
 		m1 := i - li + 1
 		rows := a.spine[a.spineOff[ki]:a.spineOff[ki+1]]
@@ -311,10 +368,12 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 					// One scan covers every resumed pair in the row: their
 					// read rectangles all sit inside [shallowest resume
 					// boundary .. root] x the whole b tree.
+					runKids(minR0)
 					materialise(li+minR0, i, 0, n2-1)
 					suffixDone = true
 				}
 				treedistFrom(a, b, i, j, costs, td, fd, boff, r0, resume[kj].vals)
+				computed += int64((m1 - r0) * (j - lj + 1))
 				rdone[kj] = true
 				freshCk = captureCkpts(freshCk, a, b.krFP[kj], j, lj, costs, fd, r0)
 				continue
@@ -333,8 +392,12 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 				}
 			}
 			misses++
+			if isRoot {
+				runKids(0)
+			}
 			materialise(li, i, lj, j)
 			treedist(a, b, i, j, costs, td, fd, boff)
+			computed += int64(cells)
 			rdone[kj] = true
 			fresh = append(fresh, subEntry{key: key, block: &subBlock{
 				l1:   int32(len(rows)),
@@ -347,6 +410,9 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 		}
 	}
 
+	if sub {
+		materialise(0, n1-1, 0, n2-1)
+	}
 	var d int
 	if bl := blocks[k1*k2-1]; bl != nil {
 		// Root-pair hit that nothing recomputed ever read: the distance is
@@ -365,6 +431,9 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 
 	if len(fresh) > 0 || len(freshCk) > 0 || len(freshRows) > 0 {
 		c.publishSubBlocks(fresh, freshCk, freshRows, st, o)
+	}
+	if o != nil {
+		o.dpCells.Add(computed)
 	}
 	if hits > 0 {
 		c.subHits.Add(hits)
@@ -403,6 +472,51 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 		}
 	}
 	return d
+}
+
+// planPaths chooses, from tree shapes alone, the orientation of each root
+// child's sub-DP for the pair (a, b) (DESIGN.md §13). In the left-path
+// grid child Cm's keyroot rows cost W_L(Cm)·W_L(b) cells; run on the
+// mirrored pair they cost W_R(Cm)·W_R(b) plus the |Cm|·n2 copy back. A
+// child runs mirrored when that saves at least pathMin cells. The marks
+// are nil when every child stays left — the plain keyroot loop.
+func (c *Cache) planPaths(a, b *flat, sc *dpScratch) (mirrored, skip []bool) {
+	if len(a.kids) == 0 {
+		return nil, nil
+	}
+	n2 := int64(len(b.labels))
+	mirrored, skip = sc.pathMarks(len(a.kids), len(a.kr))
+	use := false
+	for m := range a.kids {
+		k := &a.kids[m]
+		if k.wL*b.wL-(k.wR*b.wR+int64(k.size)*n2) < c.pathMin {
+			continue
+		}
+		use = true
+		mirrored[m] = true
+		for ki := k.kiLo; ki < k.kiHi; ki++ {
+			skip[ki] = true
+		}
+	}
+	if !use {
+		return nil, nil
+	}
+	return mirrored, skip
+}
+
+// mirroredSubDP produces root child k's td rectangle Cm × b. It runs the
+// memoised keyroot DP on the mirrored pair (mirror Cm, mirror b) in a
+// second scratch, then copies the whole rectangle into td with rows and
+// columns mapped by post_mirror(x) = n−1−pre(x). Every td cell is a
+// subtree-pair distance and TED is invariant under mirroring both trees,
+// so the copied cells equal those the left-path rows would have written.
+func (c *Cache) mirroredSubDP(tk *tree.Node, k *kidShape, a *flat, tb *tree.Node, b *flat, costs Costs, td [][]int32, o *cacheObs) {
+	ma := c.mirrorFlat(tk, k.fp)
+	mb := c.mirrorFlat(tb, b.krFP[len(b.kr)-1])
+	sc := getScratch()
+	c.zsDistanceMemo(ma, mb, costs, sc, o, nil, nil)
+	restoreBlock(td, a.mir[k.off:k.off+k.size], b.mir, sc.td[:len(ma.labels)*len(mb.labels)])
+	putScratch(sc)
 }
 
 // captureCkpts copies the fd rows completed at root-child boundaries
