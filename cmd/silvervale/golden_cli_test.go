@@ -80,8 +80,8 @@ func TestGoldenTierLine(t *testing.T) {
 	assertGolden(t, lineWith(t, stderr, "ted tiering"), goldenTierLine)
 }
 
-// TestGoldenWatchEditLine is the scripted edit of the verify smoke run:
-// three ports, one function appended to the cuda kernels, then -since.
+// TestGoldenWatchEditLine is the scripted one-function edit: three ports,
+// one function appended to the cuda kernels, then a -since run.
 func TestGoldenWatchEditLine(t *testing.T) {
 	root := writePorts(t, "serial", "omp", "cuda")
 	snap := filepath.Join(t.TempDir(), "warm.svsnap")

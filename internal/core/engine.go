@@ -43,43 +43,35 @@ type Engine struct {
 	taskNS     *obs.Histogram // engine.task_ns — per-task latency
 	queueDepth *obs.Histogram // engine.queue_depth — remaining tasks at dequeue
 
-	// tier accounting: cumulative routing counts across every tiered
-	// sweep this engine ran (the post-sweep tier stats line), plus the
-	// ted.tier_* obs counters (nil when observability is off).
-	tierPairs     atomic.Uint64
-	tierExact     atomic.Uint64
-	tierEstimated atomic.Uint64
-	tierFar       atomic.Uint64
-	obsTierPairs  *obs.Counter // ted.tier_pairs — pairs routed by a tier policy
-	obsTierExact  *obs.Counter // ted.tier_exact — pairs refined with exact Zhang–Shasha
-	obsTierEst    *obs.Counter // ted.tier_estimated — pairs estimated from the pq-gram distance
-	obsTierFar    *obs.Counter // ted.tier_far — pairs estimated from LSH signatures alone
+	// counts is the engine's always-on accounting (tier routing and
+	// incremental reuse), adopted by the recorder under the ted.tier_* and
+	// incr.* names. subReused/subRecomputed are the cache's own subtree-
+	// block counters (nil without a cache): the sub-cell reuse split is
+	// counted once, by the cache that sees it (DESIGN.md §13).
+	counts                   *engineCounters
+	subReused, subRecomputed *obs.Counter
 
 	// cell memo: the matrix-cell invalidation layer (DESIGN.md §12).
 	// Matrix/MatrixTiered memoise every computed cell under (per-side
 	// metric hash, metric, costs, policy); warm re-sweeps recompute only
 	// cells whose key changed. nil when the engine is cache-less, so raw
-	// benchmarks measure raw work. The incremental accounting mirrors the
-	// tier accounting: engine-lifetime atomics plus incr.* obs counters.
+	// benchmarks measure raw work.
 	cellMu   sync.Mutex
 	cellMemo map[cellKey]cellVal
+}
 
-	unitsReused        atomic.Uint64
-	unitsReparsed      atomic.Uint64
-	cellsReused        atomic.Uint64
-	cellsRecomputed    atomic.Uint64
-	obsCellsReused     *obs.Counter // incr.cells_reused — matrix cells served from the cell memo
-	obsCellsRecomputed *obs.Counter // incr.cells_recomputed — matrix cells recomputed
+// engineCounters are the engine's cumulative counts since construction,
+// allocated apart from the Engine like the cache's (ted.cacheCounters).
+type engineCounters struct {
+	tierPairs     obs.Counter // pairs routed by a tier policy
+	tierExact     obs.Counter // pairs refined with exact Zhang–Shasha
+	tierEstimated obs.Counter // pairs estimated from the pq-gram distance
+	tierFar       obs.Counter // pairs estimated from LSH signatures alone
 
-	// Subtree-block accounting (DESIGN.md §13): how many keyroot blocks
-	// the cache's subtree memo restored versus recomputed inside this
-	// engine's matrix sweeps — the sub-cell dirty set behind each
-	// recomputed cell. Fed per sweep from cache-stats deltas in
-	// matrixMemo, mirrored into the incr.* obs counters.
-	subBlocksReused     atomic.Uint64
-	subBlocksRecomputed atomic.Uint64
-	obsSubReused        *obs.Counter // incr.subtree_blocks_reused
-	obsSubRecomputed    *obs.Counter // incr.subtree_blocks_recomputed
+	unitsReused     obs.Counter // parsed units served from a prior index
+	unitsReparsed   obs.Counter // units re-run through the frontend
+	cellsReused     obs.Counter // matrix cells served from the cell memo
+	cellsRecomputed obs.Counter // matrix cells recomputed
 }
 
 // NewEngine returns an engine with the given worker-pool bound and a fresh
@@ -100,26 +92,33 @@ func NewEngineWithCache(workers int, cache *ted.Cache) *Engine {
 // recorder yields exactly the uninstrumented engine — the obs handles stay
 // nil and every hook is a pointer check.
 func NewEngineObs(workers int, cache *ted.Cache, rec *obs.Recorder) *Engine {
-	e := &Engine{workers: ResolveWorkers(workers), cache: cache, rec: rec}
+	e := &Engine{
+		workers:    ResolveWorkers(workers),
+		cache:      cache,
+		rec:        rec,
+		tasks:      rec.Counter("engine.tasks"),
+		cells:      rec.Counter("engine.cells"),
+		taskNS:     rec.Histogram("engine.task_ns"),
+		queueDepth: rec.Histogram("engine.queue_depth"),
+		counts:     &engineCounters{},
+	}
 	if cache != nil {
 		e.cellMemo = map[cellKey]cellVal{}
+		e.subReused, e.subRecomputed = cache.SubtreeBlockCounters()
+		cache.SetRecorder(rec)
 	}
-	if rec != nil {
-		if cache != nil {
-			cache.SetRecorder(rec)
-		}
-		e.tasks = rec.Counter("engine.tasks")
-		e.cells = rec.Counter("engine.cells")
-		e.taskNS = rec.Histogram("engine.task_ns")
-		e.queueDepth = rec.Histogram("engine.queue_depth")
-		e.obsTierPairs = rec.Counter("ted.tier_pairs")
-		e.obsTierExact = rec.Counter("ted.tier_exact")
-		e.obsTierEst = rec.Counter("ted.tier_estimated")
-		e.obsTierFar = rec.Counter("ted.tier_far")
-		e.obsCellsReused = rec.Counter("incr.cells_reused")
-		e.obsCellsRecomputed = rec.Counter("incr.cells_recomputed")
-		e.obsSubReused = rec.Counter("incr.subtree_blocks_reused")
-		e.obsSubRecomputed = rec.Counter("incr.subtree_blocks_recomputed")
+	k := e.counts
+	for name, c := range map[string]*obs.Counter{
+		"ted.tier_pairs":                 &k.tierPairs,
+		"ted.tier_exact":                 &k.tierExact,
+		"ted.tier_estimated":             &k.tierEstimated,
+		"ted.tier_far":                   &k.tierFar,
+		"incr.cells_reused":              &k.cellsReused,
+		"incr.cells_recomputed":          &k.cellsRecomputed,
+		"incr.subtree_blocks_reused":     e.subReused,
+		"incr.subtree_blocks_recomputed": e.subRecomputed,
+	} {
+		rec.Adopt(name, c)
 	}
 	return e
 }
@@ -277,10 +276,6 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 		e.countCells(reused, len(work))
 	}
 
-	var subPre ted.CacheStats
-	if e.cache != nil {
-		subPre = e.cache.Stats()
-	}
 	errs := make([]error, len(work))
 	vals := make([]cellVal, len(work))
 	ctxErr := e.runParallel(ctx, len(work), sp, "engine.cell", func(k int) {
@@ -308,11 +303,6 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 		vals[k] = cellVal{norm: m[i][j], rev: m[j][i]}
 	})
 	sp.End()
-	if e.cache != nil {
-		subPost := e.cache.Stats()
-		e.countSubBlocks(subPost.SubtreeHits-subPre.SubtreeHits,
-			subPost.SubtreeMisses-subPre.SubtreeMisses)
-	}
 	if ctxErr != nil {
 		// Canceled mid-sweep: the vals slots of unstarted cells are zero
 		// and must never reach the memo, so the whole sweep publishes

@@ -130,7 +130,7 @@ func finalizeUnit(cb *corpus.Codebase, ui *UnitIndex) {
 
 // IncrStats counts what an incremental operation reused versus redid.
 // Engine methods accumulate the same counts engine-lifetime (Engine.
-// IncrStats) and into the incr.* obs counters.
+// IncrStats), in counters the recorder adopts as incr.*.
 type IncrStats struct {
 	UnitsReused     int // parsed units served from the prior index
 	UnitsReparsed   int // units re-run through the frontend
@@ -212,8 +212,6 @@ func IndexCodebaseIncrementalCtx(ctx context.Context, cb *corpus.Codebase, prior
 	workers := opts.ResolvedWorkers()
 	root := opts.Recorder.Start("incr.index").
 		Arg("app", cb.App).Arg("model", string(cb.Model))
-	opts.Recorder.Counter("incr.units_reused").Add(int64(st.UnitsReused))
-	opts.Recorder.Counter("incr.units_reparsed").Add(int64(st.UnitsReparsed))
 	errs := make([]error, len(dirty))
 	ctxErr := runParallelCtx(ctx, len(dirty), workers, func(k int) {
 		i := dirty[k]
@@ -248,8 +246,13 @@ func (e *Engine) IndexCodebaseIncremental(cb *corpus.Codebase, prior *Index, opt
 		opts.Recorder = e.rec
 	}
 	idx, st, err := IndexCodebaseIncremental(cb, prior, opts)
-	e.unitsReused.Add(uint64(st.UnitsReused))
-	e.unitsReparsed.Add(uint64(st.UnitsReparsed))
+	k := e.counts
+	// Adopted on first use, so runs that never index incrementally keep
+	// the counter set they always had.
+	e.rec.Adopt("incr.units_reused", &k.unitsReused)
+	e.rec.Adopt("incr.units_reparsed", &k.unitsReparsed)
+	k.unitsReused.Add(int64(st.UnitsReused))
+	k.unitsReparsed.Add(int64(st.UnitsReparsed))
 	return idx, st, err
 }
 
@@ -332,40 +335,26 @@ func (e *Engine) cellStore(k cellKey, v cellVal) {
 	e.cellMu.Unlock()
 }
 
-// countCells folds one sweep's reuse split into the engine-lifetime
-// counters and the incr.* obs counters.
+// countCells folds one sweep's reuse split into the engine's counts.
 func (e *Engine) countCells(reused, recomputed int) {
-	e.cellsReused.Add(uint64(reused))
-	e.cellsRecomputed.Add(uint64(recomputed))
-	e.obsCellsReused.Add(int64(reused))
-	e.obsCellsRecomputed.Add(int64(recomputed))
-}
-
-// countSubBlocks folds one sweep's subtree-block reuse split into the
-// engine-lifetime counters and the incr.* obs counters.
-func (e *Engine) countSubBlocks(reused, recomputed uint64) {
-	if reused == 0 && recomputed == 0 {
-		return
-	}
-	e.subBlocksReused.Add(reused)
-	e.subBlocksRecomputed.Add(recomputed)
-	e.obsSubReused.Add(int64(reused))
-	e.obsSubRecomputed.Add(int64(recomputed))
+	e.counts.cellsReused.Add(int64(reused))
+	e.counts.cellsRecomputed.Add(int64(recomputed))
 }
 
 // IncrStats returns the engine's cumulative incremental accounting: cells
 // reused/recomputed across every Matrix and MatrixTiered call, units
-// reused/reparsed across every IndexCodebaseIncremental call, subtree
-// blocks reused/recomputed inside those sweeps' TED work. The watch loop
+// reused/reparsed across every IndexCodebaseIncremental call, and the
+// subtree blocks the engine's cache reused/recomputed. The watch loop
 // diffs two snapshots to render its per-iteration stats line.
 func (e *Engine) IncrStats() IncrStats {
+	k := e.counts
 	return IncrStats{
-		UnitsReused:             int(e.unitsReused.Load()),
-		UnitsReparsed:           int(e.unitsReparsed.Load()),
-		CellsReused:             int(e.cellsReused.Load()),
-		CellsRecomputed:         int(e.cellsRecomputed.Load()),
-		SubtreeBlocksReused:     int(e.subBlocksReused.Load()),
-		SubtreeBlocksRecomputed: int(e.subBlocksRecomputed.Load()),
+		UnitsReused:             int(k.unitsReused.Value()),
+		UnitsReparsed:           int(k.unitsReparsed.Value()),
+		CellsReused:             int(k.cellsReused.Value()),
+		CellsRecomputed:         int(k.cellsRecomputed.Value()),
+		SubtreeBlocksReused:     int(e.subReused.Value()),
+		SubtreeBlocksRecomputed: int(e.subRecomputed.Value()),
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"silvervale/internal/cbdb"
@@ -423,5 +424,45 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !sameBits(warm, cold) {
 		t.Fatal("restored sweep differs from the original")
+	}
+}
+
+// TestConcurrentSweepsSubtreeAttribution: two Matrix sweeps running at
+// once on one engine, over disjoint cold model sets, must report exactly
+// the subtree blocks their shared cache counted — each block once, not
+// once per overlapping sweep.
+func TestConcurrentSweepsSubtreeAttribution(t *testing.T) {
+	idxs, order := buildIndexes(t, "babelstream-fortran")
+	if len(order) < 6 {
+		t.Fatalf("need 6 models, have %v", order)
+	}
+	e := NewEngine(1)
+	c0, i0 := e.CacheStats(), e.IncrStats()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for k, models := range [][]string{order[:3], order[3:6]} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[k] = e.Matrix(idxs, models, MetricTsem)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1, d := e.CacheStats(), e.IncrStats().Delta(i0)
+	hits, misses := int(c1.SubtreeHits-c0.SubtreeHits), int(c1.SubtreeMisses-c0.SubtreeMisses)
+	if misses == 0 {
+		t.Fatal("cold sweeps computed no memoisable blocks; the test proves nothing")
+	}
+	if d.SubtreeBlocksReused != hits || d.SubtreeBlocksRecomputed != misses {
+		t.Fatalf("engine counted %d reused / %d recomputed blocks, cache counted %d / %d",
+			d.SubtreeBlocksReused, d.SubtreeBlocksRecomputed, hits, misses)
 	}
 }

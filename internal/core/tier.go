@@ -62,29 +62,23 @@ func (s TierStats) Line(p ted.TierPolicy) string {
 // TierStats returns the engine's cumulative routing counts across every
 // tiered call since construction.
 func (e *Engine) TierStats() TierStats {
+	k := e.counts
 	return TierStats{
-		Pairs:     e.tierPairs.Load(),
-		Exact:     e.tierExact.Load(),
-		Estimated: e.tierEstimated.Load(),
-		Far:       e.tierFar.Load(),
+		Pairs:     uint64(k.tierPairs.Value()),
+		Exact:     uint64(k.tierExact.Value()),
+		Estimated: uint64(k.tierEstimated.Value()),
+		Far:       uint64(k.tierFar.Value()),
 	}
 }
 
 // countTier folds one cell's provenance into the engine's cumulative
-// stats and the ted.tier_* obs counters.
+// routing counts.
 func (e *Engine) countTier(c TierCell) {
-	n := c.Pairs()
-	if n == 0 {
-		return
-	}
-	e.tierPairs.Add(uint64(n))
-	e.tierExact.Add(uint64(c.Exact))
-	e.tierEstimated.Add(uint64(c.Estimated))
-	e.tierFar.Add(uint64(c.Far))
-	e.obsTierPairs.Add(int64(n))
-	e.obsTierExact.Add(int64(c.Exact))
-	e.obsTierEst.Add(int64(c.Estimated))
-	e.obsTierFar.Add(int64(c.Far))
+	k := e.counts
+	k.tierPairs.Add(int64(c.Pairs()))
+	k.tierExact.Add(int64(c.Exact))
+	k.tierEstimated.Add(int64(c.Estimated))
+	k.tierFar.Add(int64(c.Far))
 }
 
 // tierable reports whether a sweep under (metric, policy) actually routes

@@ -39,6 +39,13 @@ func (r *Recorder) Snapshot() Snapshot {
 		snap.Counters[k.(string)] = v.(*Counter).Value()
 		return true
 	})
+	r.adoptMu.Lock()
+	for name, cs := range r.adopted {
+		for _, c := range cs {
+			snap.Counters[name] += c.Value()
+		}
+	}
+	r.adoptMu.Unlock()
 	r.hists.Range(func(k, v any) bool {
 		snap.Histograms[k.(string)] = v.(*Histogram).snapshot()
 		return true

@@ -44,6 +44,9 @@ type Recorder struct {
 
 	counters sync.Map // name -> *Counter
 	hists    sync.Map // name -> *Histogram
+
+	adoptMu sync.Mutex
+	adopted map[string][]*Counter // name -> counters owned by modules
 }
 
 // NewRecorder returns an enabled recorder whose clock starts now.
@@ -167,7 +170,8 @@ func (r *Recorder) Spans() []SpanRecord {
 // --- counters ----------------------------------------------------------------
 
 // Counter is a monotonically updated atomic counter. A nil *Counter
-// no-ops.
+// no-ops; the zero value is ready to use, so a module can keep its own
+// always-on counters and hand them to a recorder with Adopt.
 type Counter struct{ v atomic.Int64 }
 
 // Counter returns (creating on first use) the named counter. Callers on
@@ -181,6 +185,30 @@ func (r *Recorder) Counter(name string) *Counter {
 	}
 	v, _ := r.counters.LoadOrStore(name, &Counter{})
 	return v.(*Counter)
+}
+
+// Adopt registers c, a counter its module owns and updates itself, under
+// name. Snapshot reports the sum of every counter adopted under a name
+// plus the recorder's own counter of that name, so several modules (two
+// caches, a fresh store per run) can share one recorder. The recorder
+// holds only c, never the module around it, and counts whatever c counted
+// before adoption too. Adopting the same counter twice under one name is a
+// no-op.
+func (r *Recorder) Adopt(name string, c *Counter) {
+	if r == nil || c == nil {
+		return
+	}
+	r.adoptMu.Lock()
+	defer r.adoptMu.Unlock()
+	for _, prev := range r.adopted[name] {
+		if prev == c {
+			return
+		}
+	}
+	if r.adopted == nil {
+		r.adopted = map[string][]*Counter{}
+	}
+	r.adopted[name] = append(r.adopted[name], c)
 }
 
 // Add increments the counter.

@@ -300,3 +300,51 @@ func TestTraceLaneNesting(t *testing.T) {
 		t.Fatalf("sequential children should share the root lane: %v", tids)
 	}
 }
+
+// TestAdoptSumsOwnedCounters: Snapshot sums every counter adopted under a
+// name with the recorder's own counter of that name; re-adopting a counter
+// does not count it twice, and nil recorders and counters are ignored.
+func TestAdoptSumsOwnedCounters(t *testing.T) {
+	var a, b Counter
+	a.Add(3) // counts from before adoption are reported too
+	r := NewRecorder()
+	r.Adopt("store.hits", &a)
+	r.Adopt("store.hits", &b)
+	r.Adopt("store.hits", &a)
+	r.Adopt("store.misses", nil)
+	b.Add(4)
+	r.Counter("store.hits").Add(5)
+	var nilRec *Recorder
+	nilRec.Adopt("store.hits", &a)
+
+	snap := r.Snapshot()
+	if got := snap.Counters["store.hits"]; got != 12 {
+		t.Fatalf("store.hits = %d, want 3+4+5", got)
+	}
+	if _, ok := snap.Counters["store.misses"]; ok {
+		t.Fatalf("nil counter adopted: %v", snap.Counters)
+	}
+	var zero Counter
+	r.Adopt("serve.errors", &zero)
+	if got, ok := r.Snapshot().Counters["serve.errors"]; !ok || got != 0 {
+		t.Fatalf("zero adopted counter must still be reported: %v", r.Snapshot().Counters)
+	}
+
+	// Modules attach from several goroutines while the recorder is read.
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &Counter{}
+			r.Adopt("engine.shared", c)
+			c.Add(1)
+			r.Snapshot()
+		}()
+	}
+	wg.Wait()
+	if got := r.Snapshot().Counters["engine.shared"]; got != goroutines {
+		t.Fatalf("engine.shared = %d, want %d", got, goroutines)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
+
+	"silvervale/internal/obs"
 )
 
 // Admission control (DESIGN.md §14). Sweeps are CPU-bound and share one
@@ -23,7 +25,7 @@ var errOverflow = errors.New("serve: admission queue full")
 type admission struct {
 	slots    chan struct{} // in-flight semaphore, cap MaxInflight
 	admitted atomic.Int64  // in-flight + queued
-	inflight atomic.Int64  // holding a slot right now
+	inflight obs.Counter   // holding a slot right now (serve.inflight)
 	limit    int64         // MaxInflight + MaxQueue
 }
 
@@ -64,11 +66,11 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 }
 
 // Inflight returns how many sweeps hold a slot right now.
-func (a *admission) Inflight() int64 { return a.inflight.Load() }
+func (a *admission) Inflight() int64 { return a.inflight.Value() }
 
 // Queued returns how many admitted requests are waiting for a slot.
 func (a *admission) Queued() int64 {
-	q := a.admitted.Load() - a.inflight.Load()
+	q := a.admitted.Load() - a.inflight.Value()
 	if q < 0 {
 		q = 0
 	}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"silvervale/internal/experiments"
@@ -76,25 +75,21 @@ type Server struct {
 	mux        *http.ServeMux
 	retryAfter string
 
-	// always-on request accounting
-	requests atomic.Int64
-	rejected atomic.Int64
-	canceled atomic.Int64
-	errcount atomic.Int64
-
-	// obs counters (nil when observability is off); stable names in
-	// DESIGN.md §5: serve.requests / serve.inflight / serve.rejected /
-	// serve.canceled, plus the serve.latency_ns histogram and the
-	// serve.request span BeginRequest opens.
-	obsRequests *obs.Counter
-	obsInflight *obs.Counter
-	obsRejected *obs.Counter
-	obsCanceled *obs.Counter
+	// counts is the always-on request accounting, adopted by the
+	// recorder under the serve.* names (DESIGN.md §5) alongside the
+	// admission gauge as serve.inflight.
+	counts *serveCounters
 
 	// holdSweep, when set (tests only), is invoked inside every admitted
 	// request while it holds its admission slot — the deterministic way
 	// to pin the daemon at full capacity for overflow tests.
 	holdSweep func()
+}
+
+// serveCounters are the server's request counters, allocated apart from
+// the Server like every module's adopted counters.
+type serveCounters struct {
+	requests, rejected, canceled, errors obs.Counter
 }
 
 // New builds a Server over a shared environment.
@@ -121,12 +116,17 @@ func New(cfg Config) *Server {
 		adm:        newAdmission(cfg.MaxInflight, cfg.MaxQueue),
 		reg:        newRegistry(),
 		retryAfter: strconv.FormatInt(retrySecs, 10),
+		counts:     &serveCounters{},
 	}
-	if s.rec != nil {
-		s.obsRequests = s.rec.Counter("serve.requests")
-		s.obsInflight = s.rec.Counter("serve.inflight")
-		s.obsRejected = s.rec.Counter("serve.rejected")
-		s.obsCanceled = s.rec.Counter("serve.canceled")
+	k := s.counts
+	for name, c := range map[string]*obs.Counter{
+		"serve.requests": &k.requests,
+		"serve.inflight": &s.adm.inflight,
+		"serve.rejected": &k.rejected,
+		"serve.canceled": &k.canceled,
+		"serve.errors":   &k.errors,
+	} {
+		s.rec.Adopt(name, c)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -145,13 +145,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // Stats snapshots the request accounting.
 func (s *Server) Stats() Stats {
+	k := s.counts
 	return Stats{
-		Requests: s.requests.Load(),
+		Requests: k.requests.Value(),
 		Inflight: s.adm.Inflight(),
 		Queued:   s.adm.Queued(),
-		Rejected: s.rejected.Load(),
-		Canceled: s.canceled.Load(),
-		Errors:   s.errcount.Load(),
+		Rejected: k.rejected.Value(),
+		Canceled: k.canceled.Value(),
+		Errors:   k.errors.Value(),
 	}
 }
 
@@ -162,15 +163,13 @@ func (s *Server) Stats() Stats {
 // happens in exactly one place.
 func (s *Server) handle(endpoint string, admit bool, fn func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
-		s.obsRequests.Add(1)
+		s.counts.requests.Add(1)
 		req := s.rec.BeginRequest(endpoint)
 		if admit {
 			release, err := s.adm.acquire(r.Context())
 			if err != nil {
 				if errors.Is(err, errOverflow) {
-					s.rejected.Add(1)
-					s.obsRejected.Add(1)
+					s.counts.rejected.Add(1)
 					w.Header().Set("Retry-After", s.retryAfter)
 					writeError(w, http.StatusTooManyRequests, "sweep capacity exhausted, retry later")
 					req.End(http.StatusTooManyRequests, "rejected")
@@ -178,16 +177,11 @@ func (s *Server) handle(endpoint string, admit bool, fn func(w http.ResponseWrit
 				}
 				// Client went away while queued; nobody is listening for
 				// a response body.
-				s.canceled.Add(1)
-				s.obsCanceled.Add(1)
+				s.counts.canceled.Add(1)
 				req.End(statusClientClosedRequest, "canceled")
 				return
 			}
-			s.obsInflight.Add(1)
-			defer func() {
-				s.obsInflight.Add(-1)
-				release()
-			}()
+			defer release()
 			if s.holdSweep != nil {
 				s.holdSweep()
 			}
@@ -198,8 +192,7 @@ func (s *Server) handle(endpoint string, admit bool, fn func(w http.ResponseWrit
 			return
 		}
 		if errors.Is(err, errCtxDone) || r.Context().Err() != nil {
-			s.canceled.Add(1)
-			s.obsCanceled.Add(1)
+			s.counts.canceled.Add(1)
 			req.End(statusClientClosedRequest, "canceled")
 			return
 		}
@@ -209,7 +202,7 @@ func (s *Server) handle(endpoint string, admit bool, fn func(w http.ResponseWrit
 			req.End(he.status, "rejected")
 			return
 		}
-		s.errcount.Add(1)
+		s.counts.errors.Add(1)
 		writeError(w, http.StatusInternalServerError, err.Error())
 		req.End(http.StatusInternalServerError, "error")
 	}

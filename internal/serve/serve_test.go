@@ -26,6 +26,8 @@ import (
 	"silvervale/internal/core"
 	"silvervale/internal/corpus"
 	"silvervale/internal/experiments"
+	"silvervale/internal/obs"
+	"silvervale/internal/ted"
 )
 
 const (
@@ -504,8 +506,14 @@ func TestRequestHardening(t *testing.T) {
 }
 
 // TestHealthAndStatsEndpoints: the unauthenticated always-on surface.
+// With a recorder attached at construction, every typed stats view —
+// serve.Stats, and the engine's CacheStats, IncrStats and TierStats —
+// agrees field for field with the recorder counter of its stable name
+// after an exact sweep, a tiered sweep and an incremental index.
 func TestHealthAndStatsEndpoints(t *testing.T) {
-	s := newServer(t, 1, 1, 1)
+	rec := obs.NewRecorder()
+	env := experiments.NewEnvObs(1, rec)
+	s := New(Config{Env: env, Recorder: rec, MaxInflight: 1, MaxQueue: 1})
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if w.Code != http.StatusOK || w.Body.String() != "ok\n" {
@@ -526,6 +534,72 @@ func TestHealthAndStatsEndpoints(t *testing.T) {
 	}
 	if got := st.Line(); !strings.Contains(got, "serve: 1 requests") {
 		t.Fatalf("stats line = %q", got)
+	}
+
+	if w := post(s, "/v1/matrix", matrixBody(serveApp, core.MetricTsem)); w.Code != http.StatusOK {
+		t.Fatalf("exact sweep = %d %s", w.Code, w.Body)
+	}
+	env.SetTierPolicy(ted.NewTierPolicy(0.2))
+	if w := post(s, "/v1/matrix", matrixBody(serveApp, core.MetricTsem)); w.Code != http.StatusOK {
+		t.Fatalf("tiered sweep = %d %s", w.Code, w.Body)
+	}
+	app, err := corpus.AppByName(serveApp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := corpus.Generate(app, corpus.ModelsFor(app)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := env.Engine().IndexCodebaseIncremental(cb, nil, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+
+	eng := env.Engine()
+	sv, cs, is, ts := s.Stats(), eng.CacheStats(), eng.IncrStats(), eng.TierStats()
+	if ts.Pairs == 0 || cs.SubtreeMisses == 0 || is.UnitsReparsed == 0 {
+		t.Fatalf("sweeps left counters idle: tier %+v, incr %+v", ts, is)
+	}
+	got := rec.Snapshot().Counters
+	for name, want := range map[string]int64{
+		"serve.requests": sv.Requests,
+		"serve.inflight": sv.Inflight,
+		"serve.rejected": sv.Rejected,
+		"serve.canceled": sv.Canceled,
+		"serve.errors":   sv.Errors,
+
+		"ted.cache.hits":             int64(cs.Hits),
+		"ted.cache.misses":           int64(cs.Misses),
+		"ted.cache.identity":         int64(cs.Identity),
+		"ted.cache.symmetric":        int64(cs.Symmetric),
+		"ted.bound_pruned":           int64(cs.BoundPruned),
+		"ted.flat_memo.hits":         int64(cs.FlatHits),
+		"ted.flat_memo.misses":       int64(cs.FlatMisses),
+		"ted.subtree_blocks_hit":     int64(cs.SubtreeHits),
+		"ted.subtree_blocks_miss":    int64(cs.SubtreeMisses),
+		"ted.subtree_blocks_evicted": int64(cs.SubtreeEvicted),
+		"ted.ckpt_rows_hit":          int64(cs.CheckpointHits),
+		"ted.ckpt_rows_miss":         int64(cs.CheckpointMisses),
+		"ted.ckpt_rows_evicted":      int64(cs.CheckpointEvicted),
+		"ted.probe_rows_hit":         int64(cs.ProbeRowHits),
+		"ted.probe_rows_miss":        int64(cs.ProbeRowMisses),
+		"ted.probe_rows_evicted":     int64(cs.ProbeRowEvicted),
+
+		"incr.units_reused":              int64(is.UnitsReused),
+		"incr.units_reparsed":            int64(is.UnitsReparsed),
+		"incr.cells_reused":              int64(is.CellsReused),
+		"incr.cells_recomputed":          int64(is.CellsRecomputed),
+		"incr.subtree_blocks_reused":     int64(is.SubtreeBlocksReused),
+		"incr.subtree_blocks_recomputed": int64(is.SubtreeBlocksRecomputed),
+
+		"ted.tier_pairs":     int64(ts.Pairs),
+		"ted.tier_exact":     int64(ts.Exact),
+		"ted.tier_estimated": int64(ts.Estimated),
+		"ted.tier_far":       int64(ts.Far),
+	} {
+		if v, ok := got[name]; !ok || v != want {
+			t.Errorf("recorder %s = %d (present %v), typed stats say %d", name, v, ok, want)
+		}
 	}
 }
 

@@ -134,13 +134,11 @@ type Store struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	hits           atomic.Uint64
-	misses         atomic.Uint64
-	bytesRead      atomic.Uint64
-	bytesWritten   atomic.Uint64
-	flushes        atomic.Uint64
-	corruptSkipped atomic.Uint64
-	writeErrors    atomic.Uint64
+	// counts holds the counters SetRecorder adopts under the store.*
+	// names; writeErrors and the per-tier byte splits have no stable name
+	// and stay private.
+	counts      *storeCounters
+	writeErrors atomic.Uint64
 
 	// Per-tier splits of bytesRead/bytesWritten, indexed by tierIndex, so
 	// the growth of each tier — the subtree-block memo in particular — is
@@ -148,33 +146,28 @@ type Store struct {
 	tierRead    [len(tierNames)]atomic.Uint64
 	tierWritten [len(tierNames)]atomic.Uint64
 
-	// Breaker state: ioErrors counts every failed filesystem call,
-	// faultInjected the subset that faultfs scheduled; once ioErrors
-	// passes the threshold (or immediately under Strict) tripOnce fires,
-	// degraded flips, and the store stops touching disk.
-	ioErrors      atomic.Uint64
-	faultInjected atomic.Uint64
-	degraded      atomic.Bool
-	tripOnce      sync.Once
+	// Breaker: once counts.ioErrors passes the threshold (or immediately
+	// under Strict) tripOnce fires, counts.degraded becomes 1, and the
+	// store stops touching disk.
+	tripOnce sync.Once
 
 	errMu    sync.Mutex
 	firstErr error // first I/O fault, surfaced by Err/Close under Strict
-
-	obs atomic.Pointer[storeObs]
 }
 
-// storeObs caches the obs counters the store feeds when a recorder is
-// attached (nil when observability is off — the pointer-check path).
-type storeObs struct {
-	hits           *obs.Counter // store.hits
-	misses         *obs.Counter // store.misses
-	bytesRead      *obs.Counter // store.bytes_read
-	bytesWritten   *obs.Counter // store.bytes_written
-	flushes        *obs.Counter // store.flushes
-	corruptSkipped *obs.Counter // store.corrupt_skipped
-	ioErrors       *obs.Counter // store.io_errors — failed filesystem calls
-	degraded       *obs.Counter // store.degraded — 1 once the breaker trips
-	faultInjected  *obs.Counter // store.fault_injected — scheduled faults observed
+// storeCounters are the store's always-on traffic counters. They live in
+// their own allocation so a recorder that adopted them never keeps a
+// closed store alive.
+type storeCounters struct {
+	hits           obs.Counter // lookups answered from disk
+	misses         obs.Counter // lookups with no (usable) record
+	bytesRead      obs.Counter // compressed bytes read by hits and skips
+	bytesWritten   obs.Counter // compressed bytes committed to disk
+	flushes        obs.Counter // write-behind batches flushed
+	corruptSkipped obs.Counter // undecodable or key-mismatched records skipped
+	ioErrors       obs.Counter // failed filesystem calls
+	faultInjected  obs.Counter // the subset of ioErrors faultfs scheduled
+	degraded       obs.Counter // 1 once the breaker trips
 }
 
 // Open creates (or reuses) a store rooted at dir and starts the flusher
@@ -198,6 +191,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		strict:    opts.Strict,
 		threshold: threshold,
 		fs:        fsys,
+		counts:    &storeCounters{},
 	}
 	if !opts.Readonly {
 		n := opts.QueueSize
@@ -240,7 +234,7 @@ func (s *Store) Readonly() bool { return s != nil && s.readonly }
 // into memory-only mode (lookups miss without touching disk, puts are
 // dropped). Results are unaffected — callers recompute exactly as they
 // would on a cold cache.
-func (s *Store) Degraded() bool { return s != nil && s.degraded.Load() }
+func (s *Store) Degraded() bool { return s != nil && s.counts.degraded.Value() != 0 }
 
 // Err returns the first I/O fault a Strict store observed (nil
 // otherwise, and always nil for non-strict stores).
@@ -253,28 +247,27 @@ func (s *Store) Err() error {
 	return s.firstErr
 }
 
-// SetRecorder attaches an observability recorder feeding the store.*
-// counters. A nil recorder detaches; the store's own Stats counters run
-// regardless.
+// SetRecorder hands the store's traffic counters to an observability
+// recorder under the store.* names (DESIGN.md §5). Adopted counts cover
+// the store's whole lifetime; attach right after Open.
 func (s *Store) SetRecorder(rec *obs.Recorder) {
 	if s == nil {
 		return
 	}
-	if rec == nil {
-		s.obs.Store(nil)
-		return
+	k := s.counts
+	for name, c := range map[string]*obs.Counter{
+		"store.hits":            &k.hits,
+		"store.misses":          &k.misses,
+		"store.bytes_read":      &k.bytesRead,
+		"store.bytes_written":   &k.bytesWritten,
+		"store.flushes":         &k.flushes,
+		"store.corrupt_skipped": &k.corruptSkipped,
+		"store.io_errors":       &k.ioErrors,
+		"store.degraded":        &k.degraded,
+		"store.fault_injected":  &k.faultInjected,
+	} {
+		rec.Adopt(name, c)
 	}
-	s.obs.Store(&storeObs{
-		hits:           rec.Counter("store.hits"),
-		misses:         rec.Counter("store.misses"),
-		bytesRead:      rec.Counter("store.bytes_read"),
-		bytesWritten:   rec.Counter("store.bytes_written"),
-		flushes:        rec.Counter("store.flushes"),
-		corruptSkipped: rec.Counter("store.corrupt_skipped"),
-		ioErrors:       rec.Counter("store.io_errors"),
-		degraded:       rec.Counter("store.degraded"),
-		faultInjected:  rec.Counter("store.fault_injected"),
-	})
 }
 
 // TierIO is one tier's on-disk traffic this run. Written approximates the
@@ -314,17 +307,19 @@ func (s *Store) Stats() Stats {
 	for i, name := range tierNames {
 		tiers[name] = TierIO{Read: s.tierRead[i].Load(), Written: s.tierWritten[i].Load()}
 	}
+	k := s.counts
+	v := func(n *obs.Counter) uint64 { return uint64(n.Value()) }
 	return Stats{
-		Hits:           s.hits.Load(),
-		Misses:         s.misses.Load(),
-		BytesRead:      s.bytesRead.Load(),
-		BytesWritten:   s.bytesWritten.Load(),
-		Flushes:        s.flushes.Load(),
-		CorruptSkipped: s.corruptSkipped.Load(),
+		Hits:           v(&k.hits),
+		Misses:         v(&k.misses),
+		BytesRead:      v(&k.bytesRead),
+		BytesWritten:   v(&k.bytesWritten),
+		Flushes:        v(&k.flushes),
+		CorruptSkipped: v(&k.corruptSkipped),
 		WriteErrors:    s.writeErrors.Load(),
-		IOErrors:       s.ioErrors.Load(),
-		FaultInjected:  s.faultInjected.Load(),
-		Degraded:       s.degraded.Load(),
+		IOErrors:       v(&k.ioErrors),
+		FaultInjected:  v(&k.faultInjected),
+		Degraded:       k.degraded.Value() != 0,
 		TierBytes:      tiers,
 	}
 }
@@ -506,7 +501,7 @@ func (s *Store) Close() error {
 // error feeds the breaker and surfaces as a miss. A degraded store never
 // touches disk.
 func (s *Store) load(tier, name string) ([]byte, bool) {
-	if s.degraded.Load() {
+	if s.Degraded() {
 		s.miss()
 		return nil, false
 	}
@@ -519,37 +514,21 @@ func (s *Store) load(tier, name string) ([]byte, bool) {
 		s.miss()
 		return nil, false
 	}
-	s.bytesRead.Add(uint64(len(data)))
+	s.counts.bytesRead.Add(int64(len(data)))
 	s.tierRead[tierIndex(tier)].Add(uint64(len(data)))
-	if o := s.obs.Load(); o != nil {
-		o.bytesRead.Add(int64(len(data)))
-	}
 	return data, true
 }
 
 // hit records one successful lookup.
-func (s *Store) hit() {
-	s.hits.Add(1)
-	if o := s.obs.Load(); o != nil {
-		o.hits.Add(1)
-	}
-}
+func (s *Store) hit() { s.counts.hits.Add(1) }
 
 // miss records one lookup with no usable record.
-func (s *Store) miss() {
-	s.misses.Add(1)
-	if o := s.obs.Load(); o != nil {
-		o.misses.Add(1)
-	}
-}
+func (s *Store) miss() { s.counts.misses.Add(1) }
 
 // skipCorrupt records one record rejected by decode or key echo. The
 // lookup surfaces as a miss so the caller recomputes (and rewrites) it.
 func (s *Store) skipCorrupt() {
-	s.corruptSkipped.Add(1)
-	if o := s.obs.Load(); o != nil {
-		o.corruptSkipped.Add(1)
-	}
+	s.counts.corruptSkipped.Add(1)
 	s.miss()
 }
 
@@ -559,15 +538,9 @@ func (s *Store) skipCorrupt() {
 // passes the threshold.
 func (s *Store) ioError(err error) {
 	if faultfs.IsInjected(err) {
-		s.faultInjected.Add(1)
-		if o := s.obs.Load(); o != nil {
-			o.faultInjected.Add(1)
-		}
+		s.counts.faultInjected.Add(1)
 	}
-	n := s.ioErrors.Add(1)
-	if o := s.obs.Load(); o != nil {
-		o.ioErrors.Add(1)
-	}
+	s.counts.ioErrors.Add(1)
 	if s.strict {
 		s.errMu.Lock()
 		if s.firstErr == nil {
@@ -577,7 +550,7 @@ func (s *Store) ioError(err error) {
 		s.trip(err)
 		return
 	}
-	if n >= s.threshold {
+	if uint64(s.counts.ioErrors.Value()) >= s.threshold {
 		s.trip(err)
 	}
 }
@@ -588,12 +561,9 @@ func (s *Store) ioError(err error) {
 // recomputes, so a degraded sweep stays bit-identical to a cold one.
 func (s *Store) trip(err error) {
 	s.tripOnce.Do(func() {
-		s.degraded.Store(true)
-		if o := s.obs.Load(); o != nil {
-			o.degraded.Add(1)
-		}
+		s.counts.degraded.Add(1)
 		log.Printf("store: degraded to memory-only after %d I/O error(s): %v (results unaffected; writes dropped)",
-			s.ioErrors.Load(), err)
+			s.counts.ioErrors.Value(), err)
 	})
 }
 
@@ -601,7 +571,7 @@ func (s *Store) trip(err error) {
 // full (backpressure). The RLock pairs with Close's Lock so a concurrent
 // Close never closes the channel under an in-flight send.
 func (s *Store) put(p pending) {
-	if s.readonly || s.degraded.Load() {
+	if s.readonly || s.Degraded() {
 		return
 	}
 	s.mu.RLock()
@@ -639,7 +609,7 @@ func (s *Store) flusher() {
 // disk (each failed syscall already cost latency and fed the breaker).
 func (s *Store) writeBatch(batch []pending) {
 	for _, p := range batch {
-		if s.degraded.Load() {
+		if s.Degraded() {
 			s.writeErrors.Add(1)
 			continue
 		}
@@ -648,10 +618,7 @@ func (s *Store) writeBatch(batch []pending) {
 			s.ioError(err)
 		}
 	}
-	s.flushes.Add(1)
-	if o := s.obs.Load(); o != nil {
-		o.flushes.Add(1)
-	}
+	s.counts.flushes.Add(1)
 }
 
 // commit writes one record crash-safely: encode, write to a temp file in
@@ -705,10 +672,7 @@ func (s *Store) commit(p pending) error {
 		s.fs.Remove(tmp.Name())
 		return err
 	}
-	s.bytesWritten.Add(uint64(len(data)))
+	s.counts.bytesWritten.Add(int64(len(data)))
 	s.tierWritten[tierIndex(p.tier)].Add(uint64(len(data)))
-	if o := s.obs.Load(); o != nil {
-		o.bytesWritten.Add(int64(len(data)))
-	}
 	return nil
 }

@@ -325,8 +325,9 @@ func TestConcurrentPutsAndLookups(t *testing.T) {
 	s.PutDist(distKey(77), 7)
 }
 
-// TestObsCountersMirrorStats: with a recorder attached the store.* obs
-// counters track the internal stats.
+// TestObsCountersMirrorStats: a recorder attached right after Open
+// reports every store.* counter equal to the Stats field it names, summed
+// over every store it adopted — here a cold store and a warm one.
 func TestObsCountersMirrorStats(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{})
@@ -345,6 +346,28 @@ func TestObsCountersMirrorStats(t *testing.T) {
 	}
 	if snap.Counters["store.bytes_read"] == 0 {
 		t.Fatalf("bytes_read counter empty: %+v", snap.Counters)
+	}
+	a, b := s.Stats(), s2.Stats()
+	degraded := func(st Stats) int64 {
+		if st.Degraded {
+			return 1
+		}
+		return 0
+	}
+	for name, want := range map[string]int64{
+		"store.hits":            int64(a.Hits + b.Hits),
+		"store.misses":          int64(a.Misses + b.Misses),
+		"store.bytes_read":      int64(a.BytesRead + b.BytesRead),
+		"store.bytes_written":   int64(a.BytesWritten + b.BytesWritten),
+		"store.flushes":         int64(a.Flushes + b.Flushes),
+		"store.corrupt_skipped": int64(a.CorruptSkipped + b.CorruptSkipped),
+		"store.io_errors":       int64(a.IOErrors + b.IOErrors),
+		"store.fault_injected":  int64(a.FaultInjected + b.FaultInjected),
+		"store.degraded":        degraded(a) + degraded(b),
+	} {
+		if got, ok := snap.Counters[name]; !ok || got != want {
+			t.Errorf("recorder %s = %d (present %v), Stats say %d", name, got, ok, want)
+		}
 	}
 }
 

@@ -72,27 +72,14 @@ type Cache struct {
 	// least this many DP cells.
 	pathMin int64
 
-	subOn       atomic.Bool
-	subHits     atomic.Uint64
-	subMisses   atomic.Uint64
-	subEvicted  atomic.Uint64
-	ckptHits    atomic.Uint64
-	ckptMisses  atomic.Uint64
-	ckptEvicted atomic.Uint64
-	rowHits     atomic.Uint64
-	rowMisses   atomic.Uint64
-	rowEvicted  atomic.Uint64
+	subOn atomic.Bool
 
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	identity    atomic.Uint64
-	symmetric   atomic.Uint64
-	boundPruned atomic.Uint64
-	flatHits    atomic.Uint64
-	flatMisses  atomic.Uint64
+	// counts holds the always-on event counters behind Stats; SetRecorder
+	// adopts them, so each event is counted exactly once.
+	counts *cacheCounters
 
-	// obs holds the resolved observability handles (nil when disabled);
-	// an atomic pointer so SetRecorder is safe against in-flight lookups.
+	// obs holds the opt-in observability handles (nil when disabled); an
+	// atomic pointer so SetRecorder is safe against in-flight lookups.
 	obs atomic.Pointer[cacheObs]
 
 	// backing is the optional persistent artifact store (nil when absent);
@@ -103,28 +90,34 @@ type Cache struct {
 	backing atomic.Pointer[store.Store]
 }
 
-// cacheObs caches the recorder plus the counters/histograms the hot path
-// touches, resolved once in SetRecorder.
+// cacheCounters are the cache's always-on event counters. They live in
+// their own allocation so a recorder that adopted them never keeps a
+// dropped cache alive.
+type cacheCounters struct {
+	hits        obs.Counter // lookups answered from the memo or the identity shortcut
+	misses      obs.Counter // lookups that ran the underlying algorithm
+	identity    obs.Counter // hits answered by the identical-tree short-circuit
+	symmetric   obs.Counter // lookups canonicalised to the unordered pair
+	boundPruned obs.Counter // misses answered by a bound gate
+	flatHits    obs.Counter // flattened trees served from the flat memo
+	flatMisses  obs.Counter // trees flattened for the first time
+	subHits     obs.Counter // keyroot blocks served from the subtree memo
+	subMisses   obs.Counter // memoisable keyroot blocks not served
+	subEvicted  obs.Counter // blocks dropped by the byte bound
+	ckptHits    obs.Counter // root-row DPs resumed from a checkpoint
+	ckptMisses  obs.Counter // root-row misses with no usable checkpoint
+	ckptEvicted obs.Counter // checkpoint rows dropped by the byte bound
+	rowHits     obs.Counter // keyroot rows served by the probe-row memo
+	rowMisses   obs.Counter // keyroot rows probed slot by slot
+	rowEvicted  obs.Counter // probe rows dropped by the byte bound
+}
+
+// cacheObs caches the recorder plus the opt-in counters/histograms the hot
+// path touches, resolved once in SetRecorder.
 type cacheObs struct {
 	rec         *obs.Recorder
 	calls       *obs.Counter   // ted.calls — exact-TED lookups
 	approxCalls *obs.Counter   // ted.approx.calls — pq-gram lookups
-	hits        *obs.Counter   // ted.cache.hits
-	misses      *obs.Counter   // ted.cache.misses
-	identity    *obs.Counter   // ted.cache.identity
-	symmetric   *obs.Counter   // ted.cache.symmetric
-	boundPruned *obs.Counter   // ted.bound_pruned — misses answered by a bound gate
-	flatHits    *obs.Counter   // ted.flat_memo.hits
-	flatMisses  *obs.Counter   // ted.flat_memo.misses
-	subHits     *obs.Counter   // ted.subtree_blocks_hit — keyroot blocks served from the memo
-	subMisses   *obs.Counter   // ted.subtree_blocks_miss — memoisable blocks not served
-	subEvicted  *obs.Counter   // ted.subtree_blocks_evicted — blocks dropped by the bound
-	ckptHits    *obs.Counter   // ted.ckpt_rows_hit — root-row DPs resumed from a checkpoint
-	ckptMisses  *obs.Counter   // ted.ckpt_rows_miss — root-row misses with no usable checkpoint
-	ckptEvicted *obs.Counter   // ted.ckpt_rows_evicted — checkpoint rows dropped by the bound
-	rowHits     *obs.Counter   // ted.probe_rows_hit — keyroot rows served by the probe-row memo
-	rowMisses   *obs.Counter   // ted.probe_rows_miss — keyroot rows probed slot by slot
-	rowEvicted  *obs.Counter   // ted.probe_rows_evicted — probe rows dropped by the bound
 	dpCells     *obs.Counter   // ted.dp_cells — forest-distance cells computed by the DP
 	subdpLeft   *obs.Counter   // ted.subdp_left — root-child sub-DPs run in left-path orientation
 	subdpMirror *obs.Counter   // ted.subdp_mirrored — root-child sub-DPs run on mirrored trees
@@ -164,46 +157,60 @@ func NewCache() *Cache {
 		rows:     map[rowKey][]rowSlot{},
 		rowMax:   rowDefaultMaxBytes,
 		pathMin:  pathDefaultMinSaving,
+		counts:   &cacheCounters{},
 	}
 	c.subOn.Store(true)
 	return c
 }
 
-// SetRecorder attaches an observability recorder: every subsequent lookup
-// also feeds the obs counters ("ted.calls", "ted.cache.*"), the
-// "ted.pair_nodes" size histogram, and — on misses — "ted.fingerprint" /
-// "ted.distance" spans. A nil recorder detaches (the default); the cache's
-// own CacheStats counters run regardless.
+// SetRecorder attaches an observability recorder. It adopts the cache's
+// always-on counters ("ted.cache.*", "ted.flat_memo.*", "ted.bound_pruned",
+// and the subtree, checkpoint, and probe-row memo counters), whose counts
+// cover the cache's whole lifetime, and turns on the opt-in instruments:
+// the "ted.calls", "ted.approx.calls", "ted.dp_cells", and "ted.subdp_*"
+// counters, the "ted.pair_nodes" size histogram, and — on misses —
+// "ted.fingerprint" / "ted.distance" spans. Attach once, at construction;
+// a nil recorder is ignored.
 func (c *Cache) SetRecorder(rec *obs.Recorder) {
 	if rec == nil {
-		c.obs.Store(nil)
 		return
+	}
+	k := c.counts
+	for name, n := range map[string]*obs.Counter{
+		"ted.cache.hits":             &k.hits,
+		"ted.cache.misses":           &k.misses,
+		"ted.cache.identity":         &k.identity,
+		"ted.cache.symmetric":        &k.symmetric,
+		"ted.bound_pruned":           &k.boundPruned,
+		"ted.flat_memo.hits":         &k.flatHits,
+		"ted.flat_memo.misses":       &k.flatMisses,
+		"ted.subtree_blocks_hit":     &k.subHits,
+		"ted.subtree_blocks_miss":    &k.subMisses,
+		"ted.subtree_blocks_evicted": &k.subEvicted,
+		"ted.ckpt_rows_hit":          &k.ckptHits,
+		"ted.ckpt_rows_miss":         &k.ckptMisses,
+		"ted.ckpt_rows_evicted":      &k.ckptEvicted,
+		"ted.probe_rows_hit":         &k.rowHits,
+		"ted.probe_rows_miss":        &k.rowMisses,
+		"ted.probe_rows_evicted":     &k.rowEvicted,
+	} {
+		rec.Adopt(name, n)
 	}
 	c.obs.Store(&cacheObs{
 		rec:         rec,
 		calls:       rec.Counter("ted.calls"),
 		approxCalls: rec.Counter("ted.approx.calls"),
-		hits:        rec.Counter("ted.cache.hits"),
-		misses:      rec.Counter("ted.cache.misses"),
-		identity:    rec.Counter("ted.cache.identity"),
-		symmetric:   rec.Counter("ted.cache.symmetric"),
-		boundPruned: rec.Counter("ted.bound_pruned"),
-		flatHits:    rec.Counter("ted.flat_memo.hits"),
-		flatMisses:  rec.Counter("ted.flat_memo.misses"),
-		subHits:     rec.Counter("ted.subtree_blocks_hit"),
-		subMisses:   rec.Counter("ted.subtree_blocks_miss"),
-		subEvicted:  rec.Counter("ted.subtree_blocks_evicted"),
-		ckptHits:    rec.Counter("ted.ckpt_rows_hit"),
-		ckptMisses:  rec.Counter("ted.ckpt_rows_miss"),
-		ckptEvicted: rec.Counter("ted.ckpt_rows_evicted"),
-		rowHits:     rec.Counter("ted.probe_rows_hit"),
-		rowMisses:   rec.Counter("ted.probe_rows_miss"),
-		rowEvicted:  rec.Counter("ted.probe_rows_evicted"),
 		dpCells:     rec.Counter("ted.dp_cells"),
 		subdpLeft:   rec.Counter("ted.subdp_left"),
 		subdpMirror: rec.Counter("ted.subdp_mirrored"),
 		pairNodes:   rec.Histogram("ted.pair_nodes"),
 	})
+}
+
+// SubtreeBlockCounters returns the cache's subtree-block hit and miss
+// counters, the sub-cell reuse split an engine reports as its own.
+func (c *Cache) SubtreeBlockCounters() (hits, misses *obs.Counter) {
+	return &c.counts.subHits, &c.counts.subMisses
 }
 
 // SetStore attaches a persistent backing store: memory misses consult it
@@ -284,32 +291,34 @@ func (c *Cache) Stats() CacheStats {
 	ckptRows, ckptBytes := len(c.ckpts), c.ckptBytes
 	probeRows, probeRowBytes := len(c.rows), c.rowBytes
 	c.subMu.RUnlock()
+	k := c.counts
+	v := func(n *obs.Counter) uint64 { return uint64(n.Value()) }
 	st := CacheStats{
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		Identity:       c.identity.Load(),
-		Symmetric:      c.symmetric.Load(),
-		BoundPruned:    c.boundPruned.Load(),
-		FlatHits:       c.flatHits.Load(),
-		FlatMisses:     c.flatMisses.Load(),
+		Hits:           v(&k.hits),
+		Misses:         v(&k.misses),
+		Identity:       v(&k.identity),
+		Symmetric:      v(&k.symmetric),
+		BoundPruned:    v(&k.boundPruned),
+		FlatHits:       v(&k.flatHits),
+		FlatMisses:     v(&k.flatMisses),
 		Entries:        entries,
 		Profiles:       profiles,
 		Flats:          flats,
-		SubtreeHits:    c.subHits.Load(),
-		SubtreeMisses:  c.subMisses.Load(),
-		SubtreeEvicted: c.subEvicted.Load(),
+		SubtreeHits:    v(&k.subHits),
+		SubtreeMisses:  v(&k.subMisses),
+		SubtreeEvicted: v(&k.subEvicted),
 		SubtreeBlocks:  subBlocks,
 		SubtreeBytes:   subBytes,
 
-		CheckpointHits:    c.ckptHits.Load(),
-		CheckpointMisses:  c.ckptMisses.Load(),
-		CheckpointEvicted: c.ckptEvicted.Load(),
+		CheckpointHits:    v(&k.ckptHits),
+		CheckpointMisses:  v(&k.ckptMisses),
+		CheckpointEvicted: v(&k.ckptEvicted),
 		CheckpointRows:    ckptRows,
 		CheckpointBytes:   ckptBytes,
 
-		ProbeRowHits:    c.rowHits.Load(),
-		ProbeRowMisses:  c.rowMisses.Load(),
-		ProbeRowEvicted: c.rowEvicted.Load(),
+		ProbeRowHits:    v(&k.rowHits),
+		ProbeRowMisses:  v(&k.rowMisses),
+		ProbeRowEvicted: v(&k.rowEvicted),
 		ProbeRows:       probeRows,
 		ProbeRowBytes:   probeRowBytes,
 	}
@@ -380,36 +389,23 @@ func (c *Cache) DistanceWithCosts(t1, t2 *tree.Node, costs Costs) int {
 	}
 	if fa == fb && tree.Equal(t1, t2) {
 		// d(t, t) == 0 under every cost model: the empty edit script.
-		c.hits.Add(1)
-		c.identity.Add(1)
-		if o != nil {
-			o.hits.Add(1)
-			o.identity.Add(1)
-		}
+		c.counts.hits.Add(1)
+		c.counts.identity.Add(1)
 		return 0
 	}
 	key := pairKey{a: fa, b: fb, costs: costs}
 	if costs.Insert == costs.Delete && fb.Less(fa) {
 		key.a, key.b = fb, fa
-		c.symmetric.Add(1)
-		if o != nil {
-			o.symmetric.Add(1)
-		}
+		c.counts.symmetric.Add(1)
 	}
 	c.mu.RLock()
 	d, ok := c.dist[key]
 	c.mu.RUnlock()
 	if ok {
-		c.hits.Add(1)
-		if o != nil {
-			o.hits.Add(1)
-		}
+		c.counts.hits.Add(1)
 		return d
 	}
-	c.misses.Add(1)
-	if o != nil {
-		o.misses.Add(1)
-	}
+	c.counts.misses.Add(1)
 	st := c.backing.Load()
 	var dk store.DistKey
 	if st != nil {
@@ -451,15 +447,12 @@ func (c *Cache) compute(t1, t2 *tree.Node, fa, fb tree.Fingerprint, costs Costs,
 	if t2 == nil {
 		return t1.Size() * costs.Delete
 	}
-	a := c.flatFor(t1, fa, o)
-	b := c.flatFor(t2, fb, o)
+	a := c.flatFor(t1, fa)
+	b := c.flatFor(t2, fb)
 	sc := getScratch()
 	d, pruned := boundGate(a, b, costs, sc)
 	if pruned {
-		c.boundPruned.Add(1)
-		if o != nil {
-			o.boundPruned.Add(1)
-		}
+		c.counts.boundPruned.Add(1)
 	} else if c.subOn.Load() && a.krFP != nil && b.krFP != nil {
 		d = c.zsDistanceMemo(a, b, costs, sc, o, t1, t2)
 	} else {
@@ -476,21 +469,15 @@ func (c *Cache) compute(t1, t2 *tree.Node, fa, fb tree.Fingerprint, costs Costs,
 // sight of the fingerprint. Two goroutines racing on the same new tree may
 // both build; the store keeps the first and both results are identical, so
 // the loser's copy is just garbage.
-func (c *Cache) flatFor(t *tree.Node, fp tree.Fingerprint, o *cacheObs) *flat {
+func (c *Cache) flatFor(t *tree.Node, fp tree.Fingerprint) *flat {
 	c.mu.RLock()
 	f, ok := c.flats[fp]
 	c.mu.RUnlock()
 	if ok {
-		c.flatHits.Add(1)
-		if o != nil {
-			o.flatHits.Add(1)
-		}
+		c.counts.flatHits.Add(1)
 		return f
 	}
-	c.flatMisses.Add(1)
-	if o != nil {
-		o.flatMisses.Add(1)
-	}
+	c.counts.flatMisses.Add(1)
 	f = newFlat(t)
 	c.mu.Lock()
 	if prior, ok := c.flats[fp]; ok {
@@ -544,33 +531,23 @@ func (c *Cache) Profile(t *tree.Node) PQGramProfile {
 // ApproxDistance is the cached form of ApproxDistance: both the per-tree
 // pq-gram profiles and the per-pair distance are memoised.
 func (c *Cache) ApproxDistance(t1, t2 *tree.Node) float64 {
-	o := c.obs.Load()
-	if o != nil {
+	if o := c.obs.Load(); o != nil {
 		o.approxCalls.Add(1)
 	}
 	fa, fb := t1.Fingerprint(), t2.Fingerprint()
 	key := approxKey{a: fa, b: fb}
 	if fb.Less(fa) {
 		key.a, key.b = fb, fa
-		c.symmetric.Add(1)
-		if o != nil {
-			o.symmetric.Add(1)
-		}
+		c.counts.symmetric.Add(1)
 	}
 	c.mu.RLock()
 	d, ok := c.approx[key]
 	c.mu.RUnlock()
 	if ok {
-		c.hits.Add(1)
-		if o != nil {
-			o.hits.Add(1)
-		}
+		c.counts.hits.Add(1)
 		return d
 	}
-	c.misses.Add(1)
-	if o != nil {
-		o.misses.Add(1)
-	}
+	c.counts.misses.Add(1)
 	d = PQGramDistance(c.Profile(t1), c.Profile(t2))
 	c.mu.Lock()
 	c.approx[key] = d

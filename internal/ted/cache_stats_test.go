@@ -5,16 +5,21 @@ import (
 	"strings"
 	"testing"
 
+	"silvervale/internal/obs"
 	"silvervale/internal/tree"
 )
 
 // TestCacheStatsAccounting pins the bookkeeping behind CacheStats: every
 // lookup is exactly one hit or one miss, identity short-circuits count as
 // hits, unit-cost (b,a) lookups canonicalise onto the (a,b) entry, and
-// HitRate/String agree with the raw counters.
+// HitRate/String agree with the raw counters. A recorder attached at
+// construction reports every counter under its stable name with exactly
+// the CacheStats value.
 func TestCacheStatsAccounting(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	c := NewCache()
+	rec := obs.NewRecorder()
+	c.SetRecorder(rec)
 	a, b := randTree(r, 30), randTree(r, 35)
 
 	c.Distance(a, b) // miss
@@ -84,5 +89,45 @@ func TestCacheStatsAccounting(t *testing.T) {
 	}
 	if (CacheStats{}).FlatHitRate() != 0 {
 		t.Errorf("zero-value flat hit rate should be 0")
+	}
+
+	// Bigger trees exercise the subtree-block memo too.
+	big1, big2, big3 := randTree(r, 400), randTree(r, 420), randTree(r, 410)
+	c.Distance(big1, big2)
+	c.Distance(big1, big3)
+	c.ApproxDistance(big2, big3)
+	st = c.Stats()
+	if st.SubtreeHits == 0 || st.SubtreeMisses == 0 {
+		t.Fatalf("subtree memo idle, the recorder comparison proves little: %+v", st)
+	}
+	assertRecorderMatches(t, rec, map[string]uint64{
+		"ted.cache.hits":             st.Hits,
+		"ted.cache.misses":           st.Misses,
+		"ted.cache.identity":         st.Identity,
+		"ted.cache.symmetric":        st.Symmetric,
+		"ted.bound_pruned":           st.BoundPruned,
+		"ted.flat_memo.hits":         st.FlatHits,
+		"ted.flat_memo.misses":       st.FlatMisses,
+		"ted.subtree_blocks_hit":     st.SubtreeHits,
+		"ted.subtree_blocks_miss":    st.SubtreeMisses,
+		"ted.subtree_blocks_evicted": st.SubtreeEvicted,
+		"ted.ckpt_rows_hit":          st.CheckpointHits,
+		"ted.ckpt_rows_miss":         st.CheckpointMisses,
+		"ted.ckpt_rows_evicted":      st.CheckpointEvicted,
+		"ted.probe_rows_hit":         st.ProbeRowHits,
+		"ted.probe_rows_miss":        st.ProbeRowMisses,
+		"ted.probe_rows_evicted":     st.ProbeRowEvicted,
+	})
+}
+
+// assertRecorderMatches checks each recorder counter against the typed
+// stats field it must equal.
+func assertRecorderMatches(t *testing.T, rec *obs.Recorder, want map[string]uint64) {
+	t.Helper()
+	got := rec.Snapshot().Counters
+	for name, v := range want {
+		if n, ok := got[name]; !ok || uint64(n) != v {
+			t.Errorf("recorder %s = %d (present %v), typed stats say %d", name, n, ok, v)
+		}
 	}
 }

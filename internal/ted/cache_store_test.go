@@ -1,9 +1,13 @@
 package ted
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"silvervale/internal/obs"
 	"silvervale/internal/store"
 	"silvervale/internal/tree"
 )
@@ -128,5 +132,41 @@ func TestCacheReadonlyStoreServesWithoutWriting(t *testing.T) {
 	}
 	if s := ro.Stats(); s.Hits != 1 || s.BytesWritten != 0 {
 		t.Fatalf("readonly store wrote or missed: %+v", s)
+	}
+}
+
+// TestRecorderDoesNotPinModules: a recorder that adopted a cache's and a
+// store's counters keeps only those counters — once the cache is dropped
+// and the store closed, both are collected, and their counts live on.
+func TestRecorderDoesNotPinModules(t *testing.T) {
+	rec := obs.NewRecorder()
+	var cacheGone, storeGone atomic.Bool
+	func() {
+		st, err := store.Open(t.TempDir(), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SetRecorder(rec)
+		c := NewCache()
+		c.SetRecorder(rec)
+		c.SetStore(st)
+		c.Distance(storeParse(t, "(a (b) (c))"), storeParse(t, "(a (d))"))
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(c, func(*Cache) { cacheGone.Store(true) })
+		runtime.SetFinalizer(st, func(*store.Store) { storeGone.Store(true) })
+	}()
+	for i := 0; i < 100 && !(cacheGone.Load() && storeGone.Load()); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !cacheGone.Load() || !storeGone.Load() {
+		t.Fatalf("recorder kept dropped modules alive: cache collected %v, store collected %v",
+			cacheGone.Load(), storeGone.Load())
+	}
+	got := rec.Snapshot().Counters
+	if got["ted.cache.misses"] != 1 || got["store.misses"] != 1 {
+		t.Fatalf("adopted counts lost with their modules: %v", got)
 	}
 }

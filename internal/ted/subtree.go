@@ -209,7 +209,7 @@ func (c *Cache) SetSubtreeMemo(on bool) { c.subOn.Store(on) }
 // store's sub tier after the lock drops. Checkpoint and probe rows are
 // in-memory only (§13): they are re-derivable from one full root-row DP
 // (or one slot-by-slot probe), so disk round trips are not worth a tier.
-func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRows []rowEntry, st *store.Store, o *cacheObs) {
+func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRows []rowEntry, st *store.Store) {
 	var persist []subEntry
 	c.subMu.Lock()
 	for _, e := range fresh {
@@ -222,7 +222,7 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 			persist = append(persist, e)
 		}
 	}
-	var evicted uint64
+	var evicted int64
 	if c.subBytes > c.subMax {
 		evicted = evictLocked(c.subs, &c.subBytes, c.subMax, subBlockBytes)
 	}
@@ -233,7 +233,7 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 		c.ckpts[e.key] = e.vals
 		c.ckptBytes += ckptRowBytes(e.vals)
 	}
-	var ckEvicted uint64
+	var ckEvicted int64
 	if c.ckptBytes > c.ckptMax {
 		ckEvicted = evictLocked(c.ckpts, &c.ckptBytes, c.ckptMax, ckptRowBytes)
 	}
@@ -244,29 +244,14 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 		c.rows[e.key] = e.slots
 		c.rowBytes += rowEntryBytes(e.slots)
 	}
-	var rowEvicted uint64
+	var rowEvicted int64
 	if c.rowBytes > c.rowMax {
 		rowEvicted = evictLocked(c.rows, &c.rowBytes, c.rowMax, rowEntryBytes)
 	}
 	c.subMu.Unlock()
-	if evicted > 0 {
-		c.subEvicted.Add(evicted)
-		if o != nil {
-			o.subEvicted.Add(int64(evicted))
-		}
-	}
-	if ckEvicted > 0 {
-		c.ckptEvicted.Add(ckEvicted)
-		if o != nil {
-			o.ckptEvicted.Add(int64(ckEvicted))
-		}
-	}
-	if rowEvicted > 0 {
-		c.rowEvicted.Add(rowEvicted)
-		if o != nil {
-			o.rowEvicted.Add(int64(rowEvicted))
-		}
-	}
+	c.counts.subEvicted.Add(evicted)
+	c.counts.ckptEvicted.Add(ckEvicted)
+	c.counts.rowEvicted.Add(rowEvicted)
 	for _, e := range persist {
 		st.PutSub(subStoreKey(e.key), e.block.l1, e.block.l2, e.block.vals)
 	}
@@ -282,9 +267,9 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 // get here. Probe rows pin the blocks they reference even past block
 // eviction (blocks are immutable, so a pinned block still restores
 // correctly); dropping the row releases them. Callers hold subMu.
-func evictLocked[K comparable, V any](m map[K]V, bytes *int64, bound int64, size func(V) int64) uint64 {
+func evictLocked[K comparable, V any](m map[K]V, bytes *int64, bound int64, size func(V) int64) int64 {
 	target := bound - bound/4
-	var n uint64
+	var n int64
 	for k, v := range m {
 		if *bytes <= target {
 			break
@@ -365,11 +350,11 @@ func (c *Cache) ImportSubtreeBlocks(recs []SubtreeBlockRecord) int {
 		c.subBytes += subBlockBytes(e.block)
 		installed++
 	}
-	var evicted uint64
+	var evicted int64
 	if c.subBytes > c.subMax {
 		evicted = evictLocked(c.subs, &c.subBytes, c.subMax, subBlockBytes)
 	}
 	c.subMu.Unlock()
-	c.subEvicted.Add(evicted)
+	c.counts.subEvicted.Add(evicted)
 	return installed
 }

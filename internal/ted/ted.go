@@ -179,7 +179,7 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 		mirrored, skip = c.planPaths(a, b, sc)
 	}
 
-	var hits, misses, ckHits, ckMisses, rowHits, rowMisses uint64
+	var hits, misses, ckHits, ckMisses, rowHits, rowMisses int64
 	var freshRows []rowEntry
 	bRoot := b.krFP[k2-1] // root is the last keyroot: the whole b tree
 	c.subMu.RLock()
@@ -202,7 +202,7 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 			for _, s := range slots {
 				row[s.kj] = s.bl
 			}
-			hits += uint64(len(slots))
+			hits += int64(len(slots))
 			continue
 		}
 		rowMisses++
@@ -430,47 +430,18 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 	}
 
 	if len(fresh) > 0 || len(freshCk) > 0 || len(freshRows) > 0 {
-		c.publishSubBlocks(fresh, freshCk, freshRows, st, o)
+		c.publishSubBlocks(fresh, freshCk, freshRows, st)
 	}
 	if o != nil {
 		o.dpCells.Add(computed)
 	}
-	if hits > 0 {
-		c.subHits.Add(hits)
-		if o != nil {
-			o.subHits.Add(int64(hits))
-		}
-	}
-	if misses > 0 {
-		c.subMisses.Add(misses)
-		if o != nil {
-			o.subMisses.Add(int64(misses))
-		}
-	}
-	if ckHits > 0 {
-		c.ckptHits.Add(ckHits)
-		if o != nil {
-			o.ckptHits.Add(int64(ckHits))
-		}
-	}
-	if ckMisses > 0 {
-		c.ckptMisses.Add(ckMisses)
-		if o != nil {
-			o.ckptMisses.Add(int64(ckMisses))
-		}
-	}
-	if rowHits > 0 {
-		c.rowHits.Add(rowHits)
-		if o != nil {
-			o.rowHits.Add(int64(rowHits))
-		}
-	}
-	if rowMisses > 0 {
-		c.rowMisses.Add(rowMisses)
-		if o != nil {
-			o.rowMisses.Add(int64(rowMisses))
-		}
-	}
+	k := c.counts
+	k.subHits.Add(hits)
+	k.subMisses.Add(misses)
+	k.ckptHits.Add(ckHits)
+	k.ckptMisses.Add(ckMisses)
+	k.rowHits.Add(rowHits)
+	k.rowMisses.Add(rowMisses)
 	return d
 }
 

@@ -289,8 +289,8 @@ func (c *Cache) calibratedRaw(t1, t2 *tree.Node, fa, fb tree.Fingerprint, approx
 	if costs != UnitCosts() {
 		return estimateRaw(approx, int(fa.Size), int(fb.Size), costs)
 	}
-	a := c.flatFor(t1, fa, nil)
-	b := c.flatFor(t2, fb, nil)
+	a := c.flatFor(t1, fa)
+	b := c.flatFor(t2, fb)
 	sc := getScratch()
 	isect := multisetIntersection(a, b, sc)
 	putScratch(sc)
