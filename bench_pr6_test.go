@@ -153,7 +153,7 @@ func BenchmarkPR6Trajectory(b *testing.B) {
 	}
 	tieredSweep := func(name string, budget float64) (pr6Bench, pr6Sweep, [][]float64) {
 		policy := ted.NewTierPolicy(budget)
-		e := core.NewEngineWithCache(0, ted.NewCache())
+		e := core.NewEngine(0)
 		var stats core.TierStats
 		bench, vals := measure(name, order, func() [][]float64 {
 			tm, err := e.MatrixTiered(idxs, order, core.MetricTsem, policy)
@@ -177,7 +177,7 @@ func BenchmarkPR6Trajectory(b *testing.B) {
 
 	// 1. Exact all-pairs reference over the full corpus.
 	exactFull, exactM := measure("ExactFullCorpus", order, func() [][]float64 {
-		vals, err := core.NewEngineWithCache(0, ted.NewCache()).Matrix(idxs, order, core.MetricTsem)
+		vals, err := core.NewEngine(0).Matrix(idxs, order, core.MetricTsem)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,14 +207,14 @@ func BenchmarkPR6Trajectory(b *testing.B) {
 	// 4. Budget-0 tiered sweep on a base slice — must be bit-identical.
 	base := order[:m/10]
 	exactBase, exactBaseM := measure("ExactBase", base, func() [][]float64 {
-		vals, err := core.NewEngineWithCache(0, ted.NewCache()).Matrix(idxs, base, core.MetricTsem)
+		vals, err := core.NewEngine(0).Matrix(idxs, base, core.MetricTsem)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return vals
 	})
 	zeroBench, zeroM := measure("TieredBaseBudget0", base, func() [][]float64 {
-		tm, err := core.NewEngineWithCache(0, ted.NewCache()).MatrixTiered(idxs, base, core.MetricTsem, ted.NewTierPolicy(0))
+		tm, err := core.NewEngine(0).MatrixTiered(idxs, base, core.MetricTsem, ted.NewTierPolicy(0))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -193,14 +193,14 @@ func BenchmarkMatrixSerial(b *testing.B) {
 
 func BenchmarkMatrixParallel(b *testing.B) {
 	benchMatrix(b, "tealeaf", func(idxs map[string]*core.Index, order []string) error {
-		engine := core.NewEngineWithCache(0, nil) // cold, uncached: pool speedup only
+		engine := core.NewEngine(0) // fresh engine per iteration: every sweep is cold
 		_, err := engine.Matrix(idxs, order, core.MetricTsem)
 		return err
 	})
 }
 
 // BenchmarkMatrixObsEnabled is BenchmarkMatrixParallel with a live
-// recorder: same cold uncached engine, but every cell emits spans and the
+// recorder: same fresh cold engine, but every cell emits spans and the
 // pool feeds the engine.* counters/histograms. BenchmarkMatrixParallel is
 // the obs-disabled baseline for both comparisons the observability design
 // budgets for (DESIGN.md §Observability): disabled overhead must be
@@ -208,7 +208,7 @@ func BenchmarkMatrixParallel(b *testing.B) {
 // overhead a few percent.
 func BenchmarkMatrixObsEnabled(b *testing.B) {
 	benchMatrix(b, "tealeaf", func(idxs map[string]*core.Index, order []string) error {
-		engine := core.NewEngineObs(0, nil, obs.NewRecorder())
+		engine := core.NewEngineObs(0, ted.NewCache(), obs.NewRecorder())
 		_, err := engine.Matrix(idxs, order, core.MetricTsem)
 		return err
 	})
@@ -237,7 +237,7 @@ func BenchmarkMatrixSerialCloverLeaf(b *testing.B) {
 
 func BenchmarkMatrixParallelCloverLeaf(b *testing.B) {
 	benchMatrix(b, "cloverleaf", func(idxs map[string]*core.Index, order []string) error {
-		engine := core.NewEngineWithCache(0, nil)
+		engine := core.NewEngine(0)
 		_, err := engine.Matrix(idxs, order, core.MetricTsem)
 		return err
 	})

@@ -1,22 +1,19 @@
-// Shared scaffolding for the bench trajectory emitters (BenchmarkPR3..9
-// Trajectory). Every emitter follows the same protocol — gate on
+// Shared scaffolding for the tiered-engine trajectory emitter
+// (BenchmarkPR6Trajectory and its probe). The protocol — gate on
 // SILVERVALE_BENCH_JSON, measure legs directly with wall-clock plus
 // MemStats deltas, hard-assert bit-identity where a speedup must not
-// change the numbers, write one JSON trajectory file — and this file
-// holds the protocol so each PR's emitter carries only its own legs.
+// change the numbers, write one JSON trajectory file — lives here. The
+// repository benchmark (bench/, run by bench/run.sh) measures every other
+// layer.
 package silvervale
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"os"
 	"runtime"
 	"testing"
 	"time"
-
-	"silvervale/internal/core"
-	"silvervale/internal/corpus"
 )
 
 // benchJSONPath gates a trajectory emitter: without SILVERVALE_BENCH_JSON
@@ -99,68 +96,4 @@ func benchWriteTrajectory(b *testing.B, path string, traj any) {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// benchCodebases generates every port of one app once; edit legs mutate
-// the in-memory file map, the same thing the watch loop sees after a
-// reload.
-func benchCodebases(b testing.TB, appName string) (map[string]*corpus.Codebase, []string) {
-	b.Helper()
-	app, err := corpus.AppByName(appName)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cbs := map[string]*corpus.Codebase{}
-	var order []string
-	for _, m := range corpus.ModelsFor(app) {
-		cb, err := corpus.Generate(app, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cbs[string(m)] = cb
-		order = append(order, string(m))
-	}
-	return cbs, order
-}
-
-// benchIncrSweep runs one incremental index-and-matrix pass — the unit of
-// work the warm/edit legs repeat.
-func benchIncrSweep(b testing.TB, e *core.Engine, cbs map[string]*corpus.Codebase,
-	prior map[string]*core.Index, order []string) (map[string]*core.Index, [][]float64) {
-	b.Helper()
-	idxs := map[string]*core.Index{}
-	for _, name := range order {
-		idx, _, err := e.IndexCodebaseIncremental(cbs[name], prior[name], core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		idxs[name] = idx
-	}
-	m, err := e.Matrix(idxs, order, core.MetricTsem)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return idxs, m
-}
-
-// benchAppendFunc applies the scripted one-function edit: it rewrites a
-// unit's source as baseSrc plus one appended function, distinct per rep
-// (name and constant both carry the rep), so every repetition of an edit
-// leg pays the dirty work instead of hitting the cells memoised by the
-// previous rep.
-func benchAppendFunc(cb *corpus.Codebase, file, baseSrc, prefix string, rep int) {
-	cb.Files[file] = baseSrc +
-		fmt.Sprintf("\ndouble %s_%d(double x) {\n\treturn x * %d.0;\n}\n", prefix, rep, rep+2)
-}
-
-// benchDriverFile locates the driver unit of a codebase.
-func benchDriverFile(b testing.TB, cb *corpus.Codebase) string {
-	b.Helper()
-	for _, u := range cb.Units {
-		if u.Role == "driver" {
-			return u.File
-		}
-	}
-	b.Fatal("codebase has no driver unit")
-	return ""
 }

@@ -180,11 +180,9 @@ func TestMatrixCacheDirColdThenWarm(t *testing.T) {
 	if hits := storeHits(t, out); hits == 0 {
 		t.Fatal("readonly warm run reported zero store hits")
 	}
-	// -cache-clear empties the tiers: the next run is cold again. One
-	// worker, because with several a worker may legitimately read a sub
-	// tier block a peer persisted earlier in the same run (DESIGN.md §13).
+	// -cache-clear empties the tiers: the next run is cold again.
 	out, err = capture(t, "matrix", trimApp, "-metric", "tsem",
-		"-cache-dir", dir, "-cache-clear", "-metrics", "-workers", "1")
+		"-cache-dir", dir, "-cache-clear", "-metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

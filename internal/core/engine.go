@@ -46,16 +46,15 @@ type Engine struct {
 	// counts is the engine's always-on accounting (tier routing and
 	// incremental reuse), adopted by the recorder under the ted.tier_* and
 	// incr.* names. subReused/subRecomputed are the cache's own subtree-
-	// block counters (nil without a cache): the sub-cell reuse split is
-	// counted once, by the cache that sees it (DESIGN.md §13).
+	// block counters: the sub-cell reuse split is counted once, by the
+	// cache that sees it (DESIGN.md §13).
 	counts                   *engineCounters
 	subReused, subRecomputed *obs.Counter
 
 	// cell memo: the matrix-cell invalidation layer (DESIGN.md §12).
 	// Matrix/MatrixTiered memoise every computed cell under (per-side
 	// metric hash, metric, costs, policy); warm re-sweeps recompute only
-	// cells whose key changed. nil when the engine is cache-less, so raw
-	// benchmarks measure raw work.
+	// cells whose key changed.
 	cellMu   sync.Mutex
 	cellMemo map[cellKey]cellVal
 }
@@ -77,20 +76,15 @@ type engineCounters struct {
 // NewEngine returns an engine with the given worker-pool bound and a fresh
 // shared cache. workers <= 0 selects runtime.NumCPU().
 func NewEngine(workers int) *Engine {
-	return NewEngineWithCache(workers, ted.NewCache())
+	return NewEngineObs(workers, ted.NewCache(), nil)
 }
 
-// NewEngineWithCache returns an engine using an existing cache (pass nil
-// to disable caching, e.g. to benchmark raw parallel speedup).
-func NewEngineWithCache(workers int, cache *ted.Cache) *Engine {
-	return NewEngineObs(workers, cache, nil)
-}
-
-// NewEngineObs returns an engine wired to an observability recorder: the
+// NewEngineObs returns an engine over cache (which must be non-nil; an
+// engine always owns a TED cache) wired to an observability recorder: the
 // worker pool records task latency and queue depth, Matrix/FromBase emit
-// span trees, and the cache (when non-nil) feeds the ted.* counters. A nil
-// recorder yields exactly the uninstrumented engine — the obs handles stay
-// nil and every hook is a pointer check.
+// span trees, and the cache feeds the ted.* counters. A nil recorder
+// yields exactly the uninstrumented engine — the obs handles stay nil and
+// every hook is a pointer check.
 func NewEngineObs(workers int, cache *ted.Cache, rec *obs.Recorder) *Engine {
 	e := &Engine{
 		workers:    ResolveWorkers(workers),
@@ -101,12 +95,10 @@ func NewEngineObs(workers int, cache *ted.Cache, rec *obs.Recorder) *Engine {
 		taskNS:     rec.Histogram("engine.task_ns"),
 		queueDepth: rec.Histogram("engine.queue_depth"),
 		counts:     &engineCounters{},
+		cellMemo:   map[cellKey]cellVal{},
 	}
-	if cache != nil {
-		e.cellMemo = map[cellKey]cellVal{}
-		e.subReused, e.subRecomputed = cache.SubtreeBlockCounters()
-		cache.SetRecorder(rec)
-	}
+	e.subReused, e.subRecomputed = cache.SubtreeBlockCounters()
+	cache.SetRecorder(rec)
 	k := e.counts
 	for name, c := range map[string]*obs.Counter{
 		"ted.tier_pairs":                 &k.tierPairs,
@@ -153,44 +145,25 @@ func (e *Engine) Workers() int { return e.workers }
 // observability is off).
 func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 
-// Cache returns the engine's shared TED cache (nil when caching is off).
+// Cache returns the engine's shared TED cache.
 func (e *Engine) Cache() *ted.Cache { return e.cache }
 
 // CacheStats reports the shared cache's effectiveness counters.
-func (e *Engine) CacheStats() ted.CacheStats {
-	if e.cache == nil {
-		return ted.CacheStats{}
-	}
-	return e.cache.Stats()
-}
-
-// dist returns the exact-TED function the engine's divergence calls use.
-func (e *Engine) dist() distFunc {
-	if e.cache == nil {
-		return ted.Distance
-	}
-	return e.cache.Distance
-}
+func (e *Engine) CacheStats() ted.CacheStats { return e.cache.Stats() }
 
 // Diverge is the engine form of Diverge: identical results, cached TED.
 func (e *Engine) Diverge(a, b *Index, metric string) (Divergence, error) {
-	return divergeWith(a, b, metric, e.dist())
+	return divergeWith(a, b, metric, e.cache.Distance)
 }
 
 // DivergeWithCosts is the engine form of DivergeWithCosts.
 func (e *Engine) DivergeWithCosts(a, b *Index, metric string, costs ted.Costs) (Divergence, error) {
-	if e.cache == nil {
-		return DivergeWithCosts(a, b, metric, costs)
-	}
 	return divergeWithCosts(a, b, metric, costs, e.cache.DistanceWithCosts)
 }
 
 // ApproxDiverge is the engine form of ApproxDiverge: pq-gram profiles and
 // pair distances are memoised in the shared cache.
 func (e *Engine) ApproxDiverge(a, b *Index, metric string) (Divergence, error) {
-	if e.cache == nil {
-		return ApproxDiverge(a, b, metric)
-	}
 	return approxDivergeWith(a, b, metric, e.cache.ApproxDistance)
 }
 
@@ -199,10 +172,9 @@ func (e *Engine) ApproxDiverge(a, b *Index, metric string) (Divergence, error) {
 // is deterministic regardless of scheduling: every cell (i,j) is a pure
 // function of the pair, each worker writes only its own cells, and errors
 // are reported in the same order the serial loop would encounter them.
-// With a cache attached, cells read through the engine's cell memo
-// (DESIGN.md §12): a warm re-sweep after an edit recomputes only the
-// cells whose metric-hash pair changed and serves the rest bit-identically
-// from the memo.
+// Cells read through the engine's cell memo (DESIGN.md §12): a warm
+// re-sweep after an edit recomputes only the cells whose metric-hash pair
+// changed and serves the rest bit-identically from the memo.
 func (e *Engine) Matrix(idxs map[string]*Index, order []string, metric string) ([][]float64, error) {
 	return e.matrixMemo(context.Background(), idxs, order, metric, ted.UnitCosts(), "")
 }
@@ -253,28 +225,22 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 	// Memo pass: serve clean cells, keep the dirty ones as work. The
 	// metric hash per side is computed once per sweep; map lookups are
 	// serial (they are nanoseconds next to any recomputation).
-	work := cells
-	var keys []cellKey
-	if e.cellMemo != nil {
-		hs := make([]store.ContentHash, n)
-		for i, name := range order {
-			hs[i] = MetricHash(idxs[name], metric)
-		}
-		work = work[:0:0]
-		reused := 0
-		keys = make([]cellKey, 0, len(cells))
-		for _, c := range cells {
-			key := cellKey{a: hs[c.i], b: hs[c.j], metric: metric, costs: costs, policy: policy}
-			if v, ok := e.cellLookup(key); ok {
-				m[c.i][c.j], m[c.j][c.i] = v.norm, v.rev
-				reused++
-				continue
-			}
-			work = append(work, c)
-			keys = append(keys, key)
-		}
-		e.countCells(reused, len(work))
+	hs := make([]store.ContentHash, n)
+	for i, name := range order {
+		hs[i] = MetricHash(idxs[name], metric)
 	}
+	var work []cell
+	keys := make([]cellKey, 0, len(cells))
+	for _, c := range cells {
+		key := cellKey{a: hs[c.i], b: hs[c.j], metric: metric, costs: costs, policy: policy}
+		if v, ok := e.cellLookup(key); ok {
+			m[c.i][c.j], m[c.j][c.i] = v.norm, v.rev
+			continue
+		}
+		work = append(work, c)
+		keys = append(keys, key)
+	}
+	e.countCells(len(cells)-len(work), len(work))
 
 	errs := make([]error, len(work))
 	vals := make([]cellVal, len(work))
@@ -314,10 +280,8 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 			return nil, err
 		}
 	}
-	if keys != nil {
-		for k := range work {
-			e.cellStore(keys[k], vals[k])
-		}
+	for k := range work {
+		e.cellStore(keys[k], vals[k])
 	}
 	return m, nil
 }

@@ -126,12 +126,11 @@ func TestEngineMatrixMatchesSerial(t *testing.T) {
 // TestPathStrategyMatrixBitIdentical: on a real corpus the TED path
 // strategy (mirrored root-child sub-DPs, DESIGN.md §13) engages, and the
 // matrix stays bit-identical to the monolithic left-path DP at every
-// worker count.
+// worker count. The reference is the serial package-level Matrix, whose
+// ted.Distance runs the monolithic DP with no memo.
 func TestPathStrategyMatrixBitIdentical(t *testing.T) {
 	idxs, order := buildIndexes(t, "babelstream-fortran")
-	ref := ted.NewCache()
-	ref.SetSubtreeMemo(false)
-	want, err := NewEngineWithCache(1, ref).Matrix(idxs, order, MetricTsem)
+	want, err := Matrix(idxs, order, MetricTsem)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,12 +313,8 @@ type cellVal struct {
 	tc        TierCell
 }
 
-// cellLookup consults the engine's cell memo (nil when the engine is
-// cache-less — raw-benchmark mode memoises nothing).
+// cellLookup consults the engine's cell memo.
 func (e *Engine) cellLookup(k cellKey) (cellVal, bool) {
-	if e.cellMemo == nil {
-		return cellVal{}, false
-	}
 	e.cellMu.Lock()
 	v, ok := e.cellMemo[k]
 	e.cellMu.Unlock()
@@ -327,9 +323,6 @@ func (e *Engine) cellLookup(k cellKey) (cellVal, bool) {
 
 // cellStore records a freshly computed cell.
 func (e *Engine) cellStore(k cellKey, v cellVal) {
-	if e.cellMemo == nil {
-		return
-	}
 	e.cellMu.Lock()
 	e.cellMemo[k] = v
 	e.cellMu.Unlock()

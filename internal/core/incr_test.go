@@ -1,14 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"silvervale/internal/cbdb"
 	"silvervale/internal/corpus"
 	"silvervale/internal/coverage"
+	"silvervale/internal/obs"
 	"silvervale/internal/srcloc"
 	"silvervale/internal/store"
 	"silvervale/internal/ted"
@@ -464,5 +467,86 @@ func TestConcurrentSweepsSubtreeAttribution(t *testing.T) {
 	if d.SubtreeBlocksReused != hits || d.SubtreeBlocksRecomputed != misses {
 		t.Fatalf("engine counted %d reused / %d recomputed blocks, cache counted %d / %d",
 			d.SubtreeBlocksReused, d.SubtreeBlocksRecomputed, hits, misses)
+	}
+}
+
+// TestEditResweepWork holds the incremental and subtree-memo layers to
+// their work contracts, counted in DP cells rather than wall-clock ratios
+// so the gates hold on any host: a no-edit re-sweep runs no TED at all; a
+// one-function edit re-sweeps at most a tenth of the cold sweep's DP
+// cells, and at most a tenth of what a cold cache pays for the same dirty
+// cells; and structurally identical edits dirty the same subtree blocks
+// every time, with reuse dominating recompute.
+func TestEditResweepWork(t *testing.T) {
+	cbs, order := generateAll(t, "babelstream")
+	n := len(order)
+	cells := n * (n - 1) / 2
+	rec := obs.NewRecorder()
+	e := NewEngineObs(1, ted.NewCache(), rec)
+	dpCells := rec.Counter("ted.dp_cells")
+	idxs, _ := pr8Sweep(t, e, cbs, nil, order, MetricTsem)
+	cold := dpCells.Value()
+	if cold == 0 {
+		t.Fatal("cold sweep computed no DP cells")
+	}
+
+	before, misses := e.IncrStats(), e.CacheStats().Misses
+	idxs, _ = pr8Sweep(t, e, cbs, idxs, order, MetricTsem)
+	if d := e.IncrStats().Delta(before); d.UnitsReparsed != 0 || d.CellsRecomputed != 0 || d.CellsReused != cells {
+		t.Fatalf("no-edit re-sweep did work: %+v", d)
+	}
+	if got := e.CacheStats().Misses; got != misses || dpCells.Value() != cold {
+		t.Fatalf("no-edit re-sweep ran TED: %d new misses, %d DP cells", got-misses, dpCells.Value()-cold)
+	}
+
+	// Each edit appends a function of the same shape with its own name and
+	// constant. The first also pays for the shape's constant-independent
+	// fragments, so the dirty set is compared from the second edit on.
+	const victim = "cuda"
+	file := editKernels(t, cbs[victim])
+	base := strings.TrimSuffix(cbs[victim].Files[file], pr8ExtraFn)
+	var deltas []IncrStats
+	var work []int64
+	for rep := 0; rep < 3; rep++ {
+		cbs[victim].Files[file] = base +
+			fmt.Sprintf("\ndouble edit_%d(double x) {\n\treturn x * %d.0;\n}\n", rep, rep+3)
+		before, c0 := e.IncrStats(), dpCells.Value()
+		idxs, _ = pr8Sweep(t, e, cbs, idxs, order, MetricTsem)
+		d := e.IncrStats().Delta(before)
+		if d.UnitsReparsed != 1 || d.CellsRecomputed != n-1 || d.CellsReused != cells-(n-1) {
+			t.Fatalf("edit %d: dirty set %+v, want 1 unit and %d cells", rep, d, n-1)
+		}
+		deltas = append(deltas, d)
+		work = append(work, dpCells.Value()-c0)
+	}
+	for rep, d := range deltas[1:] {
+		if d.SubtreeBlocksReused != deltas[1].SubtreeBlocksReused ||
+			d.SubtreeBlocksRecomputed != deltas[1].SubtreeBlocksRecomputed {
+			t.Fatalf("edit %d: subtree dirty set %+v drifted from edit 1 %+v", rep+1, d, deltas[1])
+		}
+		if d.SubtreeBlocksRecomputed == 0 || d.SubtreeBlocksRecomputed >= d.SubtreeBlocksReused {
+			t.Fatalf("edit %d: %d blocks recomputed, %d reused; want recompute nonzero and dominated by reuse",
+				rep+1, d.SubtreeBlocksRecomputed, d.SubtreeBlocksReused)
+		}
+	}
+
+	// A cold cache computing only the last edit's dirty cells.
+	freshRec := obs.NewRecorder()
+	fresh := NewEngineObs(1, ted.NewCache(), freshRec)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if order[i] == victim || order[j] == victim {
+				if _, err := fresh.Diverge(idxs[order[i]], idxs[order[j]], MetricTsem); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	dirtyCold := freshRec.Counter("ted.dp_cells").Value()
+	for rep, w := range work {
+		if w*10 > cold || w*10 > dirtyCold {
+			t.Fatalf("edit %d re-swept %d DP cells: more than a tenth of the cold sweep (%d) or of the dirty cells on a cold cache (%d)",
+				rep, w, cold, dirtyCold)
+		}
 	}
 }

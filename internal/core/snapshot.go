@@ -54,9 +54,6 @@ type CellRecord struct {
 // ExportCells returns the engine's memoised matrix cells in a canonical
 // deterministic order (key-sorted), ready for Snapshot persistence.
 func (e *Engine) ExportCells() []CellRecord {
-	if e.cellMemo == nil {
-		return nil
-	}
 	e.cellMu.Lock()
 	recs := make([]CellRecord, 0, len(e.cellMemo))
 	for k, v := range e.cellMemo {
@@ -89,13 +86,8 @@ func (e *Engine) ExportCells() []CellRecord {
 	return recs
 }
 
-// ImportCells seeds the engine's cell memo from exported records. A
-// cache-less engine (nil memo) ignores the import, matching its no-memo
-// contract everywhere else.
+// ImportCells seeds the engine's cell memo from exported records.
 func (e *Engine) ImportCells(recs []CellRecord) {
-	if e.cellMemo == nil {
-		return
-	}
 	e.cellMu.Lock()
 	for _, r := range recs {
 		k := cellKey{
@@ -112,20 +104,14 @@ func (e *Engine) ImportCells(recs []CellRecord) {
 }
 
 // ExportSubtreeBlocks snapshots the shared cache's subtree-block memo in
-// deterministic order (nil for a cache-less engine).
+// deterministic order.
 func (e *Engine) ExportSubtreeBlocks() []ted.SubtreeBlockRecord {
-	if e.cache == nil {
-		return nil
-	}
 	return e.cache.ExportSubtreeBlocks()
 }
 
 // ImportSubtreeBlocks seeds the shared cache's subtree-block memo from
-// exported records; a cache-less engine ignores the import.
+// exported records.
 func (e *Engine) ImportSubtreeBlocks(recs []ted.SubtreeBlockRecord) {
-	if e.cache == nil {
-		return
-	}
 	e.cache.ImportSubtreeBlocks(recs)
 }
 
@@ -262,8 +248,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			vals[j] = int32(binary.LittleEndian.Uint32(blk[4*j:]))
 		}
 		s.Subs = append(s.Subs, ted.SubtreeBlockRecord{
-			A: tree.Fingerprint{H1: u[0], H2: u[1], Size: uint32(u[2])},
-			B: tree.Fingerprint{H1: u[3], H2: u[4], Size: uint32(u[5])},
+			A:     tree.Fingerprint{H1: u[0], H2: u[1], Size: uint32(u[2])},
+			B:     tree.Fingerprint{H1: u[3], H2: u[4], Size: uint32(u[5])},
 			Costs: ted.Costs{Insert: int(u[6]), Delete: int(u[7]), Rename: int(u[8])},
 			L1:    int32(l1), L2: int32(l2), Vals: vals,
 		})

@@ -20,9 +20,7 @@ func NewEngineStore(workers int, cache *ted.Cache, rec *obs.Recorder, st *store.
 	if st != nil {
 		e.astore = st
 		st.SetRecorder(rec)
-		if cache != nil {
-			cache.SetStore(st)
-		}
+		cache.SetStore(st)
 	}
 	return e
 }

@@ -82,11 +82,10 @@ func (e *Engine) countTier(c TierCell) {
 }
 
 // tierable reports whether a sweep under (metric, policy) actually routes
-// pairs: the policy must be enabled, the engine must carry a cache (the
-// signature and profile memos live there), and the metric must be a tree
-// metric — everything else delegates to the exact path.
+// pairs: the policy must be enabled and the metric must be a tree metric —
+// everything else delegates to the exact path.
 func (e *Engine) tierable(metric string, p ted.TierPolicy) bool {
-	if !p.Enabled() || e.cache == nil {
+	if !p.Enabled() {
 		return false
 	}
 	switch metric {
@@ -175,8 +174,8 @@ func (p *cellPlan) reduce() (Divergence, TierCell) {
 }
 
 // TieredDiverge computes one cell under a tier policy, returning its
-// provenance alongside the divergence. Budget 0, a cache-less engine, or
-// a non-tree metric all fall back to the exact Diverge path.
+// provenance alongside the divergence. Budget 0 or a non-tree metric
+// falls back to the exact Diverge path.
 func (e *Engine) TieredDiverge(a, b *Index, metric string, p ted.TierPolicy) (Divergence, TierCell, error) {
 	if !e.tierable(metric, p) {
 		d, err := e.Diverge(a, b, metric)
@@ -188,10 +187,9 @@ func (e *Engine) TieredDiverge(a, b *Index, metric string, p ted.TierPolicy) (Di
 		return d, tc, nil
 	}
 	plan := e.planCell(a, b, metric, p)
-	dist := e.dist()
 	for i := range plan.routes {
 		if r := &plan.routes[i]; r.tier == ted.TierExact {
-			r.est = float64(dist(r.ta, r.tb))
+			r.est = float64(e.cache.Distance(r.ta, r.tb))
 		}
 	}
 	d, tc := plan.reduce()
@@ -210,11 +208,11 @@ type TieredMatrix struct {
 }
 
 // MatrixTiered computes the pairwise divergence matrix under a tier
-// policy. At Budget 0 (or for non-tree metrics, or without a cache) the
-// values are produced by the exact Matrix path and are byte-identical to
-// it; otherwise the three-phase route/refine/reduce schedule runs, and
-// every cell's |tiered − exact| error is bounded by the policy's recorded
-// budget (the exact-vs-tiered harness pins this on the seed corpora).
+// policy. At Budget 0 (or for non-tree metrics) the values are produced
+// by the exact Matrix path and are byte-identical to it; otherwise the
+// three-phase route/refine/reduce schedule runs, and every cell's
+// |tiered − exact| error is bounded by the policy's recorded budget (the
+// exact-vs-tiered harness pins this on the seed corpora).
 func (e *Engine) MatrixTiered(idxs map[string]*Index, order []string, metric string, policy ted.TierPolicy) (*TieredMatrix, error) {
 	return e.MatrixTieredCtx(context.Background(), idxs, order, metric, policy)
 }
@@ -269,32 +267,26 @@ func (e *Engine) MatrixTieredCtx(ctx context.Context, idxs map[string]*Index, or
 	// same costs, same rendered policy — skip routing entirely and are
 	// served with their recorded tier provenance; only dirty cells enter
 	// the route/refine/reduce schedule.
-	work := cells
-	var keys []cellKey
-	if e.cellMemo != nil {
-		hs := make([]store.ContentHash, n)
-		for i, name := range order {
-			hs[i] = MetricHash(idxs[name], metric)
-		}
-		ps := policy.String()
-		work = work[:0:0]
-		reused := 0
-		keys = make([]cellKey, 0, len(cells))
-		for _, c := range cells {
-			key := cellKey{a: hs[c.i], b: hs[c.j], metric: metric, costs: ted.UnitCosts(), policy: ps}
-			if v, ok := e.cellLookup(key); ok {
-				tm.Values[c.i][c.j], tm.Values[c.j][c.i] = v.norm, v.rev
-				tm.Cells[c.i][c.j], tm.Cells[c.j][c.i] = v.tc, v.tc
-				tm.Stats.add(v.tc)
-				e.countTier(v.tc)
-				reused++
-				continue
-			}
-			work = append(work, c)
-			keys = append(keys, key)
-		}
-		e.countCells(reused, len(work))
+	hs := make([]store.ContentHash, n)
+	for i, name := range order {
+		hs[i] = MetricHash(idxs[name], metric)
 	}
+	ps := policy.String()
+	var work []cellIdx
+	keys := make([]cellKey, 0, len(cells))
+	for _, c := range cells {
+		key := cellKey{a: hs[c.i], b: hs[c.j], metric: metric, costs: ted.UnitCosts(), policy: ps}
+		if v, ok := e.cellLookup(key); ok {
+			tm.Values[c.i][c.j], tm.Values[c.j][c.i] = v.norm, v.rev
+			tm.Cells[c.i][c.j], tm.Cells[c.j][c.i] = v.tc, v.tc
+			tm.Stats.add(v.tc)
+			e.countTier(v.tc)
+			continue
+		}
+		work = append(work, c)
+		keys = append(keys, key)
+	}
+	e.countCells(len(cells)-len(work), len(work))
 
 	// Phase A: route every dirty cell. Each task writes only its own
 	// plan slot.
@@ -319,10 +311,9 @@ func (e *Engine) MatrixTieredCtx(ctx context.Context, idxs map[string]*Index, or
 			}
 		}
 	}
-	dist := e.dist()
 	ctxErr = e.runParallel(ctx, len(exact), sp, "engine.tier_refine", func(k int) {
 		r := exact[k]
-		r.est = float64(dist(r.ta, r.tb))
+		r.est = float64(e.cache.Distance(r.ta, r.tb))
 	})
 	if ctxErr != nil {
 		sp.End()
@@ -338,9 +329,7 @@ func (e *Engine) MatrixTieredCtx(ctx context.Context, idxs map[string]*Index, or
 		tm.Cells[i][j], tm.Cells[j][i] = tc, tc
 		tm.Stats.add(tc)
 		e.countTier(tc)
-		if keys != nil {
-			e.cellStore(keys[k], cellVal{norm: tm.Values[i][j], rev: tm.Values[j][i], tc: tc})
-		}
+		e.cellStore(keys[k], cellVal{norm: tm.Values[i][j], rev: tm.Values[j][i], tc: tc})
 	}
 	sp.End()
 	return tm, nil

@@ -51,7 +51,7 @@ func TestMatrixTieredBudgetZeroByteIdentical(t *testing.T) {
 			// inside the race detector's budget.
 			cache := ted.NewCache()
 			for _, workers := range tierWorkerCounts {
-				e := NewEngineWithCache(workers, cache)
+				e := NewEngineObs(workers, cache, nil)
 				tm, err := e.MatrixTiered(idxs, order, metric, ted.NewTierPolicy(0))
 				if err != nil {
 					t.Fatal(err)
@@ -89,7 +89,7 @@ func TestMatrixTieredWithinBudget(t *testing.T) {
 				var ref string
 				var refStats TierStats
 				for _, workers := range tierWorkerCounts {
-					e := NewEngineWithCache(workers, cache)
+					e := NewEngineObs(workers, cache, nil)
 					tm, err := e.MatrixTiered(idxs, order, metric, policy)
 					if err != nil {
 						t.Fatal(err)

@@ -119,12 +119,14 @@ func TestMeasuredNavChartJSON(t *testing.T) {
 	}
 }
 
-// TestMeasuredDeterministicAcrossWorkers: measured charts are
-// bit-identical for every worker count (profiling runs serial under the
-// environment mutex; this is the measured leg of the matrix-determinism
-// gates, exercised under -race by the tier-1 suite).
+// TestMeasuredDeterministicAcrossWorkers: independently built measured
+// charts are bit-identical, as structures and as JSON bytes, for every
+// worker count (profiling runs serial under the environment mutex; this
+// is the measured leg of the matrix-determinism gates, exercised under
+// -race by the tier-1 suite).
 func TestMeasuredDeterministicAcrossWorkers(t *testing.T) {
 	var ref interface{}
+	var refJSON []byte
 	for _, workers := range []int{1, 2, 4, 8} {
 		e := NewEnvWorkers(workers)
 		if err := e.SetPhiSource(PhiSourceMeasured); err != nil {
@@ -134,12 +136,19 @@ func TestMeasuredDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var buf bytes.Buffer
+		if err := ch.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
 		if ref == nil {
-			ref = ch
+			ref, refJSON = ch, buf.Bytes()
 			continue
 		}
 		if !reflect.DeepEqual(ref, ch) {
 			t.Fatalf("measured chart differs at %d workers", workers)
+		}
+		if !bytes.Equal(refJSON, buf.Bytes()) {
+			t.Fatalf("measured chart JSON differs at %d workers", workers)
 		}
 	}
 }

@@ -162,12 +162,15 @@ func waitGoroutines(t *testing.T, before int) {
 // TestMatrixByteIdenticalAcrossWorkers: the served matrix payload is
 // byte-identical to the serial CLI rendering at 1/2/4/8 workers, cold
 // and warm (the warm pass reads the memoised cells through the same
-// codec).
+// codec, and does no engine work: no cell recomputes, no TED runs), and
+// no request errs, is rejected or is canceled.
 func TestMatrixByteIdenticalAcrossWorkers(t *testing.T) {
 	want := matrixRef(t, serveApp, core.MetricTsem)
 	for _, workers := range []int{1, 2, 4, 8} {
 		s := newServer(t, workers, 2, 8)
 		for _, pass := range []string{"cold", "warm"} {
+			eng := s.env.Engine()
+			incr0, misses0 := eng.IncrStats(), eng.CacheStats().Misses
 			w := post(s, "/v1/matrix", matrixBody(serveApp, core.MetricTsem))
 			if w.Code != http.StatusOK {
 				t.Fatalf("workers=%d %s: status %d: %s", workers, pass, w.Code, w.Body)
@@ -178,6 +181,14 @@ func TestMatrixByteIdenticalAcrossWorkers(t *testing.T) {
 			if !bytes.Equal(w.Body.Bytes(), want) {
 				t.Errorf("workers=%d %s: served matrix differs from serial CLI rendering", workers, pass)
 			}
+			d := eng.IncrStats().Delta(incr0)
+			if pass == "warm" && (d.CellsRecomputed != 0 || d.UnitsReparsed != 0 || eng.CacheStats().Misses != misses0) {
+				t.Errorf("workers=%d warm: request did engine work: %+v, %d TED misses",
+					workers, d, eng.CacheStats().Misses-misses0)
+			}
+		}
+		if st := s.Stats(); st.Errors != 0 || st.Rejected != 0 || st.Canceled != 0 {
+			t.Errorf("workers=%d: daemon saw failures: %+v", workers, st)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -26,7 +25,6 @@ const (
 	kindDist  = "ted"  // exact TED distance for one canonical tree pair
 	kindIndex = "idx"  // indexed codebase in cbdb encoding
 	kindTier  = "tier" // tiered (estimated) distance under one tier policy
-	kindSub   = "sub"  // keyroot subtree-distance block (ted subtree memo)
 )
 
 // DistKey addresses one exact tree-edit distance: the canonical fingerprint
@@ -52,16 +50,6 @@ type TierKey struct {
 	Budget, Threshold      float64
 	Bands, Rows            int
 	Tier                   uint8
-}
-
-// SubKey addresses one keyroot subtree-distance block (DESIGN.md §13):
-// the *oriented* subtree fingerprint pair plus the cost model. Unlike
-// DistKey the pair is never canonicalised — a block's rows belong to the
-// A subtree's left spine and its columns to B's, so the two orientations
-// are different payloads and must be different records.
-type SubKey struct {
-	A, B                   tree.Fingerprint
-	Insert, Delete, Rename int
 }
 
 // ContentHash is a 128-bit content address over arbitrary input bytes,
@@ -177,24 +165,6 @@ func tierName(k TierKey) string {
 	return fmt.Sprintf("%016x%016x", s.H1, s.H2)
 }
 
-// subName derives the record file name for a subtree-block key.
-func subName(k SubKey) string {
-	h := NewHasher()
-	h.WriteUint64(FormatVersion)
-	h.WriteString(kindSub)
-	h.WriteUint64(k.A.H1)
-	h.WriteUint64(k.A.H2)
-	h.WriteUint64(uint64(k.A.Size))
-	h.WriteUint64(k.B.H1)
-	h.WriteUint64(k.B.H2)
-	h.WriteUint64(uint64(k.B.Size))
-	h.WriteUint64(uint64(k.Insert))
-	h.WriteUint64(uint64(k.Delete))
-	h.WriteUint64(uint64(k.Rename))
-	s := h.Sum()
-	return fmt.Sprintf("%016x%016x", s.H1, s.H2)
-}
-
 // indexName derives the record file name for an index key.
 func indexName(k IndexKey) string {
 	h := NewHasher()
@@ -299,70 +269,6 @@ func decodeTier(data []byte, k TierKey) (float64, error) {
 		return 0, fmt.Errorf("store: tier record has no distance")
 	}
 	return math.Float64frombits(bits), nil
-}
-
-// subMaxSide bounds the decoded block shape: spines longer than this are
-// not plausible records, so a corrupted length field can never drive a
-// multi-gigabyte allocation.
-const subMaxSide = 1 << 20
-
-// encodeSub renders a subtree-block record: the full key echo plus the
-// block shape and its cell values packed little-endian, so the int32
-// round trip is exact and the payload gzips as one dense byte run.
-func encodeSub(k SubKey, l1, l2 int32, vals []int32) ([]byte, error) {
-	if int64(l1)*int64(l2) != int64(len(vals)) {
-		return nil, fmt.Errorf("store: subtree block shape %dx%d != %d values", l1, l2, len(vals))
-	}
-	blk := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(blk[4*i:], uint32(v))
-	}
-	payload := map[string]any{
-		"v":    int64(FormatVersion),
-		"kind": kindSub,
-		"a1":   k.A.H1, "a2": k.A.H2, "as": int64(k.A.Size),
-		"b1": k.B.H1, "b2": k.B.H2, "bs": int64(k.B.Size),
-		"ci": int64(k.Insert), "cd": int64(k.Delete), "cr": int64(k.Rename),
-		"l1": int64(l1), "l2": int64(l2),
-		"blk": blk,
-	}
-	return encodeEnvelope(payload)
-}
-
-// decodeSub parses and verifies a subtree-block record against the key it
-// was looked up under. As everywhere else, every decode failure or field
-// mismatch — including an inconsistent shape — is an error the caller
-// counts as corrupt-skipped, never a wrong answer.
-func decodeSub(data []byte, k SubKey) (l1, l2 int32, vals []int32, err error) {
-	m, err := decodeEnvelope(data, kindSub)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	ok := matchU64(m["a1"], k.A.H1) && matchU64(m["a2"], k.A.H2) &&
-		matchU64(m["as"], uint64(k.A.Size)) &&
-		matchU64(m["b1"], k.B.H1) && matchU64(m["b2"], k.B.H2) &&
-		matchU64(m["bs"], uint64(k.B.Size)) &&
-		matchU64(m["ci"], uint64(k.Insert)) &&
-		matchU64(m["cd"], uint64(k.Delete)) &&
-		matchU64(m["cr"], uint64(k.Rename))
-	if !ok {
-		return 0, 0, nil, fmt.Errorf("store: subtree record key mismatch")
-	}
-	w1, ok1 := m["l1"].(int64)
-	w2, ok2 := m["l2"].(int64)
-	blk, ok3 := m["blk"].([]byte)
-	if !ok1 || !ok2 || !ok3 {
-		return 0, 0, nil, fmt.Errorf("store: subtree record has no block")
-	}
-	if w1 <= 0 || w2 <= 0 || w1 > subMaxSide || w2 > subMaxSide ||
-		len(blk)%4 != 0 || w1*w2 != int64(len(blk)/4) {
-		return 0, 0, nil, fmt.Errorf("store: subtree record shape mismatch")
-	}
-	vals = make([]int32, w1*w2)
-	for i := range vals {
-		vals[i] = int32(binary.LittleEndian.Uint32(blk[4*i:]))
-	}
-	return int32(w1), int32(w2), vals, nil
 }
 
 // encodeIndex renders an index record: the key echo plus the codebase DB

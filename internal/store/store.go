@@ -7,13 +7,12 @@
 // (re-running figures, CI checks, per-PR metric runs) is bounded by decode
 // time instead of the quadratic TED core.
 //
-// Layout: <root>/<tier>/<shard>/<name>, where tier is "ted", "idx",
-// "tier", or "sub", name is a 128-bit hash over the full record key
-// (fingerprint pair + cost model + format version for distances and
-// subtree blocks; app/model/content hash + format versions for indexes)
-// and shard is the name's first byte in hex
-// — a 256-way fan-out that keeps directories small at millions of
-// records.
+// Layout: <root>/<tier>/<shard>/<name>, where tier is "ted", "idx", or
+// "tier", name is a 128-bit hash over the full record key (fingerprint
+// pair + cost model + format version for distances; app/model/content
+// hash + format versions for indexes) and shard is the name's first
+// byte in hex — a 256-way fan-out that keeps directories small at
+// millions of records.
 //
 // Durability model: records are immutable and written via temp-file +
 // fsync + rename, so a reader never observes a partial record under its
@@ -58,12 +57,11 @@ const (
 	distDir  = "ted"
 	indexDir = "idx"
 	tierDir  = "tier"
-	subDir   = "sub"
 )
 
 // tierNames lists every tier directory in stable display order; per-tier
 // byte accounting and Clear iterate it.
-var tierNames = [...]string{distDir, indexDir, tierDir, subDir}
+var tierNames = [...]string{distDir, indexDir, tierDir}
 
 // tierIndex maps a tier directory to its accounting slot.
 func tierIndex(tier string) int {
@@ -141,8 +139,8 @@ type Store struct {
 	writeErrors atomic.Uint64
 
 	// Per-tier splits of bytesRead/bytesWritten, indexed by tierIndex, so
-	// the growth of each tier — the subtree-block memo in particular — is
-	// observable from the stats line rather than only from du(1).
+	// the growth of each tier is observable from the stats line rather
+	// than only from du(1).
 	tierRead    [len(tierNames)]atomic.Uint64
 	tierWritten [len(tierNames)]atomic.Uint64
 
@@ -205,7 +203,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Clear removes both record tiers under dir. Only the store's own
+// Clear removes every record tier under dir. Only the store's own
 // directories are touched; anything else under dir survives.
 func Clear(dir string) error { return ClearFS(faultfs.OS{}, dir) }
 
@@ -292,7 +290,7 @@ type Stats struct {
 	Degraded       bool   // breaker tripped: store is memory-only
 
 	// TierBytes splits the byte totals per tier, keyed by tier directory
-	// name ("ted", "idx", "tier", "sub"); every tier is present, zeros
+	// name ("ted", "idx", "tier"); every tier is present, zeros
 	// included, so callers can index without existence checks.
 	TierBytes map[string]TierIO
 }
@@ -408,41 +406,6 @@ func (s *Store) PutTierDist(k TierKey, d float64) {
 	s.put(pending{
 		tier: tierDir, name: tierName(k),
 		encode: func() ([]byte, error) { return encodeTier(k, d) },
-	})
-}
-
-// LookupSub returns the stored keyroot subtree-distance block for an
-// oriented key, if a valid record exists. A corrupted, truncated, or
-// shape-inconsistent record fails decode and is counted in
-// corrupt_skipped, surfacing as a miss the caller answers by re-running
-// the keyroot DP.
-func (s *Store) LookupSub(k SubKey) (l1, l2 int32, vals []int32, ok bool) {
-	if s == nil {
-		return 0, 0, nil, false
-	}
-	data, loaded := s.load(subDir, subName(k))
-	if !loaded {
-		return 0, 0, nil, false
-	}
-	l1, l2, vals, err := decodeSub(data, k)
-	if err != nil {
-		s.skipCorrupt()
-		return 0, 0, nil, false
-	}
-	s.hit()
-	return l1, l2, vals, true
-}
-
-// PutSub queues a subtree-block record for write-behind. The vals slice
-// must not be mutated afterwards (ted's blocks are immutable). No-op on
-// nil, readonly, degraded, or closed stores.
-func (s *Store) PutSub(k SubKey, l1, l2 int32, vals []int32) {
-	if s == nil {
-		return
-	}
-	s.put(pending{
-		tier: subDir, name: subName(k),
-		encode: func() ([]byte, error) { return encodeSub(k, l1, l2, vals) },
 	})
 }
 

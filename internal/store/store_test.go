@@ -127,10 +127,6 @@ func TestNilStoreIsInert(t *testing.T) {
 		st.BytesWritten != 0 || st.TierBytes != nil || st.Degraded {
 		t.Fatal("nil stats not zero")
 	}
-	if _, _, _, ok := s.LookupSub(SubKey{}); ok {
-		t.Fatal("nil sub lookup hit")
-	}
-	s.PutSub(SubKey{}, 1, 1, []int32{0})
 	if s.Readonly() {
 		t.Fatal("nil store is not readonly (it is nothing)")
 	}

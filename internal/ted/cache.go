@@ -72,8 +72,6 @@ type Cache struct {
 	// least this many DP cells.
 	pathMin int64
 
-	subOn atomic.Bool
-
 	// counts holds the always-on event counters behind Stats; SetRecorder
 	// adopts them, so each event is counted exactly once.
 	counts *cacheCounters
@@ -159,7 +157,6 @@ func NewCache() *Cache {
 		pathMin:  pathDefaultMinSaving,
 		counts:   &cacheCounters{},
 	}
-	c.subOn.Store(true)
 	return c
 }
 
@@ -453,13 +450,8 @@ func (c *Cache) compute(t1, t2 *tree.Node, fa, fb tree.Fingerprint, costs Costs,
 	d, pruned := boundGate(a, b, costs, sc)
 	if pruned {
 		c.counts.boundPruned.Add(1)
-	} else if c.subOn.Load() && a.krFP != nil && b.krFP != nil {
-		d = c.zsDistanceMemo(a, b, costs, sc, o, t1, t2)
 	} else {
-		d = zsDistance(a, b, costs, sc)
-		if o != nil {
-			o.dpCells.Add(a.wL * b.wL)
-		}
+		d = c.zsDistanceMemo(a, b, costs, sc, o, t1, t2)
 	}
 	putScratch(sc)
 	return d
@@ -492,7 +484,7 @@ func (c *Cache) flatFor(t *tree.Node, fp tree.Fingerprint) *flat {
 // mirrorFlat returns the memoised flat of t's mirror image, building it on
 // first sight of fp, t's own fingerprint. The mirrored flat carries the
 // true fingerprints of the mirrored subtrees, so everything keyed on them
-// (blocks, probe rows, the store's sub tier) stays content-addressed.
+// (blocks and probe rows) stays content-addressed.
 // Racing builders keep the first, like flatFor.
 func (c *Cache) mirrorFlat(t *tree.Node, fp tree.Fingerprint) *flat {
 	c.mu.RLock()

@@ -3,7 +3,6 @@ package ted
 import (
 	"sort"
 
-	"silvervale/internal/store"
 	"silvervale/internal/tree"
 )
 
@@ -26,12 +25,6 @@ const (
 	// it the map probe, harvest copy, and entry overhead cost more than
 	// the DP they replace; such pairs always recompute.
 	subDefaultMinCells = 64
-
-	// subStoreMinCells gates the persistent sub tier: only blocks whose
-	// DP is at least this large are read from or written to disk, so a
-	// store round trip (decode + key echo) is always cheaper than the DP
-	// it replaces.
-	subStoreMinCells = 1 << 16
 
 	// subDefaultMaxBytes bounds the in-memory memo. Spines are short —
 	// a block holds L1*L2 cells, not m1*m2 — so a whole-corpus working
@@ -180,9 +173,8 @@ type subBlock struct {
 
 // subEntry is one freshly built block awaiting publication.
 type subEntry struct {
-	key     subKey
-	block   *subBlock
-	persist bool // also queue to the store's sub tier
+	key   subKey
+	block *subBlock
 }
 
 // subBlockBytes is the accounting size of one entry.
@@ -190,27 +182,15 @@ func subBlockBytes(b *subBlock) int64 {
 	return int64(len(b.vals))*4 + subEntryOverhead
 }
 
-// subStoreKey maps a memo key onto the persistent tier's key type.
-func subStoreKey(k subKey) store.SubKey {
-	return store.SubKey{A: k.a, B: k.b,
-		Insert: k.costs.Insert, Delete: k.costs.Delete, Rename: k.costs.Rename}
-}
-
-// SetSubtreeMemo enables or disables the subtree-block memo (enabled by
-// default). Disabling routes cache misses to the monolithic Zhang–Shasha
-// DP — the PR 8 behaviour — which the benchmark harness uses as the
-// baseline edit path; distances are identical either way.
-func (c *Cache) SetSubtreeMemo(on bool) { c.subOn.Store(on) }
-
 // publishSubBlocks installs freshly built blocks, checkpoint rows, and
 // probe rows under one write lock, keep-first: a racing builder of the
 // same key computed a bit-identical payload, so the loser's copy is
-// garbage, never a conflict. Entries marked persist are queued to the
-// store's sub tier after the lock drops. Checkpoint and probe rows are
-// in-memory only (§13): they are re-derivable from one full root-row DP
-// (or one slot-by-slot probe), so disk round trips are not worth a tier.
-func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRows []rowEntry, st *store.Store) {
-	var persist []subEntry
+// garbage, never a conflict. It returns how many blocks it installed.
+// All three memos are in-memory only (§13): a block is re-derivable from
+// its keyroot DP, so cross-process reuse goes through the watch
+// snapshot, not the store.
+func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRows []rowEntry) int {
+	installed := 0
 	c.subMu.Lock()
 	for _, e := range fresh {
 		if _, ok := c.subs[e.key]; ok {
@@ -218,9 +198,7 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 		}
 		c.subs[e.key] = e.block
 		c.subBytes += subBlockBytes(e.block)
-		if e.persist && st != nil {
-			persist = append(persist, e)
-		}
+		installed++
 	}
 	var evicted int64
 	if c.subBytes > c.subMax {
@@ -252,9 +230,7 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 	c.counts.subEvicted.Add(evicted)
 	c.counts.ckptEvicted.Add(ckEvicted)
 	c.counts.rowEvicted.Add(rowEvicted)
-	for _, e := range persist {
-		st.PutSub(subStoreKey(e.key), e.block.l1, e.block.l2, e.block.vals)
-	}
+	return installed
 }
 
 // evictLocked drops entries of one memo map in map-iteration order until
@@ -337,24 +313,5 @@ func (c *Cache) ImportSubtreeBlocks(recs []SubtreeBlockRecord) int {
 			block: &subBlock{l1: r.L1, l2: r.L2, vals: r.Vals},
 		})
 	}
-	if len(fresh) == 0 {
-		return 0
-	}
-	c.subMu.Lock()
-	installed := 0
-	for _, e := range fresh {
-		if _, ok := c.subs[e.key]; ok {
-			continue
-		}
-		c.subs[e.key] = e.block
-		c.subBytes += subBlockBytes(e.block)
-		installed++
-	}
-	var evicted int64
-	if c.subBytes > c.subMax {
-		evicted = evictLocked(c.subs, &c.subBytes, c.subMax, subBlockBytes)
-	}
-	c.subMu.Unlock()
-	c.counts.subEvicted.Add(evicted)
-	return installed
+	return c.publishSubBlocks(fresh, nil, nil)
 }

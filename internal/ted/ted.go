@@ -334,7 +334,6 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 	var fresh []subEntry
 	var freshCk []ckptEntry
 	suffixDone := false
-	st := c.backing.Load()
 	for ki, i := range a.kr {
 		if skip != nil && skip[ki] {
 			continue
@@ -354,8 +353,6 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 			if cells < minCells {
 				continue // deferred: materialised only if a later DP reads it
 			}
-			cols := b.spine[b.spineOff[kj]:b.spineOff[kj+1]]
-			key := subKey{a: a.krFP[ki], b: b.krFP[kj], costs: costs}
 			if isRoot && resumable {
 				// Block miss served by a checkpoint: recompute only the
 				// rows after the deepest matching prefix boundary. No
@@ -378,19 +375,6 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 				freshCk = captureCkpts(freshCk, a, b.krFP[kj], j, lj, costs, fd, r0)
 				continue
 			}
-			// Large blocks are worth a disk round trip: consult the
-			// persistent sub tier before paying the DP.
-			if st != nil && cells >= subStoreMinCells {
-				if l1, l2, vals, ok := st.LookupSub(subStoreKey(key)); ok &&
-					int(l1) == len(rows) && int(l2) == len(cols) {
-					hits++
-					// Promote into the grid: later DP runs materialise it
-					// on demand, exactly like a memory hit.
-					row[kj] = &subBlock{l1: l1, l2: l2, vals: vals}
-					fresh = append(fresh, subEntry{key: key, block: row[kj]})
-					continue
-				}
-			}
 			misses++
 			if isRoot {
 				runKids(0)
@@ -399,11 +383,13 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 			treedist(a, b, i, j, costs, td, fd, boff)
 			computed += int64(cells)
 			rdone[kj] = true
+			cols := b.spine[b.spineOff[kj]:b.spineOff[kj+1]]
+			key := subKey{a: a.krFP[ki], b: b.krFP[kj], costs: costs}
 			fresh = append(fresh, subEntry{key: key, block: &subBlock{
 				l1:   int32(len(rows)),
 				l2:   int32(len(cols)),
 				vals: harvestBlock(td, rows, cols),
-			}, persist: cells >= subStoreMinCells})
+			}})
 			if isRoot && ckEligible {
 				freshCk = captureCkpts(freshCk, a, b.krFP[kj], j, lj, costs, fd, 0)
 			}
@@ -430,7 +416,7 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 	}
 
 	if len(fresh) > 0 || len(freshCk) > 0 || len(freshRows) > 0 {
-		c.publishSubBlocks(fresh, freshCk, freshRows, st)
+		c.publishSubBlocks(fresh, freshCk, freshRows)
 	}
 	if o != nil {
 		o.dpCells.Add(computed)
