@@ -16,7 +16,10 @@
 //	  go test -run '^$' -bench '^BenchmarkPR6Trajectory$' -timeout 40m .
 //
 // Without SILVERVALE_BENCH_JSON set the benchmark skips, so plain
-// `go test -bench .` sweeps are not slowed down.
+// `go test -bench .` sweeps are not slowed down. The committed
+// BENCH_PR6.json also carries a "fidelity" leg (budget 0.05) from before
+// sub-screening budgets ran the exact sweep; this emitter no longer
+// writes it.
 package silvervale
 
 import (
@@ -62,7 +65,6 @@ type pr6Trajectory struct {
 
 	ExactNs          int64    `json:"exact_ns"`
 	Screening        pr6Sweep `json:"screening"`
-	Fidelity         pr6Sweep `json:"fidelity"`
 	Budget0Identical bool     `json:"budget0_bit_identical"`
 
 	// UnitsRatioEqualWallclock is derived from the screening speedup: the
@@ -132,11 +134,6 @@ func pr6Errors(tiered, exact [][]float64) (maxErr, meanErr float64) {
 
 func BenchmarkPR6Trajectory(b *testing.B) {
 	out := benchJSONPath(b)
-	const (
-		screeningBudget = 0.5  // unit-granularity screening regime
-		fidelityBudget  = 0.05 // high-fidelity regime, for the error table
-	)
-
 	idxs, order := pr6Units(b)
 	m := len(order)
 
@@ -152,7 +149,7 @@ func BenchmarkPR6Trajectory(b *testing.B) {
 		}, vals
 	}
 	tieredSweep := func(name string, budget float64) (pr6Bench, pr6Sweep, [][]float64) {
-		policy := ted.NewTierPolicy(budget)
+		policy := ted.TierPolicy{Budget: budget}
 		e := core.NewEngine(0)
 		var stats core.TierStats
 		bench, vals := measure(name, order, func() [][]float64 {
@@ -187,24 +184,16 @@ func BenchmarkPR6Trajectory(b *testing.B) {
 
 	// 2. Screening-budget tiered sweep — the equal-corpus speedup claim,
 	// with every cell's error hard-checked against the budget.
-	screenBench, screen, screenM := tieredSweep("TieredScreening", screeningBudget)
+	screenBench, screen, screenM := tieredSweep("TieredScreening", ted.ScreeningBudget)
 	screen.Speedup = float64(exactFull.NsPerOp) / float64(screen.NsPerOp)
 	screen.MaxCellError, screen.MeanCellError = pr6Errors(screenM, exactM)
-	if screen.MaxCellError > screeningBudget {
-		b.Fatalf("screening sweep: max cell error %v exceeds budget %v", screen.MaxCellError, screeningBudget)
+	if screen.MaxCellError > ted.ScreeningBudget {
+		b.Fatalf("screening sweep: max cell error %v exceeds budget %v", screen.MaxCellError, ted.ScreeningBudget)
 	}
 	traj.Screening = screen
 	traj.UnitsRatioEqualWallclock = math.Sqrt(screen.Speedup)
 
-	// 3. High-fidelity tiered sweep, recorded for the error table. Its
-	// budget is calibrated for matched-pair app sweeps, not unit-singleton
-	// cells, so errors are recorded but not asserted against it.
-	fidBench, fid, fidM := tieredSweep("TieredFidelity", fidelityBudget)
-	fid.Speedup = float64(exactFull.NsPerOp) / float64(fid.NsPerOp)
-	fid.MaxCellError, fid.MeanCellError = pr6Errors(fidM, exactM)
-	traj.Fidelity = fid
-
-	// 4. Budget-0 tiered sweep on a base slice — must be bit-identical.
+	// 3. Budget-0 tiered sweep on a base slice — must be bit-identical.
 	base := order[:m/10]
 	exactBase, exactBaseM := measure("ExactBase", base, func() [][]float64 {
 		vals, err := core.NewEngine(0).Matrix(idxs, base, core.MetricTsem)
@@ -214,7 +203,7 @@ func BenchmarkPR6Trajectory(b *testing.B) {
 		return vals
 	})
 	zeroBench, zeroM := measure("TieredBaseBudget0", base, func() [][]float64 {
-		tm, err := core.NewEngine(0).MatrixTiered(idxs, base, core.MetricTsem, ted.NewTierPolicy(0))
+		tm, err := core.NewEngine(0).MatrixTiered(idxs, base, core.MetricTsem, ted.TierPolicy{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,8 +214,8 @@ func BenchmarkPR6Trajectory(b *testing.B) {
 		b.Fatal("budget-0 tiered matrix differs from exact")
 	}
 
-	traj.Benchmarks = []pr6Bench{exactFull, screenBench, fidBench, exactBase, zeroBench}
+	traj.Benchmarks = []pr6Bench{exactFull, screenBench, exactBase, zeroBench}
 	benchWriteTrajectory(b, out, traj)
-	b.Logf("bench trajectory written to %s (screening %.1fx speedup at budget %g, max err %.3f; fidelity %.1fx at %g, max err %.3f)",
-		out, screen.Speedup, screeningBudget, screen.MaxCellError, fid.Speedup, fidelityBudget, fid.MaxCellError)
+	b.Logf("bench trajectory written to %s (screening %.1fx speedup at budget %g, max err %.3f)",
+		out, screen.Speedup, ted.ScreeningBudget, screen.MaxCellError)
 }

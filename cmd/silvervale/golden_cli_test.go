@@ -16,7 +16,7 @@ const (
 
 	goldenWarmStoreCache = "ted cache: 17 hits (3 identity), 73 misses, 46 symmetric canonicalisations, 73 entries, 0 profiles, hit rate 18.9%, 0 bound-pruned, flat memo 0/0 hit rate 0.0%, subtree blocks 0 hit/0 miss, 0 resident (0B), 0 evicted, ckpt rows 0 hit/0 miss, 0 resident (0B), 0 evicted, probe rows 0 hit/0 miss, 0 resident (0B), 0 evicted, store 83 hits, 0 misses, 65903B read, 0B written, 0 flushes, 0 corrupt-skipped, ted tier 0B written/8572B read, idx tier 0B written/57331B read"
 
-	goldenTierLine = "ted tiering (budget 0.2, threshold 0.820, lsh 16x4): 90 pairs: 84 exact, 6 estimated, 0 lsh-far"
+	goldenTierLine = "ted tiering (budget 0.5, threshold 0.450, lsh 16x4): 90 pairs: 27 exact, 7 estimated, 56 lsh-far"
 
 	goldenWatchEdit = "incremental: 1 cells reused, 2 recomputed; 5 units reused, 1 reparsed; 4298 subtree blocks reused, 143 recomputed"
 )
@@ -73,7 +73,7 @@ func TestGoldenTierLine(t *testing.T) {
 	if raceEnabled {
 		t.Skip("C++ BabelStream sweep is too slow under -race")
 	}
-	_, stderr, err := captureBoth(t, "matrix", "babelstream", "-metric", "tsem", "-tier-budget", "0.2", "-workers", "1")
+	_, stderr, err := captureBoth(t, "matrix", "babelstream", "-metric", "tsem", "-tier-budget", "0.5", "-workers", "1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@ package main
 
 // CLI smoke tests for -tier-budget: the post-sweep tier stats line and
 // the ted.tier_* metrics must appear exactly when tiering is requested,
-// for both the exact-equivalent budget 0 and a nonzero budget.
+// for both the exact sub-screening budgets and the screening budget, and
+// non-finite budgets are usage errors.
 
 import (
 	"io"
@@ -82,9 +83,10 @@ func TestExperimentTierStatsLineAndMetrics(t *testing.T) {
 	}
 }
 
-// TestMatrixTierBudgetZeroSmoke: budget 0 engages the tiered path in its
-// exact-equivalent configuration — stdout matrix identical to the exact
-// run, stats line on stderr reporting every routed pair as exact.
+// TestMatrixTierBudgetZeroSmoke: every budget below the screening budget
+// engages the tiered path in its exact configuration — stdout matrix
+// identical to the exact run, stats line on stderr reporting every routed
+// pair as exact.
 func TestMatrixTierBudgetZeroSmoke(t *testing.T) {
 	plain, plainErr, err := captureBoth(t, "matrix", trimApp, "-metric", "tsem")
 	if err != nil {
@@ -93,17 +95,41 @@ func TestMatrixTierBudgetZeroSmoke(t *testing.T) {
 	if strings.Contains(plainErr, "ted tiering") {
 		t.Fatalf("untiered matrix printed a tier stats line: %q", plainErr)
 	}
-	tiered, tieredErr, err := captureBoth(t, "matrix", trimApp, "-metric", "tsem", "-tier-budget", "0")
-	if err != nil {
-		t.Fatal(err)
+	for _, budget := range []string{"0", "0.2"} {
+		tiered, tieredErr, err := captureBoth(t, "matrix", trimApp, "-metric", "tsem", "-tier-budget", budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tiered != plain {
+			t.Fatalf("budget-%s matrix stdout differs from exact:\nexact:\n%s\ntiered:\n%s", budget, plain, tiered)
+		}
+		if !strings.Contains(tieredErr, "ted tiering (budget "+budget+" (exact)):") {
+			t.Fatalf("budget-%s matrix missing stats line on stderr: %q", budget, tieredErr)
+		}
+		if !regexp.MustCompile(`(\d+) pairs: (\d+) exact, 0 estimated, 0 lsh-far`).MatchString(tieredErr) {
+			t.Fatalf("budget-%s stats line reports non-exact pairs: %q", budget, tieredErr)
+		}
 	}
-	if tiered != plain {
-		t.Fatalf("budget-0 matrix stdout differs from exact:\nexact:\n%s\ntiered:\n%s", plain, tiered)
-	}
-	if !strings.Contains(tieredErr, "ted tiering (budget 0 (exact)):") {
-		t.Fatalf("budget-0 matrix missing stats line on stderr: %q", tieredErr)
-	}
-	if !regexp.MustCompile(`(\d+) pairs: (\d+) exact, 0 estimated, 0 lsh-far`).MatchString(tieredErr) {
-		t.Fatalf("budget-0 stats line reports non-exact pairs: %q", tieredErr)
+}
+
+// TestTierBudgetRejectsNonFinite: NaN and ±Inf are usage errors in either
+// flag position, not a silently disabled (NaN) or screening (+Inf) sweep.
+func TestTierBudgetRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"NaN", "nan", "+Inf", "Inf", "-Inf", "bogus"} {
+		for _, args := range [][]string{
+			{"matrix", "babelstream-fortran", "-metric", "tsem", "-tier-budget", v},
+			{"-tier-budget", v, "matrix", "babelstream-fortran", "-metric", "tsem"},
+		} {
+			stdout, stderr, err := captureBoth(t, args...)
+			if err == nil {
+				t.Fatalf("%v: accepted, want a usage error", args)
+			}
+			if !strings.Contains(err.Error(), "-tier-budget") {
+				t.Fatalf("%v: error %q does not name the flag", args, err)
+			}
+			if stdout != "" || strings.Contains(stderr, "ted tiering") {
+				t.Fatalf("%v: ran a sweep before rejecting the budget:\n%s%s", args, stdout, stderr)
+			}
+		}
 	}
 }

@@ -138,7 +138,7 @@ func TestCanceledMatrixPublishesNothing(t *testing.T) {
 func TestCanceledTieredMatrixPublishesNothing(t *testing.T) {
 	idxs, order := buildIndexes(t, "babelstream-fortran")
 	e := NewEngine(1)
-	policy := ted.NewTierPolicy(0.05)
+	policy := ted.TierPolicy{Budget: ted.ScreeningBudget}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.MatrixTieredCtx(ctx, idxs, order, MetricTsem, policy); !errors.Is(err, context.Canceled) {

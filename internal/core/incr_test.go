@@ -316,7 +316,7 @@ func TestTieredMemoPolicyKey(t *testing.T) {
 	}
 	base := e.IncrStats()
 
-	policy := ted.NewTierPolicy(0.05)
+	policy := ted.TierPolicy{Budget: ted.ScreeningBudget}
 	tm, err := e.MatrixTiered(idxs, order, MetricTsem, policy)
 	if err != nil {
 		t.Fatal(err)

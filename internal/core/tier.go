@@ -25,9 +25,9 @@ import (
 //	   exactly divergeTrees' order (pairs, then only-A, then only-B), so
 //	   the output is bit-identical across runs and worker counts.
 //
-// At Budget 0 the policy is disabled and MatrixTiered delegates to the
-// exact Matrix path — byte-identical by construction, pinned by the
-// equivalence gate in tier_test.go.
+// Below ted.ScreeningBudget the policy is disabled and MatrixTiered
+// delegates to the exact Matrix path — byte-identical by construction,
+// pinned by the equivalence gate in tier_test.go.
 
 // TierCell is the per-cell tier provenance: how many matched tree pairs
 // of the cell were refined exactly versus estimated. Unmatched units are
@@ -133,7 +133,7 @@ func (e *Engine) planCell(a, b *Index, metric string, p ted.TierPolicy) *cellPla
 	for i, pr := range pairs {
 		ta, tb := pr[0].Trees[metric], pr[1].Trees[metric]
 		r := pairRoute{ta: ta, tb: tb, w: float64(tb.Size())}
-		r.est, r.tier = e.cache.TierRoute(ta, tb, ted.UnitCosts(), p)
+		r.est, r.tier = e.cache.TierRoute(ta, tb, p)
 		plan.routes[i] = r
 	}
 	for _, u := range onlyA {
@@ -173,30 +173,6 @@ func (p *cellPlan) reduce() (Divergence, TierCell) {
 	return Divergence{Metric: p.metric, Raw: raw, DMax: dmax, Norm: safeDiv(raw, dmax)}, tc
 }
 
-// TieredDiverge computes one cell under a tier policy, returning its
-// provenance alongside the divergence. Budget 0 or a non-tree metric
-// falls back to the exact Diverge path.
-func (e *Engine) TieredDiverge(a, b *Index, metric string, p ted.TierPolicy) (Divergence, TierCell, error) {
-	if !e.tierable(metric, p) {
-		d, err := e.Diverge(a, b, metric)
-		if err != nil {
-			return Divergence{}, TierCell{}, err
-		}
-		tc := exactCell(a, b, metric)
-		e.countTier(tc)
-		return d, tc, nil
-	}
-	plan := e.planCell(a, b, metric, p)
-	for i := range plan.routes {
-		if r := &plan.routes[i]; r.tier == ted.TierExact {
-			r.est = float64(e.cache.Distance(r.ta, r.tb))
-		}
-	}
-	d, tc := plan.reduce()
-	e.countTier(tc)
-	return d, tc, nil
-}
-
 // TieredMatrix bundles the matrix values with per-cell tier provenance
 // and the sweep's routing counts. Cells[i][j] and Cells[j][i] mirror the
 // same cell; the diagonal is zero.
@@ -208,10 +184,10 @@ type TieredMatrix struct {
 }
 
 // MatrixTiered computes the pairwise divergence matrix under a tier
-// policy. At Budget 0 (or for non-tree metrics) the values are produced
-// by the exact Matrix path and are byte-identical to it; otherwise the
-// three-phase route/refine/reduce schedule runs, and every cell's
-// |tiered − exact| error is bounded by the policy's recorded budget (the
+// policy. Below ted.ScreeningBudget (or for non-tree metrics) the values
+// are produced by the exact Matrix path and are byte-identical to it;
+// otherwise the three-phase route/refine/reduce schedule runs, and every
+// cell's |tiered − exact| error is bounded by the policy's budget (the
 // exact-vs-tiered harness pins this on the seed corpora).
 func (e *Engine) MatrixTiered(idxs map[string]*Index, order []string, metric string, policy ted.TierPolicy) (*TieredMatrix, error) {
 	return e.MatrixTieredCtx(context.Background(), idxs, order, metric, policy)

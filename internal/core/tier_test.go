@@ -1,11 +1,11 @@
 package core
 
 // Exact-vs-tiered equivalence gate (the test harness the tiered engine is
-// gated by): at budget 0 the tiered sweep must be byte-identical to the
-// exact path; at nonzero budgets every cell's |tiered − exact| must stay
-// within the policy's recorded budget, and the tiered output itself must
-// be bit-identical across runs and worker counts. Run under -race (tier-1)
-// to exercise the route/refine phase synchronisation.
+// gated by): below ted.ScreeningBudget the tiered sweep must be
+// byte-identical to the exact path; at screening budgets every cell's
+// |tiered − exact| must stay within the budget, and the tiered output
+// itself must be bit-identical across runs and worker counts. Run under
+// -race (tier-1) to exercise the route/refine phase synchronisation.
 
 import (
 	"math"
@@ -24,13 +24,16 @@ func tierGateShort() bool { return testing.Short() || raceEnabled }
 
 // tierGateApps pairs each seed app with the metrics the gate sweeps. The
 // trimmed corpus is one small app with one metric; the full one adds a
-// second metric plus one larger app.
+// second metric plus two C++ apps. C++ babelstream has far pairs at
+// every threshold, so it is the app where a budget below the screening
+// budget would break if anything but the exact path served it.
 func tierGateApps(short bool) map[string][]string {
 	if short {
 		return map[string][]string{"babelstream-fortran": {MetricTsem}}
 	}
 	return map[string][]string{
 		"babelstream-fortran": {MetricTsem, MetricTsrc},
+		"babelstream":         {MetricTsem},
 		"tealeaf":             {MetricTsem},
 	}
 }
@@ -52,7 +55,7 @@ func TestMatrixTieredBudgetZeroByteIdentical(t *testing.T) {
 			cache := ted.NewCache()
 			for _, workers := range tierWorkerCounts {
 				e := NewEngineObs(workers, cache, nil)
-				tm, err := e.MatrixTiered(idxs, order, metric, ted.NewTierPolicy(0))
+				tm, err := e.MatrixTiered(idxs, order, metric, ted.TierPolicy{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,14 +70,16 @@ func TestMatrixTieredBudgetZeroByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMatrixTieredWithinBudget: at nonzero budgets every cell's error
-// against the exact matrix stays within the budget, provenance is
-// mirrored and consistent, and the tiered bytes are identical across
-// worker counts (scheduling independence under estimation).
+// TestMatrixTieredWithinBudget: every cell's error against the exact
+// matrix stays within the budget — below ted.ScreeningBudget the matrix
+// is byte-identical to the exact one — provenance is mirrored and
+// consistent, and the tiered bytes are identical across worker counts
+// (scheduling independence under estimation). The trimmed run keeps the
+// screening budget, so estimated pairs are checked under -race too.
 func TestMatrixTieredWithinBudget(t *testing.T) {
-	budgets := []float64{0.05, 0.2, 0.5}
+	budgets := []float64{0.05, 0.2, 0.41, ted.ScreeningBudget}
 	if tierGateShort() {
-		budgets = budgets[:1]
+		budgets = []float64{ted.ScreeningBudget}
 	}
 	for app, metrics := range tierGateApps(tierGateShort()) {
 		idxs, order := buildIndexes(t, app)
@@ -85,7 +90,7 @@ func TestMatrixTieredWithinBudget(t *testing.T) {
 			}
 			cache := ted.NewCache()
 			for _, budget := range budgets {
-				policy := ted.NewTierPolicy(budget)
+				policy := ted.TierPolicy{Budget: budget}
 				var ref string
 				var refStats TierStats
 				for _, workers := range tierWorkerCounts {
@@ -115,6 +120,10 @@ func TestMatrixTieredWithinBudget(t *testing.T) {
 						t.Fatalf("sweep stats %+v != cell sum %+v", tm.Stats, sum)
 					}
 					b := matrixBytes(tm.Values)
+					if budget < ted.ScreeningBudget && b != matrixBytes(exact) {
+						t.Fatalf("%s/%s budget=%g workers=%d: sub-screening matrix differs from exact",
+							app, metric, budget, workers)
+					}
 					if ref == "" {
 						ref, refStats = b, tm.Stats
 						continue
@@ -133,39 +142,12 @@ func TestMatrixTieredWithinBudget(t *testing.T) {
 	}
 }
 
-// TestTieredDivergeMatchesMatrix: the single-pair entry point agrees with
-// the corresponding matrix cell, and its provenance matches.
-func TestTieredDivergeMatchesMatrix(t *testing.T) {
-	idxs, order := buildIndexes(t, "babelstream-fortran")
-	policy := ted.NewTierPolicy(0.2)
-	e := NewEngine(2)
-	tm, err := e.MatrixTiered(idxs, order, MetricTsem, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := NewEngine(1)
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			d, tc, err := e2.TieredDiverge(idxs[order[i]], idxs[order[j]], MetricTsem, policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d.Norm != tm.Values[i][j] {
-				t.Fatalf("cell (%d,%d): TieredDiverge %v != matrix %v", i, j, d.Norm, tm.Values[i][j])
-			}
-			if tc != tm.Cells[i][j] {
-				t.Fatalf("cell (%d,%d): provenance %+v != matrix %+v", i, j, tc, tm.Cells[i][j])
-			}
-		}
-	}
-}
-
 // TestTierStatsAccounting: engine-cumulative stats accumulate across
 // sweeps, the stats line carries the policy and counts, and non-tree
 // metrics report zero routed pairs (nothing to tier).
 func TestTierStatsAccounting(t *testing.T) {
 	idxs, order := buildIndexes(t, "babelstream-fortran")
-	policy := ted.NewTierPolicy(0.5)
+	policy := ted.TierPolicy{Budget: ted.ScreeningBudget}
 	e := NewEngine(2)
 	tm, err := e.MatrixTiered(idxs, order, MetricTsem, policy)
 	if err != nil {

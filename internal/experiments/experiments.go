@@ -104,11 +104,11 @@ func NewEnvStore(workers int, rec *obs.Recorder, st *store.Store) *Env {
 func (e *Env) Engine() *core.Engine { return e.engine }
 
 // SetTierPolicy routes all subsequent matrix sweeps through the tiered
-// engine path (core.MatrixTiered) under the given policy. The zero policy
-// (budget 0) delegates to the exact path — byte-identical values — but
-// still reports routing provenance in the engine's tier stats. Matrices
-// are cached per policy, so an environment never serves a tiered matrix
-// to an exact request or across budgets.
+// engine path (core.MatrixTiered) under the given policy. A budget below
+// ted.ScreeningBudget delegates to the exact path (byte-identical values)
+// but still reports routing provenance in the engine's tier stats.
+// Matrices are cached per policy, so an environment never serves a
+// tiered matrix to an exact request or across budgets.
 func (e *Env) SetTierPolicy(p ted.TierPolicy) {
 	e.mu.Lock()
 	e.policy = p

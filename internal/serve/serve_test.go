@@ -550,7 +550,7 @@ func TestHealthAndStatsEndpoints(t *testing.T) {
 	if w := post(s, "/v1/matrix", matrixBody(serveApp, core.MetricTsem)); w.Code != http.StatusOK {
 		t.Fatalf("exact sweep = %d %s", w.Code, w.Body)
 	}
-	env.SetTierPolicy(ted.NewTierPolicy(0.2))
+	env.SetTierPolicy(ted.TierPolicy{Budget: ted.ScreeningBudget})
 	if w := post(s, "/v1/matrix", matrixBody(serveApp, core.MetricTsem)); w.Code != http.StatusOK {
 		t.Fatalf("tiered sweep = %d %s", w.Code, w.Body)
 	}

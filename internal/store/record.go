@@ -37,19 +37,14 @@ type DistKey struct {
 }
 
 // TierKey addresses one tiered (estimated) distance: the canonical
-// fingerprint pair and cost model — exactly as DistKey — plus every
-// parameter of the tier policy that produced the estimate (budget,
-// routing threshold, LSH signature shape, and which routing tier fired).
-// Exact and tiered records live in different store tiers under different
-// kinds, and two tiered runs only share records when their whole policy
-// matches, so a warm start can never serve an exact run an estimate, nor
-// serve one budget's estimates to another.
+// fingerprint pair (A before B under Fingerprint.Less) and which routing
+// tier fired. The screening settings and the unit cost model are fixed,
+// so nothing else can change an estimate. Exact and tiered records live
+// in different store tiers under different kinds, so a warm start can
+// never serve an exact run an estimate.
 type TierKey struct {
-	A, B                   tree.Fingerprint
-	Insert, Delete, Rename int
-	Budget, Threshold      float64
-	Bands, Rows            int
-	Tier                   uint8
+	A, B tree.Fingerprint
+	Tier uint8
 }
 
 // ContentHash is a 128-bit content address over arbitrary input bytes,
@@ -139,10 +134,7 @@ func distName(k DistKey) string {
 	return fmt.Sprintf("%016x%016x", s.H1, s.H2)
 }
 
-// tierName derives the record file name for a tiered-distance key. Every
-// policy parameter is hashed (floats by their IEEE-754 bits), so records
-// from different budgets or signature shapes land under different names
-// and can never shadow one another.
+// tierName derives the record file name for a tiered-distance key.
 func tierName(k TierKey) string {
 	h := NewHasher()
 	h.WriteUint64(FormatVersion)
@@ -153,13 +145,6 @@ func tierName(k TierKey) string {
 	h.WriteUint64(k.B.H1)
 	h.WriteUint64(k.B.H2)
 	h.WriteUint64(uint64(k.B.Size))
-	h.WriteUint64(uint64(k.Insert))
-	h.WriteUint64(uint64(k.Delete))
-	h.WriteUint64(uint64(k.Rename))
-	h.WriteUint64(math.Float64bits(k.Budget))
-	h.WriteUint64(math.Float64bits(k.Threshold))
-	h.WriteUint64(uint64(k.Bands))
-	h.WriteUint64(uint64(k.Rows))
 	h.WriteUint64(uint64(k.Tier))
 	s := h.Sum()
 	return fmt.Sprintf("%016x%016x", s.H1, s.H2)
@@ -224,26 +209,24 @@ func decodeDist(data []byte, k DistKey) (int, error) {
 }
 
 // encodeTier renders a tiered-distance record: the full key echo —
-// fingerprints, costs, and every policy parameter — alongside the
-// estimate (as IEEE-754 bits, so the round trip is exact).
+// fingerprints and routing tier — alongside the estimate (as IEEE-754
+// bits, so the round trip is exact).
 func encodeTier(k TierKey, d float64) ([]byte, error) {
 	payload := map[string]any{
 		"v":    int64(FormatVersion),
 		"kind": kindTier,
 		"a1":   k.A.H1, "a2": k.A.H2, "as": int64(k.A.Size),
 		"b1": k.B.H1, "b2": k.B.H2, "bs": int64(k.B.Size),
-		"ci": int64(k.Insert), "cd": int64(k.Delete), "cr": int64(k.Rename),
-		"bud": math.Float64bits(k.Budget), "thr": math.Float64bits(k.Threshold),
-		"lb": int64(k.Bands), "lr": int64(k.Rows), "tr": int64(k.Tier),
-		"d": math.Float64bits(d),
+		"tr": int64(k.Tier),
+		"d":  math.Float64bits(d),
 	}
 	return encodeEnvelope(payload)
 }
 
 // decodeTier parses and verifies a tiered-distance record against the key
 // it was looked up under. As with distances, any decode failure or field
-// mismatch — including a policy parameter — is an error the caller counts
-// as corrupt-skipped, never a wrong answer.
+// mismatch is an error the caller counts as corrupt-skipped, never a
+// wrong answer.
 func decodeTier(data []byte, k TierKey) (float64, error) {
 	m, err := decodeEnvelope(data, kindTier)
 	if err != nil {
@@ -253,13 +236,6 @@ func decodeTier(data []byte, k TierKey) (float64, error) {
 		matchU64(m["as"], uint64(k.A.Size)) &&
 		matchU64(m["b1"], k.B.H1) && matchU64(m["b2"], k.B.H2) &&
 		matchU64(m["bs"], uint64(k.B.Size)) &&
-		matchU64(m["ci"], uint64(k.Insert)) &&
-		matchU64(m["cd"], uint64(k.Delete)) &&
-		matchU64(m["cr"], uint64(k.Rename)) &&
-		matchU64(m["bud"], math.Float64bits(k.Budget)) &&
-		matchU64(m["thr"], math.Float64bits(k.Threshold)) &&
-		matchU64(m["lb"], uint64(k.Bands)) &&
-		matchU64(m["lr"], uint64(k.Rows)) &&
 		matchU64(m["tr"], uint64(k.Tier))
 	if !ok {
 		return 0, fmt.Errorf("store: tier record key mismatch")

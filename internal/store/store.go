@@ -374,11 +374,10 @@ func (s *Store) PutDist(k DistKey, d int) {
 	})
 }
 
-// LookupTierDist returns the stored tiered-distance estimate for a
-// policy-qualified key, if a valid record exists. A record written under
-// any other policy (different budget, threshold, signature shape, or
-// routing tier) hashes to a different name and can never be served here;
-// a corrupted or colliding record fails its key echo and is counted in
+// LookupTierDist returns the stored tiered-distance estimate for a key,
+// if a valid record exists. A record written for another pair or routing
+// tier hashes to a different name and can never be served here; a
+// corrupted or colliding record fails its key echo and is counted in
 // corrupt_skipped, surfacing as a miss.
 func (s *Store) LookupTierDist(k TierKey) (float64, bool) {
 	if s == nil {

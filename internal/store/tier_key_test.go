@@ -1,11 +1,10 @@
 package store
 
 // Tier-record key separation tests: the store-key hazard the tiered
-// engine introduces is an exact run warm-starting from estimates (or a
-// tiered run at one budget serving another budget's records). The tier
-// tier is keyed by the full policy — budget, threshold, signature shape,
-// routing tier — alongside the fingerprint pair and cost model, and every
-// record echoes its key, so none of those mixes can ever serve.
+// engine introduces is an exact run warm-starting from estimates. The
+// tier tier is keyed by the canonical fingerprint pair and the routing
+// tier that fired, lives apart from the exact tier, and every record
+// echoes its key, so no mix can ever serve.
 
 import (
 	"os"
@@ -15,23 +14,21 @@ import (
 	"silvervale/internal/tree"
 )
 
-func tierKey(seed uint64, budget, threshold float64) TierKey {
+func tierKey(seed uint64, tier uint8) TierKey {
 	return TierKey{
-		A:      tree.Fingerprint{H1: seed, H2: seed * 31, Size: uint32(seed%100 + 1)},
-		B:      tree.Fingerprint{H1: seed * 7, H2: seed * 131, Size: uint32(seed%90 + 2)},
-		Insert: 1, Delete: 1, Rename: 1,
-		Budget: budget, Threshold: threshold,
-		Bands: 16, Rows: 4, Tier: 1,
+		A:    tree.Fingerprint{H1: seed, H2: seed * 31, Size: uint32(seed%100 + 1)},
+		B:    tree.Fingerprint{H1: seed * 7, H2: seed * 131, Size: uint32(seed%90 + 2)},
+		Tier: tier,
 	}
 }
 
 // TestTierRoundTrip: a put estimate survives reopen and is served only
-// for its exact key — same pair under a different budget, threshold,
-// signature shape, routing tier, or cost model must miss.
+// for its exact key — the same pair under the other routing tier, or the
+// pair swapped, must miss.
 func TestTierRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{})
-	k := tierKey(42, 0.05, 0.85)
+	k := tierKey(42, 1)
 	if _, ok := s.LookupTierDist(k); ok {
 		t.Fatal("empty store must miss")
 	}
@@ -45,43 +42,30 @@ func TestTierRoundTrip(t *testing.T) {
 	}
 	variants := map[string]TierKey{}
 	v := k
-	v.Budget = 0.1
-	variants["different budget"] = v
-	v = k
-	v.Threshold = 0.80
-	variants["different threshold"] = v
-	v = k
-	v.Bands, v.Rows = 8, 8
-	variants["different signature shape"] = v
-	v = k
 	v.Tier = 2
 	variants["different routing tier"] = v
-	v = k
-	v.Insert = 2
-	variants["different cost model"] = v
 	v = k
 	v.A, v.B = v.B, v.A
 	variants["swapped pair"] = v
 	for name, vk := range variants {
 		if d, ok := s2.LookupTierDist(vk); ok {
-			t.Fatalf("%s served %v — tier records must never cross policies", name, d)
+			t.Fatalf("%s served %v — tier records must never cross keys", name, d)
 		}
 	}
 }
 
 // TestTierNeverMixesWithExact: the regression the tiered engine demands —
 // an exact-run store (dist records) never serves a tiered lookup for the
-// same tree pair and costs, and a tiered-run store (tier records) never
-// serves an exact lookup. The two live in separate record tiers with
-// separate key spaces.
+// same tree pair, and a tiered-run store (tier records) never serves an
+// exact lookup. The two live in separate record tiers with separate key
+// spaces.
 func TestTierNeverMixesWithExact(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{})
 	fa := tree.Fingerprint{H1: 3, H2: 5, Size: 40}
 	fb := tree.Fingerprint{H1: 7, H2: 11, Size: 50}
 	dk := DistKey{A: fa, B: fb, Insert: 1, Delete: 1, Rename: 1}
-	tk := TierKey{A: fa, B: fb, Insert: 1, Delete: 1, Rename: 1,
-		Budget: 0.05, Threshold: 0.85, Bands: 16, Rows: 4, Tier: 1}
+	tk := TierKey{A: fa, B: fb, Tier: 1}
 	s.PutDist(dk, 17)     // the exact run writes the true distance
 	s.PutTierDist(tk, 44) // a tiered run writes an estimate for the same pair
 	s.Close()
@@ -93,12 +77,12 @@ func TestTierNeverMixesWithExact(t *testing.T) {
 	if d, ok := s2.LookupTierDist(tk); !ok || d != 44 {
 		t.Fatalf("tier lookup = %v, %v; want 44, true", d, ok)
 	}
-	// An exact value must never leak into a differently-budgeted tier
+	// An exact value must never leak into the other routing tier's
 	// lookup, and the estimate must never replace the exact record.
 	other := tk
-	other.Budget, other.Threshold = 0.2, 0.82
+	other.Tier = 2
 	if d, ok := s2.LookupTierDist(other); ok {
-		t.Fatalf("budget-0.2 lookup served budget-0.05 estimate %v", d)
+		t.Fatalf("tier-2 lookup served %v", d)
 	}
 	if d, ok := s2.LookupDist(dk); !ok || d != 17 {
 		t.Fatalf("exact record disturbed by tier write: %d, %v", d, ok)
@@ -106,14 +90,14 @@ func TestTierNeverMixesWithExact(t *testing.T) {
 }
 
 // TestTierKeyEchoCatchesAliasing: a tier record copied under another tier
-// key's file name (simulated name collision — e.g. a budget mix a broken
-// hash would allow) fails the payload key echo, counts corrupt_skipped,
-// and is not served.
+// key's file name (simulated name collision — e.g. a routing-tier mix a
+// broken hash would allow) fails the payload key echo, counts
+// corrupt_skipped, and is not served.
 func TestTierKeyEchoCatchesAliasing(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{})
-	k1 := tierKey(1, 0.05, 0.85)
-	k2 := tierKey(1, 0.2, 0.82) // same pair, different policy
+	k1 := tierKey(1, 1)
+	k2 := tierKey(1, 2) // same pair, other routing tier
 	s.PutTierDist(k1, 9.5)
 	s.Close()
 
@@ -148,7 +132,7 @@ func TestTierKeyEchoCatchesAliasing(t *testing.T) {
 func TestTierClearAndNil(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{})
-	k := tierKey(8, 0.05, 0.85)
+	k := tierKey(8, 1)
 	s.PutTierDist(k, 2)
 	s.Close()
 	if err := Clear(dir); err != nil {

@@ -40,8 +40,7 @@ type Cache struct {
 	profiles map[tree.Fingerprint]PQGramProfile
 	flats    map[tree.Fingerprint]*flat
 	mirrors  map[tree.Fingerprint]*flat // mirrored flats, keyed by the unmirrored tree's fingerprint
-	sigs     map[sigKey]Signature
-	routes   map[routeKey]routeVal
+	sigs     map[tree.Fingerprint]Signature
 
 	// Subtree-block memo (DESIGN.md §13): treedist outputs per keyroot
 	// pair, content-addressed by subtree fingerprint pair + costs, under
@@ -144,8 +143,7 @@ func NewCache() *Cache {
 		profiles: map[tree.Fingerprint]PQGramProfile{},
 		flats:    map[tree.Fingerprint]*flat{},
 		mirrors:  map[tree.Fingerprint]*flat{},
-		sigs:     map[sigKey]Signature{},
-		routes:   map[routeKey]routeVal{},
+		sigs:     map[tree.Fingerprint]Signature{},
 		subs:     map[subKey]*subBlock{},
 		subMax:   subDefaultMaxBytes,
 		subMin:   subDefaultMinCells,

@@ -20,20 +20,21 @@ import (
 // deterministic estimate derived from the approximate distance, clamped
 // into the exact distance's provable [lower, upper] interval.
 //
-// The contract is an error budget, not exactness: at Budget 0 every pair
-// routes exact and results are byte-identical to the untiered path (the
-// equivalence gate in internal/core pins this); at nonzero budgets the
-// exact-vs-tiered harness records per-cell |tiered − exact| and asserts it
-// stays within the budget on every seed corpus.
+// The contract is an error budget with one operating point. Below
+// ScreeningBudget every pair routes exact and results are byte-identical
+// to the untiered path (the equivalence gate in internal/core pins this);
+// at or above it the screening regime runs, and the exact-vs-tiered
+// harness records per-cell |tiered − exact| and asserts it stays within
+// the budget on every seed corpus.
 
 // Tier identifies how one pair's distance was produced.
 type Tier uint8
 
 const (
 	// TierExact: the pair was (or must be) computed with exact
-	// Zhang–Shasha — either the policy is disabled, the pair routed
-	// "close or borderline", or the trees are identical (distance 0 is
-	// exact by the empty edit script).
+	// Zhang–Shasha — either the budget is below ScreeningBudget, the
+	// pair routed "close or borderline", or the trees are identical
+	// (distance 0 is exact by the empty edit script).
 	TierExact Tier = iota
 	// TierEstimated: the full pq-gram distance flagged the pair as far;
 	// the value is the clamped pq-gram estimate.
@@ -58,14 +59,28 @@ func (t Tier) String() string {
 	return fmt.Sprintf("tier(%d)", uint8(t))
 }
 
-// Default LSH signature shape: 16 bands of 4 rows. 64 minhash rows keep
-// the Jaccard estimator's noise around ±0.06, and a 4-row band fires with
-// probability J⁴ — near-duplicates (J ≳ 0.8) collide in some band almost
-// surely while far pairs (J ≲ 0.2) almost never do.
+// The screening regime's fixed settings. The LSH signature is 16 bands
+// of 4 rows: 64 minhash rows keep the Jaccard estimator's noise around
+// ±0.06, and a 4-row band fires with probability J⁴ — near-duplicates
+// (J ≳ 0.8) collide in some band almost surely while far pairs (J ≲ 0.2)
+// almost never do. screeningThreshold τ is the pq-gram distance at or
+// above which a pair may be estimated instead of refined: the structural
+// estimator's worst observed per-cell error on the all-units corpus probe
+// (4371 pairs, every unit of every seed app × model, worst normalisation)
+// is ~0.41 at τ = 0.45, and BENCH_PR6 measured 0.471 on the full sweep,
+// which the 0.5 ScreeningBudget covers.
 const (
-	defaultBands = 16
-	defaultRows  = 4
+	sigBands           = 16
+	sigRows            = 4
+	screeningThreshold = 0.45
 )
+
+// ScreeningBudget is the smallest budget that engages screening. Smaller
+// budgets run the exact path, which honours every budget: estimating at
+// a stricter threshold saves little DP on app-level sweeps and still
+// breaks tight budgets (τ = 0.85 left a 0.0875 error on a babelstream
+// cell under a 0.05 budget).
+const ScreeningBudget = 0.5
 
 // farMargin is how far past the routing threshold the noisier
 // signature-only estimate must sit before a pair is declared far without
@@ -81,96 +96,24 @@ const farMargin = 0.05
 // the savings.
 const tierMinNodes = 128
 
-// TierPolicy configures tiered evaluation. The zero value (Budget 0) is
-// the disabled, exact-equivalent policy.
+// TierPolicy configures tiered evaluation. A Budget below ScreeningBudget
+// (including the zero value) routes every pair exact; at or above it the
+// screening regime estimates far pairs.
 type TierPolicy struct {
 	// Budget is the per-matrix-cell error tolerance: the recorded bound
-	// on |tiered − exact| for every normalised divergence cell. 0 routes
-	// every pair exact.
+	// on |tiered − exact| for every normalised divergence cell.
 	Budget float64
-	// Threshold is the pq-gram distance at or above which a pair may be
-	// estimated instead of refined. Derived from Budget by NewTierPolicy;
-	// pairs below it always go exact.
-	Threshold float64
-	// Bands × Rows is the minhash signature shape used for LSH
-	// bucketing.
-	Bands, Rows int
-}
-
-// screeningBudget is the boundary between the policy's two calibrated
-// regimes. Budgets at or above it select the screening threshold: the
-// structural estimator's worst observed per-cell error on the all-units
-// corpus probe (4371 pairs, every unit of every seed app × model, worst
-// normalisation) is ~0.41 at τ = 0.45, so a 0.42 budget covers it.
-const (
-	screeningBudget    = 0.42
-	screeningThreshold = 0.45
-)
-
-// NewTierPolicy derives the policy for an error budget. Two calibrated
-// regimes (both measured on the seed corpora; see EXPERIMENTS.md):
-//
-//   - High-fidelity (budget < 0.42): calibrated against matched
-//     same-role pairs (all apps × tree metrics, 1206 pairs) — the pair
-//     population of app-level divergence sweeps. Worst per-pair error
-//     |est − exact|/dmax as a function of the routing threshold τ is
-//     ~0.03 at τ = 0.85, ~0.30 at τ = 0.80, ~0.44 at τ = 0.75, so
-//     tight budgets push τ toward 0.98 (only near-disjoint pairs are
-//     estimated) and looser budgets descend toward the 0.78 floor.
-//     Per-cell error is a dmax-weighted average over a cell's matched
-//     pairs, so this per-pair calibration is the conservative side of
-//     the recorded contract.
-//
-//   - Screening (budget ≥ 0.42): calibrated against the all-pairs unit
-//     population (4371 cross-unit pairs), where even single-pair cells
-//     honour the budget: the structural estimator's worst error under
-//     the harsher of the two cell normalisations is ~0.41 at τ = 0.45.
-//     This is the corpus-scale near-duplicate-screening regime — most
-//     DP work is skipped, small distances stay trustworthy, and large
-//     ones are calibrated estimates.
-func NewTierPolicy(budget float64) TierPolicy {
-	if budget <= 0 {
-		return TierPolicy{}
-	}
-	var th float64
-	switch {
-	case budget >= screeningBudget:
-		th = screeningThreshold
-	case budget <= 0.05:
-		th = 0.98 - 2.6*budget
-	default:
-		th = 0.85 - 0.2*(budget-0.05)
-	}
-	if th < 0.78 && budget < screeningBudget {
-		th = 0.78
-	}
-	if th > 0.98 {
-		th = 0.98
-	}
-	return TierPolicy{Budget: budget, Threshold: th, Bands: defaultBands, Rows: defaultRows}
 }
 
 // Enabled reports whether the policy routes any pair away from exact.
-func (p TierPolicy) Enabled() bool { return p.Budget > 0 }
-
-// normalize fills zero signature dimensions with the defaults so hand-built
-// policies and store keys agree with NewTierPolicy's.
-func (p TierPolicy) normalize() TierPolicy {
-	if p.Bands <= 0 {
-		p.Bands = defaultBands
-	}
-	if p.Rows <= 0 {
-		p.Rows = defaultRows
-	}
-	return p
-}
+func (p TierPolicy) Enabled() bool { return p.Budget >= ScreeningBudget }
 
 // String renders the policy for stats lines and provenance reports.
 func (p TierPolicy) String() string {
 	if !p.Enabled() {
-		return "budget 0 (exact)"
+		return fmt.Sprintf("budget %g (exact)", p.Budget)
 	}
-	return fmt.Sprintf("budget %g, threshold %.3f, lsh %dx%d", p.Budget, p.Threshold, p.Bands, p.Rows)
+	return fmt.Sprintf("budget %g, threshold %.3f, lsh %dx%d", p.Budget, screeningThreshold, sigBands, sigRows)
 }
 
 // Signature is a minhash signature over a pq-gram profile: Bands×Rows
@@ -282,13 +225,9 @@ const (
 	calMin       = 0.60
 )
 
-// calibratedRaw is the screening-grade estimate for a far-routed pair
-// under unit costs. Non-unit cost models fall back to the scale-based
-// estimateRaw — the calibration is in unit edit ops.
-func (c *Cache) calibratedRaw(t1, t2 *tree.Node, fa, fb tree.Fingerprint, approx float64, costs Costs) float64 {
-	if costs != UnitCosts() {
-		return estimateRaw(approx, int(fa.Size), int(fb.Size), costs)
-	}
+// calibratedRaw is the screening-grade estimate for a far-routed pair,
+// in unit edit ops.
+func (c *Cache) calibratedRaw(t1, t2 *tree.Node, fa, fb tree.Fingerprint, approx float64) float64 {
 	a := c.flatFor(t1, fa)
 	b := c.flatFor(t2, fb)
 	sc := getScratch()
@@ -313,181 +252,85 @@ func (c *Cache) calibratedRaw(t1, t2 *tree.Node, fa, fb tree.Fingerprint, approx
 	return est
 }
 
-// estimateRaw maps an approximate (or signature-estimated) normalised
-// distance in [0,1] onto the exact distance's scale for a pair of trees
-// with n1 and n2 nodes, clamped into the provable [|n1−n2|·min(ins,del),
-// n1·del+n2·ins] interval. max(n1·del, n2·ins) is the scale at which a
-// label-disjoint pair of similar shape lands: distance 1 maps to the
-// all-renames-plus-size-delta script.
-func estimateRaw(approx float64, n1, n2 int, c Costs) float64 {
-	scale := float64(n1 * c.Delete)
-	if s := float64(n2 * c.Insert); s > scale {
-		scale = s
-	}
-	est := approx * scale
-	diff := n1 - n2
-	if diff < 0 {
-		diff = -diff
-	}
-	lo := float64(diff * min(c.Insert, c.Delete))
-	hi := float64(n1*c.Delete + n2*c.Insert)
-	if est < lo {
-		est = lo
-	}
-	if est > hi {
-		est = hi
-	}
-	return est
-}
-
-// sigKey addresses one memoised signature. The shape is part of the key
-// so differently-shaped policies never share rows.
-type sigKey struct {
-	fp          tree.Fingerprint
-	bands, rows int
-}
-
-// SignatureFor returns the memoised minhash signature of a tree under the
-// policy's shape, building profile and signature on first sight.
-func (c *Cache) SignatureFor(t *tree.Node, p TierPolicy) Signature {
-	p = p.normalize()
-	key := sigKey{fp: t.Fingerprint(), bands: p.Bands, rows: p.Rows}
+// SignatureFor returns the memoised minhash signature of a tree, building
+// profile and signature on first sight.
+func (c *Cache) SignatureFor(t *tree.Node) Signature {
+	fp := t.Fingerprint()
 	c.mu.RLock()
-	s, ok := c.sigs[key]
+	s, ok := c.sigs[fp]
 	c.mu.RUnlock()
 	if ok {
 		return s
 	}
-	s = NewSignature(c.Profile(t), p.Bands, p.Rows)
+	s = NewSignature(c.Profile(t), sigBands, sigRows)
 	c.mu.Lock()
-	c.sigs[key] = s
+	c.sigs[fp] = s
 	c.mu.Unlock()
 	return s
 }
 
-// routeKey addresses one memoised routing decision: the canonicalised
-// fingerprint pair, the cost model, and every policy parameter that can
-// change the route or the estimate. Differently-parameterised policies
-// never share entries.
-type routeKey struct {
-	a, b              tree.Fingerprint
-	costs             Costs
-	budget, threshold float64
-	bands, rows       int
-}
-
-// routeVal is one memoised route: the tier plus, for estimated tiers, the
-// clamped estimate.
-type routeVal struct {
-	est  float64
-	tier Tier
-}
-
 // TierRoute decides how a pair should be evaluated under a policy without
 // running the exact DP. It returns (0, TierExact) when the pair must be
-// refined exactly (including the disabled policy), and (estimate, tier)
-// when the pair is far enough that the estimate honours the budget. The
-// decision and the estimate are pure functions of the two trees and the
-// policy — bit-identical across runs, schedulers, and worker counts —
-// which is why the whole decision is memoised by content fingerprint
-// (DESIGN.md §12): a warm re-sweep skips even the signature comparison
-// and multiset-intersection work for every clean pair.
+// refined exactly (including every policy below ScreeningBudget), and
+// (estimate, tier) when the pair is far enough that the estimate honours
+// the budget. The decision and the estimate are pure functions of the two
+// trees — bit-identical across runs, schedulers, and worker counts — and
+// every step beneath it (signatures, pq-gram distance, flats) is memoised
+// by content fingerprint, so a repeated route recomputes only the
+// signature comparison and the multiset intersection (or, with a store
+// attached, re-reads the estimate's record).
 //
 // With a persistent store attached, estimated values read through the
-// store's tier records — keyed by the full policy (budget, threshold,
-// signature shape) alongside the fingerprint pair and cost model, so a
-// warm start can never serve an estimate produced under a different
-// policy, nor leak estimates into the exact tier.
-func (c *Cache) TierRoute(t1, t2 *tree.Node, costs Costs, p TierPolicy) (float64, Tier) {
+// store's tier records, keyed by the canonical fingerprint pair and the
+// routing tier that fired: the screening settings are constants, so a
+// warm start can never serve an estimate produced under other settings,
+// and the records live apart from the exact tier.
+func (c *Cache) TierRoute(t1, t2 *tree.Node, p TierPolicy) (float64, Tier) {
 	if !p.Enabled() || t1 == nil || t2 == nil {
 		return 0, TierExact
 	}
-	p = p.normalize()
 	fa, fb := t1.Fingerprint(), t2.Fingerprint()
-	key := routeKey{a: fa, b: fb, costs: costs,
-		budget: p.Budget, threshold: p.Threshold, bands: p.Bands, rows: p.Rows}
-	if costs.Insert == costs.Delete && fb.Less(fa) {
-		// Routing and estimation are symmetric exactly when exact TED is.
-		key.a, key.b = fb, fa
-	}
-	c.mu.RLock()
-	v, ok := c.routes[key]
-	c.mu.RUnlock()
-	if ok {
-		return v.est, v.tier
-	}
-	est, tier := c.routeSlow(t1, t2, fa, fb, costs, p)
-	c.mu.Lock()
-	c.routes[key] = routeVal{est: est, tier: tier}
-	c.mu.Unlock()
-	return est, tier
-}
-
-// routeSlow is the uncached routing decision behind TierRoute.
-func (c *Cache) routeSlow(t1, t2 *tree.Node, fa, fb tree.Fingerprint, costs Costs, p TierPolicy) (float64, Tier) {
 	if fa == fb && tree.Equal(t1, t2) {
 		return 0, TierExact // identity: exact distance 0, no DP needed anyway
 	}
 	if fa.Size < tierMinNodes || fb.Size < tierMinNodes {
 		return 0, TierExact // below the calibration population; DP is cheap
 	}
-	sa := c.SignatureFor(t1, p)
-	sb := c.SignatureFor(t2, p)
+	sa := c.SignatureFor(t1)
+	sb := c.SignatureFor(t2)
 	if !SharesBand(sa, sb) {
-		if d := EstimateDistance(sa, sb); d >= p.Threshold+farMargin {
+		if d := EstimateDistance(sa, sb); d >= screeningThreshold+farMargin {
 			// Provably-far bucket: no band collision and the signature
 			// estimate clears the threshold with margin — skip even the
 			// profile merge.
-			return c.tieredEstimate(t1, t2, fa, fb, d, costs, p, TierFar), TierFar
+			return c.tieredEstimate(t1, t2, fa, fb, d, TierFar), TierFar
 		}
 	}
 	approx := c.ApproxDistance(t1, t2)
-	if approx >= p.Threshold {
-		return c.tieredEstimate(t1, t2, fa, fb, approx, costs, p, TierEstimated), TierEstimated
+	if approx >= screeningThreshold {
+		return c.tieredEstimate(t1, t2, fa, fb, approx, TierEstimated), TierEstimated
 	}
 	return 0, TierExact
 }
 
-// TieredDistance evaluates one pair under a policy: route, then refine
-// exactly when the route demands it. The returned tier reports the
-// provenance of the value.
-func (c *Cache) TieredDistance(t1, t2 *tree.Node, costs Costs, p TierPolicy) (float64, Tier) {
-	est, tier := c.TierRoute(t1, t2, costs, p)
-	if tier == TierExact {
-		return float64(c.DistanceWithCosts(t1, t2, costs)), TierExact
-	}
-	return est, tier
-}
-
 // tieredEstimate produces the estimate for a far-routed pair, reading
 // through (and writing behind into) the store's tier records when a store
-// is attached. The store key carries the full policy and the tier, so
-// records from different budgets, thresholds, signature shapes, or
-// routing tiers never mix.
-func (c *Cache) tieredEstimate(t1, t2 *tree.Node, fa, fb tree.Fingerprint, approx float64, costs Costs, p TierPolicy, tier Tier) float64 {
+// is attached. The store key carries the routing tier, so records from
+// the two estimated tiers never mix.
+func (c *Cache) tieredEstimate(t1, t2 *tree.Node, fa, fb tree.Fingerprint, approx float64, tier Tier) float64 {
 	st := c.backing.Load()
 	if st == nil {
-		return c.calibratedRaw(t1, t2, fa, fb, approx, costs)
+		return c.calibratedRaw(t1, t2, fa, fb, approx)
 	}
 	a, b := fa, fb
-	if costs.Insert == costs.Delete && b.Less(a) {
-		a, b = b, a // estimates are symmetric exactly when exact TED is
+	if b.Less(a) {
+		a, b = b, a // unit-cost estimates are symmetric, as exact TED is
 	}
-	tk := store.TierKey{
-		A: a, B: b,
-		Insert: costs.Insert, Delete: costs.Delete, Rename: costs.Rename,
-		Budget: p.Budget, Threshold: p.Threshold,
-		Bands: p.Bands, Rows: p.Rows, Tier: uint8(tier),
-	}
+	tk := store.TierKey{A: a, B: b, Tier: uint8(tier)}
 	if d, ok := st.LookupTierDist(tk); ok {
 		return d
 	}
-	est := c.calibratedRaw(t1, t2, fa, fb, approx, costs)
+	est := c.calibratedRaw(t1, t2, fa, fb, approx)
 	st.PutTierDist(tk, est)
 	return est
-}
-
-// EstimateRawForTest exposes estimateRaw for calibration harnesses.
-func EstimateRawForTest(approx float64, n1, n2 int, c Costs) float64 {
-	return estimateRaw(approx, n1, n2, c)
 }

@@ -5,7 +5,7 @@ package ted
 // estimated tiers — a pair that is actually close (small exact TED
 // relative to tree size) must always route exact — and every routing
 // decision must be a pure, symmetric, deterministic function of the two
-// trees and the policy.
+// trees.
 
 import (
 	"math/rand"
@@ -51,29 +51,29 @@ func disjointTree(r *rand.Rand, n int) *tree.Node {
 	return root
 }
 
+// screening is the one policy that routes pairs away from exact.
+var screening = TierPolicy{Budget: ScreeningBudget}
+
 // TestTierRouteNeverEstimatesClosePairs: the lower-bound property of the
 // prefilter — a pair whose exact TED is small relative to its size (a
-// few renames) sits far below any refinement threshold and must always
-// route exact, for every budget.
+// few renames) sits far below the screening threshold and must always
+// route exact.
 func TestTierRouteNeverEstimatesClosePairs(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	c := NewCache()
 	for i := 0; i < 80; i++ {
 		// Small pairs sit below the size floor and must route exact no
 		// matter what their pq-gram distance does; large pairs are above
-		// it, and a few relabels must keep them below every threshold.
+		// it, and a few relabels must keep them below the threshold.
 		n := 20 + r.Intn(80)
 		if i%2 == 1 {
 			n = 150 + r.Intn(100)
 		}
 		t1 := randTree(r, n)
 		t2 := relabelSome(r, t1, 1+r.Intn(3))
-		for _, budget := range []float64{0.01, 0.05, 0.2, 0.5, 1.0} {
-			p := NewTierPolicy(budget)
-			if est, tier := c.TierRoute(t1, t2, UnitCosts(), p); tier != TierExact {
-				t.Fatalf("close pair (%d nodes, approx %.3f) routed %v (est %v) under %v",
-					n, c.ApproxDistance(t1, t2), tier, est, p)
-			}
+		if est, tier := c.TierRoute(t1, t2, screening); tier != TierExact {
+			t.Fatalf("close pair (%d nodes, approx %.3f) routed %v (est %v) under %v",
+				n, c.ApproxDistance(t1, t2), tier, est, screening)
 		}
 	}
 }
@@ -82,30 +82,32 @@ func TestTierRouteNeverEstimatesClosePairs(t *testing.T) {
 // alphabets) the routing must (a) only estimate pairs whose pq-gram
 // distance clears the threshold, (b) keep every estimate inside the
 // provable [|n1-n2|, n1+n2] interval for unit costs, and (c) be symmetric
-// and deterministic.
+// and deterministic, under the screening policy.
 func TestTierRouteEstimateInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	p := NewTierPolicy(0.1)
+	p := screening
+	estimated := 0
 	for i := 0; i < 60; i++ {
 		c := NewCache()
 		// Above the tierMinNodes floor so routing can actually estimate.
 		t1 := randTree(r, 150+r.Intn(150))
 		t2 := disjointTree(r, 150+r.Intn(150))
-		est, tier := c.TierRoute(t1, t2, UnitCosts(), p)
-		estBA, tierBA := c.TierRoute(t2, t1, UnitCosts(), p)
+		est, tier := c.TierRoute(t1, t2, p)
+		estBA, tierBA := c.TierRoute(t2, t1, p)
 		if tier != tierBA || est != estBA {
 			t.Fatalf("asymmetric route: (%v,%v) vs (%v,%v)", est, tier, estBA, tierBA)
 		}
-		est2, tier2 := c.TierRoute(t1, t2, UnitCosts(), p)
+		est2, tier2 := c.TierRoute(t1, t2, p)
 		if est2 != est || tier2 != tier {
 			t.Fatalf("unstable route: (%v,%v) then (%v,%v)", est, tier, est2, tier2)
 		}
 		if tier == TierExact {
 			continue
 		}
-		if tier == TierEstimated && c.ApproxDistance(t1, t2) < p.Threshold {
+		estimated++
+		if tier == TierEstimated && c.ApproxDistance(t1, t2) < screeningThreshold {
 			t.Fatalf("estimated pair below threshold: approx %.3f < %.3f",
-				c.ApproxDistance(t1, t2), p.Threshold)
+				c.ApproxDistance(t1, t2), screeningThreshold)
 		}
 		n1, n2 := t1.Size(), t2.Size()
 		lo, hi := n1-n2, n1+n2
@@ -120,20 +122,8 @@ func TestTierRouteEstimateInvariants(t *testing.T) {
 			t.Fatalf("interval broken: est %v exact %v bounds [%d,%d]", est, exact, lo, hi)
 		}
 	}
-}
-
-// TestTieredDistanceBudgetZeroIsExact: the disabled policy must return
-// the exact distance for every pair, identical to Distance.
-func TestTieredDistanceBudgetZeroIsExact(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	c := NewCache()
-	for i := 0; i < 40; i++ {
-		t1 := randTree(r, 1+r.Intn(60))
-		t2 := disjointTree(r, 1+r.Intn(60))
-		d, tier := c.TieredDistance(t1, t2, UnitCosts(), NewTierPolicy(0))
-		if tier != TierExact || d != float64(Distance(t1, t2)) {
-			t.Fatalf("budget-0 pair: got (%v, %v), want exact %d", d, tier, Distance(t1, t2))
-		}
+	if estimated == 0 {
+		t.Fatal("no far pair was estimated: the invariants were never exercised")
 	}
 }
 
@@ -143,14 +133,13 @@ func TestTieredDistanceBudgetZeroIsExact(t *testing.T) {
 // on one cache (the worker-count independence the matrix relies on).
 func TestSignatureDeterministicAcrossCachesAndGoroutines(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
-	p := NewTierPolicy(0.05)
 	var trees []*tree.Node
 	for i := 0; i < 24; i++ {
 		trees = append(trees, randTree(r, 1+r.Intn(100)))
 	}
 	serial := make([]Signature, len(trees))
 	for i, tr := range trees {
-		serial[i] = NewSignature(NewPQGramProfile(tr), p.Bands, p.Rows)
+		serial[i] = NewSignature(NewPQGramProfile(tr), sigBands, sigRows)
 	}
 	shared := NewCache()
 	var wg sync.WaitGroup
@@ -162,7 +151,7 @@ func TestSignatureDeterministicAcrossCachesAndGoroutines(t *testing.T) {
 			defer wg.Done()
 			got[g] = make([]Signature, len(trees))
 			for i, tr := range trees {
-				got[g][i] = shared.SignatureFor(tr, p)
+				got[g][i] = shared.SignatureFor(tr)
 			}
 		}()
 	}
@@ -187,15 +176,16 @@ func TestSignatureDeterministicAcrossCachesAndGoroutines(t *testing.T) {
 
 // FuzzTierRouting drives the router with fuzzed tree shapes, sizes, and
 // budgets, asserting the routing invariants on every input: symmetry,
-// determinism, interval clamping, budget-0 exactness, and close pairs
-// never estimated.
+// determinism, interval clamping, and exactness below ScreeningBudget.
+// The seeds sit on the screening policy, plus one just below it.
 func FuzzTierRouting(f *testing.F) {
-	f.Add(int64(1), 10, 20, 0.05, 2)
+	f.Add(int64(1), 10, 20, 0.5, 2)
 	f.Add(int64(2), 50, 5, 0.5, 0)
-	f.Add(int64(3), 1, 1, 0.01, 1)
+	f.Add(int64(3), 1, 1, 0.75, 1)
 	f.Add(int64(4), 80, 80, 1.5, 30)
 	f.Add(int64(5), 200, 250, 0.5, 0)
-	f.Add(int64(6), 290, 140, 0.45, 0)
+	f.Add(int64(6), 290, 140, 0.5, 0)
+	f.Add(int64(7), 290, 140, 0.49, 0)
 	f.Fuzz(func(t *testing.T, seed int64, n1, n2 int, budget float64, mutate int) {
 		if n1 < 1 || n1 > 300 || n2 < 1 || n2 > 300 {
 			t.Skip()
@@ -212,18 +202,18 @@ func FuzzTierRouting(f *testing.F) {
 			t2 = disjointTree(r, n2)
 		}
 		c := NewCache()
-		p := NewTierPolicy(budget)
-		est, tier := c.TierRoute(t1, t2, UnitCosts(), p)
-		estBA, tierBA := c.TierRoute(t2, t1, UnitCosts(), p)
+		p := TierPolicy{Budget: budget}
+		est, tier := c.TierRoute(t1, t2, p)
+		estBA, tierBA := c.TierRoute(t2, t1, p)
 		if est != estBA || tier != tierBA {
 			t.Fatalf("asymmetric: (%v,%v) vs (%v,%v)", est, tier, estBA, tierBA)
 		}
-		est2, tier2 := NewCache().TierRoute(t1, t2, UnitCosts(), p)
+		est2, tier2 := NewCache().TierRoute(t1, t2, p)
 		if est2 != est || tier2 != tier {
 			t.Fatalf("cache-dependent route: (%v,%v) vs (%v,%v)", est, tier, est2, tier2)
 		}
 		if !p.Enabled() && tier != TierExact {
-			t.Fatalf("budget 0 routed %v", tier)
+			t.Fatalf("budget %g routed %v", budget, tier)
 		}
 		if tier != TierExact {
 			s1, s2 := t1.Size(), t2.Size()

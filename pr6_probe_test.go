@@ -3,9 +3,10 @@ package silvervale
 // Tier-policy calibration harness (skipped unless explicitly invoked):
 // dumps per-pair statistics for the corpus-scale all-units sweep —
 // sizes, label-multiset intersection, pq-gram distance, exact TED, DP
-// wall-clock — as CSV so the tier policy's thresholds and the
-// structural estimator's coefficients (internal/ted/tier.go) can be
-// refit offline when the corpus or the tree builders change. Gated by
+// wall-clock — as CSV so the screening threshold τ and the structural
+// estimator's coefficients (internal/ted/tier.go), the only tunables
+// left in the tier policy, can be refit offline when the corpus or the
+// tree builders change. Gated by
 // SILVERVALE_PR6_PROBE=<out.csv>; SILVERVALE_PR6_METRIC selects the
 // tree metric (default tsem); SILVERVALE_PR6_APPROX_ONLY=1 skips the
 // exact column for a fast approximate-distance survey. The full tsem
