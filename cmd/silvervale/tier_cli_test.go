@@ -133,3 +133,36 @@ func TestTierBudgetRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestMatrixTieredWarmStore drives the tiered warm-store path from the
+// CLI: a screening sweep run cold, then warm, over one -cache-dir. The
+// warm stdout and tier stats line must be byte-identical to the cold
+// ones, and the warm run must read its estimates from the store's tier
+// records.
+func TestMatrixTieredWarmStore(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"matrix", trimApp, "-metric", "tsem", "-tier-budget", "0.5", "-cache-dir", dir, "-workers", "1"}
+	cold, coldErr, err := captureBoth(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, warmErr, err := captureBoth(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm != cold {
+		t.Fatalf("warm tiered stdout differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+	tierLine := regexp.MustCompile(`(?m)^ted tiering .*$`)
+	coldLine, warmLine := tierLine.FindString(coldErr), tierLine.FindString(warmErr)
+	if coldLine == "" || warmLine != coldLine {
+		t.Fatalf("tier stats line: cold %q, warm %q", coldLine, warmLine)
+	}
+	if regexp.MustCompile(`: \d+ exact, 0 estimated, 0 lsh-far$`).MatchString(coldLine) {
+		t.Fatalf("screening sweep estimated no pair, the warm read proves nothing: %q", coldLine)
+	}
+	read := regexp.MustCompile(`(?m)^ted cache: .*tier tier \d+B written/(\d+)B read`).FindStringSubmatch(warmErr)
+	if read == nil || read[1] == "0" {
+		t.Fatalf("warm run read no tier records: %q", warmErr)
+	}
+}

@@ -132,9 +132,9 @@ func TestCanceledMatrixPublishesNothing(t *testing.T) {
 	}
 }
 
-// TestCanceledTieredMatrixPublishesNothing extends the regression to the
-// tiered route/refine/reduce schedule: cancellation before Phase C means
-// no cells (and no tier provenance) reach the memo.
+// TestCanceledTieredMatrixPublishesNothing extends the regression to a
+// routed sweep: a canceled tiered sweep publishes no cells (and no tier
+// provenance) to the memo.
 func TestCanceledTieredMatrixPublishesNothing(t *testing.T) {
 	idxs, order := buildIndexes(t, "babelstream-fortran")
 	e := NewEngine(1)

@@ -74,7 +74,9 @@ func divergeWith(a, b *Index, metric string, dist distFunc) (Divergence, error) 
 	case MetricSource, MetricSourcePP:
 		return divergeSource(a, b, metric), nil
 	case MetricTsrc, MetricTsrcPP, MetricTsem, MetricTsemI, MetricTir:
-		return divergeTrees(a, b, metric, dist), nil
+		return divergeTrees(a, b, metric, ted.UnitCosts(), func(ta, tb *tree.Node) float64 {
+			return float64(dist(ta, tb))
+		}), nil
 	default:
 		return Divergence{}, fmt.Errorf("core: unknown metric %q", metric)
 	}
@@ -138,21 +140,26 @@ func divergeSource(a, b *Index, metric string) Divergence {
 }
 
 // divergeTrees: Eq. (6)/(7) — summed TED over matched tree pairs,
-// normalised by the total node count of b's trees.
-func divergeTrees(a, b *Index, metric string, dist distFunc) Divergence {
+// normalised by the total node count of b's trees, under a TED cost model
+// (inserting b's nodes and deleting a's). pair yields one matched pair's
+// distance — exact TED, or a tier-routed estimate. This is the one
+// accumulation every tree-metric cell runs: matched pairs, then only-A,
+// then only-B. Under unit costs every multiplier is 1, so the sums are
+// bit-identical to the unweighted Eq. 6/7.
+func divergeTrees(a, b *Index, metric string, costs ted.Costs, pair func(ta, tb *tree.Node) float64) Divergence {
 	pairs, onlyA, onlyB := match(a, b)
 	raw, dmax := 0.0, 0.0
 	for _, p := range pairs {
 		ta := p[0].Trees[metric]
 		tb := p[1].Trees[metric]
-		raw += float64(dist(ta, tb))
-		dmax += float64(tb.Size())
+		raw += pair(ta, tb)
+		dmax += float64(tb.Size() * costs.Insert)
 	}
 	for _, u := range onlyA {
-		raw += float64(u.Trees[metric].Size())
+		raw += float64(u.Trees[metric].Size() * costs.Delete)
 	}
 	for _, u := range onlyB {
-		n := float64(u.Trees[metric].Size())
+		n := float64(u.Trees[metric].Size() * costs.Insert)
 		raw += n
 		dmax += n
 	}
@@ -174,23 +181,9 @@ func divergeWithCosts(a, b *Index, metric string, costs ted.Costs,
 	default:
 		return Divergence{}, fmt.Errorf("core: weighted divergence needs a tree metric, got %q", metric)
 	}
-	pairs, onlyA, onlyB := match(a, b)
-	raw, dmax := 0.0, 0.0
-	for _, p := range pairs {
-		ta := p[0].Trees[metric]
-		tb := p[1].Trees[metric]
-		raw += float64(dist(ta, tb, costs))
-		dmax += float64(tb.Size() * costs.Insert)
-	}
-	for _, u := range onlyA {
-		raw += float64(u.Trees[metric].Size() * costs.Delete)
-	}
-	for _, u := range onlyB {
-		n := u.Trees[metric].Size()
-		raw += float64(n * costs.Insert)
-		dmax += float64(n * costs.Insert)
-	}
-	return Divergence{Metric: metric, Raw: raw, DMax: dmax, Norm: safeDiv(raw, dmax)}, nil
+	return divergeTrees(a, b, metric, costs, func(ta, tb *tree.Node) float64 {
+		return float64(dist(ta, tb, costs))
+	}), nil
 }
 
 // ApproxDiverge computes a tree-metric divergence with the pq-gram

@@ -13,6 +13,7 @@ import (
 	"silvervale/internal/obs"
 	"silvervale/internal/store"
 	"silvervale/internal/ted"
+	"silvervale/internal/tree"
 )
 
 // Engine is the concurrent divergence engine: a bounded worker pool plus a
@@ -51,10 +52,10 @@ type Engine struct {
 	counts                   *engineCounters
 	subReused, subRecomputed *obs.Counter
 
-	// cell memo: the matrix-cell invalidation layer (DESIGN.md §12).
-	// Matrix/MatrixTiered memoise every computed cell under (per-side
-	// metric hash, metric, costs, policy); warm re-sweeps recompute only
-	// cells whose key changed.
+	// cell memo: the matrix-cell invalidation layer (DESIGN.md §12) and
+	// the only matrix memo. Every sweep memoises each computed cell under
+	// (per-side metric hash, metric, costs, routing policy); warm
+	// re-sweeps recompute only cells whose key changed.
 	cellMu   sync.Mutex
 	cellMemo map[cellKey]cellVal
 }
@@ -176,7 +177,7 @@ func (e *Engine) ApproxDiverge(a, b *Index, metric string) (Divergence, error) {
 // re-sweep after an edit recomputes only the cells whose metric-hash pair
 // changed and serves the rest bit-identically from the memo.
 func (e *Engine) Matrix(idxs map[string]*Index, order []string, metric string) ([][]float64, error) {
-	return e.matrixMemo(context.Background(), idxs, order, metric, ted.UnitCosts(), "")
+	return e.MatrixCtx(context.Background(), idxs, order, metric)
 }
 
 // MatrixCtx is Matrix under a cancellation context: the sweep checks ctx
@@ -187,7 +188,8 @@ func (e *Engine) Matrix(idxs map[string]*Index, order []string, metric string) (
 // the cancellation remain in the shared cache; each is a complete exact
 // result, so a later identical request stays bit-identical to cold.
 func (e *Engine) MatrixCtx(ctx context.Context, idxs map[string]*Index, order []string, metric string) ([][]float64, error) {
-	return e.matrixMemo(ctx, idxs, order, metric, ted.UnitCosts(), "")
+	m, _, err := e.matrixMemo(ctx, idxs, order, metric, ted.UnitCosts(), ted.TierPolicy{})
+	return m, err
 }
 
 // MatrixWithCosts is Matrix under a non-unit TED cost model (tree metrics
@@ -195,32 +197,48 @@ func (e *Engine) MatrixCtx(ctx context.Context, idxs map[string]*Index, order []
 // so sweeps under different costs never share cells — a cached cell keyed
 // under old costs is unreachable from a new cost model by construction.
 func (e *Engine) MatrixWithCosts(idxs map[string]*Index, order []string, metric string, costs ted.Costs) ([][]float64, error) {
-	return e.matrixMemo(context.Background(), idxs, order, metric, costs, "")
+	m, _, err := e.matrixMemo(context.Background(), idxs, order, metric, costs, ted.TierPolicy{})
+	return m, err
 }
 
-// matrixMemo is the shared memoised sweep behind Matrix and
-// MatrixWithCosts. policy is the rendered tier policy for keying ("" on
-// the exact path; MatrixTiered keys its own cells).
-func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order []string, metric string, costs ted.Costs, policy string) ([][]float64, error) {
+// matrixMemo is the one memoised matrix sweep (DESIGN.md §12), behind
+// Matrix, MatrixWithCosts and MatrixTiered. Clean cells are served from
+// the cell memo; each dirty cell is one worker-pool task. When the policy
+// routes (tierable, unit costs) a task sends its matched pairs through
+// Cache.TierRoute and runs exact TED only on the pairs routed exact, and
+// the sweep also returns every cell's tier provenance; otherwise cells is
+// nil and the policy plays no part in the cell key.
+func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order []string, metric string, costs ted.Costs, policy ted.TierPolicy) ([][]float64, [][]TierCell, error) {
 	n := len(order)
 	for _, name := range order {
 		if _, ok := idxs[name]; !ok {
-			return nil, fmt.Errorf("core: no index for model %q", name)
+			return nil, nil, fmt.Errorf("core: no index for model %q", name)
 		}
 	}
 	m := make([][]float64, n)
 	for i := range m {
 		m[i] = make([]float64, n)
 	}
-	type cell struct{ i, j int }
-	var cells []cell
+	type pos struct{ i, j int }
+	var all []pos
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			cells = append(cells, cell{i, j})
+			all = append(all, pos{i, j})
 		}
 	}
 	sp := e.rec.Start("engine.matrix").Arg("metric", metric)
-	e.cells.Add(int64(len(cells)))
+	routed := costs == ted.UnitCosts() && e.tierable(metric, policy)
+	ps := ""
+	var cells [][]TierCell
+	if routed {
+		ps = policy.String()
+		sp.Arg("policy", ps)
+		cells = make([][]TierCell, n)
+		for i := range cells {
+			cells[i] = make([]TierCell, n)
+		}
+	}
+	e.cells.Add(int64(len(all)))
 
 	// Memo pass: serve clean cells, keep the dirty ones as work. The
 	// metric hash per side is computed once per sweep; map lookups are
@@ -229,61 +247,87 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 	for i, name := range order {
 		hs[i] = MetricHash(idxs[name], metric)
 	}
-	var work []cell
-	keys := make([]cellKey, 0, len(cells))
-	for _, c := range cells {
-		key := cellKey{a: hs[c.i], b: hs[c.j], metric: metric, costs: costs, policy: policy}
+	set := func(c pos, v cellVal) {
+		m[c.i][c.j], m[c.j][c.i] = v.norm, v.rev
+		if routed {
+			cells[c.i][c.j], cells[c.j][c.i] = v.tc, v.tc
+		}
+	}
+	var work []pos
+	keys := make([]cellKey, 0, len(all))
+	for _, c := range all {
+		key := cellKey{a: hs[c.i], b: hs[c.j], metric: metric, costs: costs, policy: ps}
 		if v, ok := e.cellLookup(key); ok {
-			m[c.i][c.j], m[c.j][c.i] = v.norm, v.rev
+			set(c, v)
 			continue
 		}
 		work = append(work, c)
 		keys = append(keys, key)
 	}
-	e.countCells(len(cells)-len(work), len(work))
+	e.countCells(len(all)-len(work), len(work))
 
 	errs := make([]error, len(work))
 	vals := make([]cellVal, len(work))
 	ctxErr := e.runParallel(ctx, len(work), sp, "engine.cell", func(k int) {
-		i, j := work[k].i, work[k].j
-		ia, ib := idxs[order[i]], idxs[order[j]]
-		var d Divergence
-		var err error
-		if costs == ted.UnitCosts() {
-			d, err = e.Diverge(ia, ib, metric)
-		} else {
-			d, err = e.DivergeWithCosts(ia, ib, metric, costs)
-		}
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		switch metric {
-		case MetricSLOC, MetricLLOC:
-			m[i][j] = d.Norm
-			m[j][i] = d.Norm
-		default:
-			m[i][j] = d.Norm
-			m[j][i] = safeDiv(d.Raw, Weight(ia, metric))
-		}
-		vals[k] = cellVal{norm: m[i][j], rev: m[j][i]}
+		vals[k], errs[k] = e.cell(idxs[order[work[k].i]], idxs[order[work[k].j]], metric, costs, policy, routed)
 	})
 	sp.End()
 	if ctxErr != nil {
 		// Canceled mid-sweep: the vals slots of unstarted cells are zero
 		// and must never reach the memo, so the whole sweep publishes
 		// nothing (all-or-nothing, like the store's index records).
-		return nil, ctxErr
+		return nil, nil, ctxErr
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	for k := range work {
+	for k, c := range work {
+		set(c, vals[k])
 		e.cellStore(keys[k], vals[k])
 	}
-	return m, nil
+	return m, cells, nil
+}
+
+// cell computes one matrix cell: both normalised orientations and, on a
+// routed sweep, its tier provenance (zero on the exact path). A routed
+// cell routes each matched pair through Cache.TierRoute and runs exact
+// TED only on the pairs routed exact, accumulating in divergeTrees' one
+// order, so its value is bit-identical across runs and worker counts.
+// The absolute metrics are symmetric; every other metric normalises the
+// reverse direction by a's weight (Eq. 7).
+func (e *Engine) cell(a, b *Index, metric string, costs ted.Costs, policy ted.TierPolicy, routed bool) (cellVal, error) {
+	var d Divergence
+	var tc TierCell
+	var err error
+	switch {
+	case routed:
+		d = divergeTrees(a, b, metric, costs, func(ta, tb *tree.Node) float64 {
+			est, tier := e.cache.TierRoute(ta, tb, policy)
+			switch tier {
+			case ted.TierExact:
+				tc.Exact++
+				return float64(e.cache.Distance(ta, tb))
+			case ted.TierEstimated:
+				tc.Estimated++
+			case ted.TierFar:
+				tc.Far++
+			}
+			return est
+		})
+	case costs == ted.UnitCosts():
+		d, err = e.Diverge(a, b, metric)
+	default:
+		d, err = e.DivergeWithCosts(a, b, metric, costs)
+	}
+	if err != nil {
+		return cellVal{}, err
+	}
+	if metric == MetricSLOC || metric == MetricLLOC {
+		return cellVal{norm: d.Norm, rev: d.Norm}, nil
+	}
+	return cellVal{norm: d.Norm, rev: safeDiv(d.Raw, Weight(a, metric)), tc: tc}, nil
 }
 
 // FromBase computes the same per-model divergence-from-base map as the

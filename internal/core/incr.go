@@ -296,9 +296,10 @@ func MetricHash(idx *Index, metric string) store.ContentHash {
 
 // cellKey addresses one memoised matrix cell: the two sides' metric
 // hashes (orientation preserved — the reverse normalisation differs), the
-// metric, the TED cost model, and the rendered tier policy ("" for the
-// exact path). Everything that can change a cell's value is in the key,
-// so a memo hit is bit-identical to recomputation by construction.
+// metric, the TED cost model, and the rendered tier policy ("" for a
+// sweep that does not route). Everything that can change a cell's value
+// is in the key, so a memo hit is bit-identical to recomputation by
+// construction.
 type cellKey struct {
 	a, b   store.ContentHash
 	metric string

@@ -4,30 +4,22 @@ import (
 	"context"
 	"fmt"
 
-	"silvervale/internal/store"
 	"silvervale/internal/ted"
-	"silvervale/internal/tree"
 )
 
 // Tiered matrix sweeps (DESIGN.md §10). MatrixTiered computes the same
-// pairwise divergence matrix as Matrix, but routes each matched tree pair
-// through the cache's tier policy first: an approximate pass (LSH
-// signatures, then pq-gram distance) classifies every pair, and only the
-// pairs routed TierExact are scheduled into the exact Zhang–Shasha
-// refinement phase. The schedule is three phases —
+// pairwise divergence matrix as Matrix, but each cell routes its matched
+// tree pairs through the cache's tier policy first: an approximate pass
+// (LSH signatures, then pq-gram distance) classifies every pair, and only
+// the pairs routed TierExact run exact Zhang–Shasha. Routing rides the
+// one memoised sweep (Engine.matrixMemo): each dirty cell is one worker-
+// pool task that routes, refines and accumulates its pairs in
+// divergeTrees' order, so the output is bit-identical across runs and
+// worker counts.
 //
-//	A. route: the worker pool runs TierRoute over every matrix cell,
-//	   producing a cellPlan per cell (pure function of the pair);
-//	B. refine: the worker pool runs exact TED over the flattened list of
-//	   (cell, pair) tasks that routed exact — so the expensive DP work,
-//	   not the cells, is what load-balances across workers;
-//	C. reduce: each cell accumulates its contributions serially in
-//	   exactly divergeTrees' order (pairs, then only-A, then only-B), so
-//	   the output is bit-identical across runs and worker counts.
-//
-// Below ted.ScreeningBudget the policy is disabled and MatrixTiered
-// delegates to the exact Matrix path — byte-identical by construction,
-// pinned by the equivalence gate in tier_test.go.
+// Below ted.ScreeningBudget the policy is disabled and the sweep is the
+// exact Matrix path — byte-identical by construction, pinned by the
+// equivalence gate in tier_test.go.
 
 // TierCell is the per-cell tier provenance: how many matched tree pairs
 // of the cell were refined exactly versus estimated. Unmatched units are
@@ -107,72 +99,6 @@ func exactCell(a, b *Index, metric string) TierCell {
 	return TierCell{}
 }
 
-// pairRoute is one matched tree pair's routing decision. For TierExact
-// routes, est is filled in by the refinement phase; for estimated routes
-// it already holds the clamped estimate.
-type pairRoute struct {
-	ta, tb *tree.Node
-	w      float64 // tb's node count — the pair's dmax contribution
-	est    float64
-	tier   ted.Tier
-}
-
-// cellPlan is one matrix cell after the routing phase: the matched pairs
-// in match() order plus the unmatched units' node counts, everything
-// reduce needs to replay divergeTrees' accumulation exactly.
-type cellPlan struct {
-	metric       string
-	routes       []pairRoute
-	onlyA, onlyB []float64
-}
-
-// planCell routes every matched pair of one cell under the policy.
-func (e *Engine) planCell(a, b *Index, metric string, p ted.TierPolicy) *cellPlan {
-	pairs, onlyA, onlyB := match(a, b)
-	plan := &cellPlan{metric: metric, routes: make([]pairRoute, len(pairs))}
-	for i, pr := range pairs {
-		ta, tb := pr[0].Trees[metric], pr[1].Trees[metric]
-		r := pairRoute{ta: ta, tb: tb, w: float64(tb.Size())}
-		r.est, r.tier = e.cache.TierRoute(ta, tb, p)
-		plan.routes[i] = r
-	}
-	for _, u := range onlyA {
-		plan.onlyA = append(plan.onlyA, float64(u.Trees[metric].Size()))
-	}
-	for _, u := range onlyB {
-		plan.onlyB = append(plan.onlyB, float64(u.Trees[metric].Size()))
-	}
-	return plan
-}
-
-// reduce folds a refined plan into a Divergence, accumulating in the same
-// order as divergeTrees: matched pairs, then only-A, then only-B.
-func (p *cellPlan) reduce() (Divergence, TierCell) {
-	raw, dmax := 0.0, 0.0
-	var tc TierCell
-	for i := range p.routes {
-		r := &p.routes[i]
-		raw += r.est
-		dmax += r.w
-		switch r.tier {
-		case ted.TierExact:
-			tc.Exact++
-		case ted.TierEstimated:
-			tc.Estimated++
-		case ted.TierFar:
-			tc.Far++
-		}
-	}
-	for _, n := range p.onlyA {
-		raw += n
-	}
-	for _, n := range p.onlyB {
-		raw += n
-		dmax += n
-	}
-	return Divergence{Metric: p.metric, Raw: raw, DMax: dmax, Norm: safeDiv(raw, dmax)}, tc
-}
-
 // TieredMatrix bundles the matrix values with per-cell tier provenance
 // and the sweep's routing counts. Cells[i][j] and Cells[j][i] mirror the
 // same cell; the diagonal is zero.
@@ -186,127 +112,39 @@ type TieredMatrix struct {
 // MatrixTiered computes the pairwise divergence matrix under a tier
 // policy. Below ted.ScreeningBudget (or for non-tree metrics) the values
 // are produced by the exact Matrix path and are byte-identical to it;
-// otherwise the three-phase route/refine/reduce schedule runs, and every
+// otherwise every cell routes its pairs under the policy, and every
 // cell's |tiered − exact| error is bounded by the policy's budget (the
 // exact-vs-tiered harness pins this on the seed corpora).
 func (e *Engine) MatrixTiered(idxs map[string]*Index, order []string, metric string, policy ted.TierPolicy) (*TieredMatrix, error) {
 	return e.MatrixTieredCtx(context.Background(), idxs, order, metric, policy)
 }
 
-// MatrixTieredCtx is MatrixTiered under a cancellation context. Both
-// worker-pool phases (route and refine) check ctx at task-grant
-// boundaries; a canceled sweep returns ctx.Err() before Phase C, so
-// nothing is published to the matrix-cell memo.
+// MatrixTieredCtx is MatrixTiered under a cancellation context. The sweep
+// checks ctx at every task grant; a canceled sweep returns ctx.Err() and
+// publishes nothing to the matrix-cell memo or the tier counts. Cells
+// computed on the exact path report every matched pair exact.
 func (e *Engine) MatrixTieredCtx(ctx context.Context, idxs map[string]*Index, order []string, metric string, policy ted.TierPolicy) (*TieredMatrix, error) {
-	n := len(order)
-	for _, name := range order {
-		if _, ok := idxs[name]; !ok {
-			return nil, fmt.Errorf("core: no index for model %q", name)
+	vals, cells, err := e.matrixMemo(ctx, idxs, order, metric, ted.UnitCosts(), policy)
+	if err != nil {
+		return nil, err
+	}
+	tm := &TieredMatrix{Values: vals, Cells: cells, Policy: policy}
+	if cells == nil {
+		tm.Cells = make([][]TierCell, len(order))
+		for i := range tm.Cells {
+			tm.Cells[i] = make([]TierCell, len(order))
 		}
 	}
-	tm := &TieredMatrix{Policy: policy, Values: make([][]float64, n), Cells: make([][]TierCell, n)}
-	for i := range tm.Cells {
-		tm.Cells[i] = make([]TierCell, n)
-	}
-
-	if !e.tierable(metric, policy) {
-		vals, err := e.MatrixCtx(ctx, idxs, order, metric)
-		if err != nil {
-			return nil, err
-		}
-		tm.Values = vals
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				tc := exactCell(idxs[order[i]], idxs[order[j]], metric)
+	for i := range order {
+		for j := i + 1; j < len(order); j++ {
+			tc := tm.Cells[i][j]
+			if cells == nil {
+				tc = exactCell(idxs[order[i]], idxs[order[j]], metric)
 				tm.Cells[i][j], tm.Cells[j][i] = tc, tc
-				tm.Stats.add(tc)
-				e.countTier(tc)
 			}
-		}
-		return tm, nil
-	}
-
-	for i := range tm.Values {
-		tm.Values[i] = make([]float64, n)
-	}
-	type cellIdx struct{ i, j int }
-	var cells []cellIdx
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			cells = append(cells, cellIdx{i, j})
+			tm.Stats.add(tc)
+			e.countTier(tc)
 		}
 	}
-	sp := e.rec.Start("engine.matrix_tiered").Arg("metric", metric).Arg("policy", policy.String())
-	e.cells.Add(int64(len(cells)))
-
-	// Memo pass (DESIGN.md §12): clean cells — same metric-hash pair,
-	// same costs, same rendered policy — skip routing entirely and are
-	// served with their recorded tier provenance; only dirty cells enter
-	// the route/refine/reduce schedule.
-	hs := make([]store.ContentHash, n)
-	for i, name := range order {
-		hs[i] = MetricHash(idxs[name], metric)
-	}
-	ps := policy.String()
-	var work []cellIdx
-	keys := make([]cellKey, 0, len(cells))
-	for _, c := range cells {
-		key := cellKey{a: hs[c.i], b: hs[c.j], metric: metric, costs: ted.UnitCosts(), policy: ps}
-		if v, ok := e.cellLookup(key); ok {
-			tm.Values[c.i][c.j], tm.Values[c.j][c.i] = v.norm, v.rev
-			tm.Cells[c.i][c.j], tm.Cells[c.j][c.i] = v.tc, v.tc
-			tm.Stats.add(v.tc)
-			e.countTier(v.tc)
-			continue
-		}
-		work = append(work, c)
-		keys = append(keys, key)
-	}
-	e.countCells(len(cells)-len(work), len(work))
-
-	// Phase A: route every dirty cell. Each task writes only its own
-	// plan slot.
-	plans := make([]*cellPlan, len(work))
-	ctxErr := e.runParallel(ctx, len(work), sp, "engine.tier_route", func(k int) {
-		i, j := work[k].i, work[k].j
-		plans[k] = e.planCell(idxs[order[i]], idxs[order[j]], metric, policy)
-	})
-	if ctxErr != nil {
-		sp.End()
-		return nil, ctxErr
-	}
-
-	// Phase B: exact refinement over the flattened (cell, pair) tasks —
-	// the DP work itself is what load-balances, so one cell full of
-	// borderline pairs cannot serialise the sweep.
-	var exact []*pairRoute
-	for _, pl := range plans {
-		for i := range pl.routes {
-			if pl.routes[i].tier == ted.TierExact {
-				exact = append(exact, &pl.routes[i])
-			}
-		}
-	}
-	ctxErr = e.runParallel(ctx, len(exact), sp, "engine.tier_refine", func(k int) {
-		r := exact[k]
-		r.est = float64(e.cache.Distance(r.ta, r.tb))
-	})
-	if ctxErr != nil {
-		sp.End()
-		return nil, ctxErr
-	}
-
-	// Phase C: serial per-cell reduction in divergeTrees' order.
-	for k, pl := range plans {
-		i, j := work[k].i, work[k].j
-		d, tc := pl.reduce()
-		tm.Values[i][j] = d.Norm
-		tm.Values[j][i] = safeDiv(d.Raw, Weight(idxs[order[i]], metric))
-		tm.Cells[i][j], tm.Cells[j][i] = tc, tc
-		tm.Stats.add(tc)
-		e.countTier(tc)
-		e.cellStore(keys[k], cellVal{norm: tm.Values[i][j], rev: tm.Values[j][i], tc: tc})
-	}
-	sp.End()
 	return tm, nil
 }

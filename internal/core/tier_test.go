@@ -5,7 +5,8 @@ package core
 // byte-identical to the exact path; at screening budgets every cell's
 // |tiered − exact| must stay within the budget, and the tiered output
 // itself must be bit-identical across runs and worker counts. Run under
-// -race (tier-1) to exercise the route/refine phase synchronisation.
+// -race (tier-1) to exercise routed cells sharing one cache across
+// workers.
 
 import (
 	"math"

@@ -165,22 +165,33 @@ func (c *Codebase) FileNames() []string {
 	return out
 }
 
-// Apps returns the full mini-app registry (Table II).
-func Apps() []App {
-	return []App{
-		BabelStream(),
-		BabelStreamFortran(),
-		MiniBUDE(),
-		TeaLeaf(),
-		CloverLeaf(),
-	}
+// registry is the mini-app registry (Table II) in presentation order,
+// keyed by name so a lookup builds only the app it returns.
+var registry = []struct {
+	name  string
+	build func() App
+}{
+	{"babelstream", BabelStream},
+	{"babelstream-fortran", BabelStreamFortran},
+	{"minibude", MiniBUDE},
+	{"tealeaf", TeaLeaf},
+	{"cloverleaf", CloverLeaf},
 }
 
-// AppByName looks up an app.
+// Apps returns the full mini-app registry (Table II).
+func Apps() []App {
+	out := make([]App, len(registry))
+	for i, r := range registry {
+		out[i] = r.build()
+	}
+	return out
+}
+
+// AppByName looks up an app, building only that one.
 func AppByName(name string) (App, error) {
-	for _, a := range Apps() {
-		if a.Name == name {
-			return a, nil
+	for _, r := range registry {
+		if r.name == name {
+			return r.build(), nil
 		}
 	}
 	return App{}, fmt.Errorf("corpus: unknown app %q", name)

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -285,7 +286,25 @@ func TestBracketToParen(t *testing.T) {
 }
 
 func TestUnknownApp(t *testing.T) {
-	if _, err := AppByName("nope"); err == nil {
+	_, err := AppByName("nope")
+	if err == nil {
 		t.Fatal("expected error")
+	}
+	if want := `corpus: unknown app "nope"`; err.Error() != want {
+		t.Fatalf("error = %q, want %q", err, want)
+	}
+}
+
+// TestAppByNameMatchesRegistry: every registry key builds the app of that
+// name, identical to the one Apps lists.
+func TestAppByNameMatchesRegistry(t *testing.T) {
+	for _, want := range Apps() {
+		got, err := AppByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("AppByName(%q) differs from the Apps entry", want.Name)
+		}
 	}
 }

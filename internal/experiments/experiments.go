@@ -48,13 +48,12 @@ func IDs() []string {
 // once, and each distinct tree is flattened to its Zhang–Shasha form once
 // for the whole batch via the cache's flat memo (DESIGN.md §6).
 type Env struct {
-	mu          sync.Mutex
-	engine      *core.Engine
-	rec         *obs.Recorder
-	policy      ted.TierPolicy
-	tiered      bool
-	cache       map[string]map[string]*core.Index
-	matrixCache map[string][][]float64
+	mu     sync.Mutex
+	engine *core.Engine
+	rec    *obs.Recorder
+	policy ted.TierPolicy
+	tiered bool
+	cache  map[string]map[string]*core.Index
 	// phiSource selects where performance figures draw Φ from: "modeled"
 	// (default, the hand-written landscape) or "measured" (interpreter
 	// cost vectors; DESIGN.md §11). measured caches one MeasuredSet per
@@ -90,12 +89,11 @@ func NewEnvObs(workers int, rec *obs.Recorder) *Env {
 // write-behind records; a nil store yields exactly NewEnvObs.
 func NewEnvStore(workers int, rec *obs.Recorder, st *store.Store) *Env {
 	return &Env{
-		engine:      core.NewEngineStore(workers, ted.NewCache(), rec, st),
-		rec:         rec,
-		cache:       map[string]map[string]*core.Index{},
-		matrixCache: map[string][][]float64{},
-		phiSource:   PhiSourceModeled,
-		measured:    map[string]*perf.MeasuredSet{},
+		engine:    core.NewEngineStore(workers, ted.NewCache(), rec, st),
+		rec:       rec,
+		cache:     map[string]map[string]*core.Index{},
+		phiSource: PhiSourceModeled,
+		measured:  map[string]*perf.MeasuredSet{},
 	}
 }
 
@@ -107,8 +105,8 @@ func (e *Env) Engine() *core.Engine { return e.engine }
 // engine path (core.MatrixTiered) under the given policy. A budget below
 // ted.ScreeningBudget delegates to the exact path (byte-identical values)
 // but still reports routing provenance in the engine's tier stats.
-// Matrices are cached per policy, so an environment never serves a
-// tiered matrix to an exact request or across budgets.
+// The engine's cell key carries the routing policy, so an environment
+// never serves a tiered matrix to an exact request or across budgets.
 func (e *Env) SetTierPolicy(p ted.TierPolicy) {
 	e.mu.Lock()
 	e.policy = p
@@ -127,16 +125,16 @@ func (e *Env) TierPolicy() ted.TierPolicy {
 // observability is off).
 func (e *Env) Recorder() *obs.Recorder { return e.rec }
 
-// Matrix returns (building and caching on first use) the cartesian
-// divergence matrix of an app under a metric, plus the model order.
+// Matrix returns the cartesian divergence matrix of an app under a
+// metric, plus the model order. Indexes are built once per app; the
+// matrix itself is served by the engine's cell memo (DESIGN.md §12).
 func (e *Env) Matrix(appName, metric string) ([][]float64, []string, error) {
 	return e.MatrixCtx(context.Background(), appName, metric)
 }
 
 // MatrixCtx is Matrix under a cancellation context (the serve daemon's
 // entry point): the underlying sweep checks ctx at every task grant, and
-// a canceled request caches nothing — the environment's matrix cache,
-// like the engine's cell memo, only ever holds completed sweeps.
+// a canceled request publishes nothing to the engine's cell memo.
 func (e *Env) MatrixCtx(ctx context.Context, appName, metric string) ([][]float64, []string, error) {
 	idxs, order, err := e.IndexesCtx(ctx, appName)
 	if err != nil {
@@ -145,41 +143,23 @@ func (e *Env) MatrixCtx(ctx context.Context, appName, metric string) ([][]float6
 	e.mu.Lock()
 	policy, tiered := e.policy, e.tiered
 	e.mu.Unlock()
-	// The policy is part of the cache key: a tiered sweep must never be
-	// served a matrix computed under a different budget (or the exact one),
-	// mirroring the persistent store's tier-key separation.
-	key := appName + "|" + metric + "|" + policy.String()
 	if !tiered {
-		key = appName + "|" + metric
-	}
-	e.mu.Lock()
-	m, ok := e.matrixCache[key]
-	e.mu.Unlock()
-	if ok {
+		m, err := e.engine.MatrixCtx(ctx, idxs, order, metric)
+		if err != nil {
+			return nil, nil, err
+		}
 		return m, order, nil
 	}
-	if tiered {
-		tm, err := e.engine.MatrixTieredCtx(ctx, idxs, order, metric, policy)
-		if err != nil {
-			return nil, nil, err
-		}
-		m = tm.Values
-	} else {
-		m, err = e.engine.MatrixCtx(ctx, idxs, order, metric)
-		if err != nil {
-			return nil, nil, err
-		}
+	tm, err := e.engine.MatrixTieredCtx(ctx, idxs, order, metric, policy)
+	if err != nil {
+		return nil, nil, err
 	}
-	e.mu.Lock()
-	e.matrixCache[key] = m
-	e.mu.Unlock()
-	return m, order, nil
+	return tm.Values, order, nil
 }
 
 // FromBaseCtx computes the per-model divergence-from-base map of an app
 // under a metric and a cancellation context (the serve daemon's
-// from-base endpoint). Results come straight from the engine — the cell
-// memo, not the environment's matrix cache, is the reuse layer here.
+// from-base endpoint). Results come straight from the engine.
 func (e *Env) FromBaseCtx(ctx context.Context, appName, base, metric string) (map[string]float64, []string, error) {
 	idxs, order, err := e.IndexesCtx(ctx, appName)
 	if err != nil {

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"silvervale/internal/core"
+	"silvervale/internal/ted"
 )
 
 // The heavy clustering figures (fig4/5/6 full cartesian matrices) are
@@ -155,4 +159,70 @@ func TestFortranDendrograms(t *testing.T) {
 			t.Errorf("fig6 missing %q:\n%s", want, r.Text)
 		}
 	}
+}
+
+// TestEnvMatrixKeepsPoliciesApart: the environment keeps no matrices of
+// its own, so the engine's cell key alone must keep tier policies apart.
+// One Env answers the same matrix exact, at the screening budget, below
+// it, and exact again; each answer must be bit-identical to a fresh
+// engine's under that policy.
+func TestEnvMatrixKeepsPoliciesApart(t *testing.T) {
+	const app, metric = "babelstream-fortran", core.MetricTsem
+	env := NewEnvWorkers(2)
+	idxs, order, err := env.Indexes(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := core.NewEngine(2).Matrix(idxs, order, metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name   string
+		policy *ted.TierPolicy // nil: the Env's default exact sweep
+	}{
+		{"exact", nil},
+		{"budget 0.5", &ted.TierPolicy{Budget: ted.ScreeningBudget}},
+		{"budget 0.2", &ted.TierPolicy{Budget: 0.2}},
+		{"exact again", &ted.TierPolicy{}},
+	}
+	for _, s := range steps {
+		want := exact
+		if s.policy != nil {
+			env.SetTierPolicy(*s.policy)
+			tm, err := core.NewEngine(2).MatrixTiered(idxs, order, metric, *s.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = tm.Values
+			if s.policy.Enabled() && sameBits(want, exact) {
+				t.Fatalf("%s: screening matrix equals the exact one; the test proves nothing", s.name)
+			}
+		}
+		got, _, err := env.Matrix(app, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("%s: Env matrix differs from a fresh engine's\ngot:  %v\nwant: %v", s.name, got, want)
+		}
+	}
+}
+
+// sameBits reports whether two matrices are bit-identical.
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }

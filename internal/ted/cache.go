@@ -14,8 +14,9 @@ import (
 // distances. Entries are keyed by (Fingerprint(a), Fingerprint(b), Costs),
 // so the cache is shared safely across codebases, metrics, and goroutines:
 // any two structurally identical trees hit the same entry no matter where
-// they came from. pq-gram profiles and approximate distances are memoised
-// under the same addressing scheme.
+// they came from. pq-gram profiles are memoised under the same addressing
+// scheme; a pq-gram distance is a linear merge of two memoised profiles
+// and is not memoised itself.
 //
 // Identical-tree pairs short-circuit to distance 0 without running
 // Zhang–Shasha at all: on fingerprint equality the trees are verified with
@@ -36,7 +37,6 @@ import (
 type Cache struct {
 	mu       sync.RWMutex
 	dist     map[pairKey]int
-	approx   map[approxKey]float64
 	profiles map[tree.Fingerprint]PQGramProfile
 	flats    map[tree.Fingerprint]*flat
 	mirrors  map[tree.Fingerprint]*flat // mirrored flats, keyed by the unmirrored tree's fingerprint
@@ -129,17 +129,11 @@ type pairKey struct {
 	costs Costs
 }
 
-// approxKey addresses one pq-gram distance, which is always symmetric.
-type approxKey struct {
-	a, b tree.Fingerprint
-}
-
 // NewCache returns an empty cache ready for concurrent use. The subtree-
 // block memo starts enabled with its default threshold and bound.
 func NewCache() *Cache {
 	c := &Cache{
 		dist:     map[pairKey]int{},
-		approx:   map[approxKey]float64{},
 		profiles: map[tree.Fingerprint]PQGramProfile{},
 		flats:    map[tree.Fingerprint]*flat{},
 		mirrors:  map[tree.Fingerprint]*flat{},
@@ -518,29 +512,13 @@ func (c *Cache) Profile(t *tree.Node) PQGramProfile {
 	return p
 }
 
-// ApproxDistance is the cached form of ApproxDistance: both the per-tree
-// pq-gram profiles and the per-pair distance are memoised.
+// ApproxDistance is the cached form of ApproxDistance: the pq-gram
+// distance over the memoised profiles of both trees. It touches neither
+// the hit/miss counters nor the distance memo, which account exact TED
+// only.
 func (c *Cache) ApproxDistance(t1, t2 *tree.Node) float64 {
 	if o := c.obs.Load(); o != nil {
 		o.approxCalls.Add(1)
 	}
-	fa, fb := t1.Fingerprint(), t2.Fingerprint()
-	key := approxKey{a: fa, b: fb}
-	if fb.Less(fa) {
-		key.a, key.b = fb, fa
-		c.counts.symmetric.Add(1)
-	}
-	c.mu.RLock()
-	d, ok := c.approx[key]
-	c.mu.RUnlock()
-	if ok {
-		c.counts.hits.Add(1)
-		return d
-	}
-	c.counts.misses.Add(1)
-	d = PQGramDistance(c.Profile(t1), c.Profile(t2))
-	c.mu.Lock()
-	c.approx[key] = d
-	c.mu.Unlock()
-	return d
+	return PQGramDistance(c.Profile(t1), c.Profile(t2))
 }

@@ -95,8 +95,15 @@ func TestCacheStatsAccounting(t *testing.T) {
 	big1, big2, big3 := randTree(r, 400), randTree(r, 420), randTree(r, 410)
 	c.Distance(big1, big2)
 	c.Distance(big1, big3)
+	before := c.Stats()
 	c.ApproxDistance(big2, big3)
 	st = c.Stats()
+	// A pq-gram lookup reads memoised profiles only: the hit, miss and
+	// symmetric counters account exact TED and must not move.
+	if st.Hits != before.Hits || st.Misses != before.Misses || st.Symmetric != before.Symmetric {
+		t.Fatalf("ApproxDistance moved the exact-TED counters: %d/%d/%d hits/misses/symmetric, want %d/%d/%d",
+			st.Hits, st.Misses, st.Symmetric, before.Hits, before.Misses, before.Symmetric)
+	}
 	if st.SubtreeHits == 0 || st.SubtreeMisses == 0 {
 		t.Fatalf("subtree memo idle, the recorder comparison proves little: %+v", st)
 	}
