@@ -12,9 +12,9 @@ import (
 )
 
 const (
-	goldenFig1Cache = "ted cache: 0 hits (0 identity), 0 misses, 0 symmetric canonicalisations, 0 entries, 0 profiles, hit rate 0.0%, 0 bound-pruned, flat memo 0/0 hit rate 0.0%, subtree blocks 0 hit/0 miss, 0 resident (0B), 0 evicted, ckpt rows 0 hit/0 miss, 0 resident (0B), 0 evicted, probe rows 0 hit/0 miss, 0 resident (0B), 0 evicted"
+	goldenFig1Cache = "ted cache: 0 hits (0 identity), 0 misses, 0 symmetric canonicalisations, 0 entries, 0 profiles, hit rate 0.0%, 0 bound-pruned, flat memo 0/0 hit rate 0.0%, subtree blocks 0 hit/0 miss, 0 resident (0B), 0 evicted, ckpt rows 0 hit/0 miss, 0 resident (0B), 0 evicted"
 
-	goldenWarmStoreCache = "ted cache: 17 hits (3 identity), 73 misses, 46 symmetric canonicalisations, 73 entries, 0 profiles, hit rate 18.9%, 0 bound-pruned, flat memo 0/0 hit rate 0.0%, subtree blocks 0 hit/0 miss, 0 resident (0B), 0 evicted, ckpt rows 0 hit/0 miss, 0 resident (0B), 0 evicted, probe rows 0 hit/0 miss, 0 resident (0B), 0 evicted, store 83 hits, 0 misses, 65903B read, 0B written, 0 flushes, 0 corrupt-skipped, ted tier 0B written/8572B read, idx tier 0B written/57331B read"
+	goldenWarmStoreCache = "ted cache: 17 hits (3 identity), 73 misses, 46 symmetric canonicalisations, 73 entries, 0 profiles, hit rate 18.9%, 0 bound-pruned, flat memo 0/0 hit rate 0.0%, subtree blocks 0 hit/0 miss, 0 resident (0B), 0 evicted, ckpt rows 0 hit/0 miss, 0 resident (0B), 0 evicted, store 83 hits, 0 misses, 65903B read, 0B written, 0 flushes, 0 corrupt-skipped, ted tier 0B written/8572B read, idx tier 0B written/57331B read"
 
 	goldenTierLine = "ted tiering (budget 0.5, threshold 0.450, lsh 16x4): 90 pairs: 27 exact, 7 estimated, 56 lsh-far"
 

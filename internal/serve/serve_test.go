@@ -592,9 +592,6 @@ func TestHealthAndStatsEndpoints(t *testing.T) {
 		"ted.ckpt_rows_hit":          int64(cs.CheckpointHits),
 		"ted.ckpt_rows_miss":         int64(cs.CheckpointMisses),
 		"ted.ckpt_rows_evicted":      int64(cs.CheckpointEvicted),
-		"ted.probe_rows_hit":         int64(cs.ProbeRowHits),
-		"ted.probe_rows_miss":        int64(cs.ProbeRowMisses),
-		"ted.probe_rows_evicted":     int64(cs.ProbeRowEvicted),
 
 		"incr.units_reused":              int64(is.UnitsReused),
 		"incr.units_reparsed":            int64(is.UnitsReparsed),

@@ -57,14 +57,6 @@ type Cache struct {
 	ckpts     map[ckptKey][]int32
 	ckptBytes int64 // guarded by subMu
 	ckptMax   int64 // eviction bound in bytes
-	ckptMin   int   // minimum a-tree node count for capture/resume
-
-	// Probe-row memo (DESIGN.md §13): whole keyroot rows of block-grid
-	// probe results, content-addressed by (a keyroot subtree, b tree,
-	// costs), shared under subMu but accounted and bounded separately.
-	rows     map[rowKey][]rowSlot
-	rowBytes int64 // guarded by subMu
-	rowMax   int64 // eviction bound in bytes
 
 	// pathMin is the path strategy's threshold (DESIGN.md §13): a root
 	// child's sub-DP runs mirrored only when that is predicted to save at
@@ -104,9 +96,6 @@ type cacheCounters struct {
 	ckptHits    obs.Counter // root-row DPs resumed from a checkpoint
 	ckptMisses  obs.Counter // root-row misses with no usable checkpoint
 	ckptEvicted obs.Counter // checkpoint rows dropped by the byte bound
-	rowHits     obs.Counter // keyroot rows served by the probe-row memo
-	rowMisses   obs.Counter // keyroot rows probed slot by slot
-	rowEvicted  obs.Counter // probe rows dropped by the byte bound
 }
 
 // cacheObs caches the recorder plus the opt-in counters/histograms the hot
@@ -143,9 +132,6 @@ func NewCache() *Cache {
 		subMin:   subDefaultMinCells,
 		ckpts:    map[ckptKey][]int32{},
 		ckptMax:  ckptDefaultMaxBytes,
-		ckptMin:  ckptDefaultMinRows,
-		rows:     map[rowKey][]rowSlot{},
-		rowMax:   rowDefaultMaxBytes,
 		pathMin:  pathDefaultMinSaving,
 		counts:   &cacheCounters{},
 	}
@@ -154,7 +140,7 @@ func NewCache() *Cache {
 
 // SetRecorder attaches an observability recorder. It adopts the cache's
 // always-on counters ("ted.cache.*", "ted.flat_memo.*", "ted.bound_pruned",
-// and the subtree, checkpoint, and probe-row memo counters), whose counts
+// and the subtree and checkpoint memo counters), whose counts
 // cover the cache's whole lifetime, and turns on the opt-in instruments:
 // the "ted.calls", "ted.approx.calls", "ted.dp_cells", and "ted.subdp_*"
 // counters, the "ted.pair_nodes" size histogram, and — on misses —
@@ -179,9 +165,6 @@ func (c *Cache) SetRecorder(rec *obs.Recorder) {
 		"ted.ckpt_rows_hit":          &k.ckptHits,
 		"ted.ckpt_rows_miss":         &k.ckptMisses,
 		"ted.ckpt_rows_evicted":      &k.ckptEvicted,
-		"ted.probe_rows_hit":         &k.rowHits,
-		"ted.probe_rows_miss":        &k.rowMisses,
-		"ted.probe_rows_evicted":     &k.rowEvicted,
 	} {
 		rec.Adopt(name, n)
 	}
@@ -253,15 +236,11 @@ type CacheStats struct {
 	CheckpointRows    int    // checkpoint rows currently resident
 	CheckpointBytes   int64  // accounted resident size (payload + overhead)
 
-	// Probe-row memo traffic (DESIGN.md §13). A probe-row hit replays one
-	// whole keyroot row of grid probe results — recorded only when every
-	// above-threshold slot hit, so the replay is always identical to a
-	// slot-by-slot probe and SubtreeHits still counts each served block.
-	ProbeRowHits    uint64 // keyroot rows served by the probe-row memo
-	ProbeRowMisses  uint64 // keyroot rows probed slot by slot
-	ProbeRowEvicted uint64 // probe rows dropped by the byte bound
-	ProbeRows       int    // probe rows currently resident
-	ProbeRowBytes   int64  // accounted resident size (payload + overhead)
+	// ProbeRowHits and ProbeRowBytes are always zero. The probe-row memo
+	// they counted is gone (DESIGN.md §13); the fields stay only because
+	// the benchmark module still reads them.
+	ProbeRowHits  uint64
+	ProbeRowBytes int64
 
 	// StoreEnabled marks the persistent tier attached; Store then carries
 	// its traffic counters (zero-valued otherwise, so the no-store path is
@@ -278,7 +257,6 @@ func (c *Cache) Stats() CacheStats {
 	c.subMu.RLock()
 	subBlocks, subBytes := len(c.subs), c.subBytes
 	ckptRows, ckptBytes := len(c.ckpts), c.ckptBytes
-	probeRows, probeRowBytes := len(c.rows), c.rowBytes
 	c.subMu.RUnlock()
 	k := c.counts
 	v := func(n *obs.Counter) uint64 { return uint64(n.Value()) }
@@ -304,12 +282,6 @@ func (c *Cache) Stats() CacheStats {
 		CheckpointEvicted: v(&k.ckptEvicted),
 		CheckpointRows:    ckptRows,
 		CheckpointBytes:   ckptBytes,
-
-		ProbeRowHits:    v(&k.rowHits),
-		ProbeRowMisses:  v(&k.rowMisses),
-		ProbeRowEvicted: v(&k.rowEvicted),
-		ProbeRows:       probeRows,
-		ProbeRowBytes:   probeRowBytes,
 	}
 	if s := c.backing.Load(); s != nil {
 		st.StoreEnabled = true
@@ -349,8 +321,6 @@ func (s CacheStats) String() string {
 		s.SubtreeHits, s.SubtreeMisses, s.SubtreeBlocks, s.SubtreeBytes, s.SubtreeEvicted)
 	line += fmt.Sprintf(", ckpt rows %d hit/%d miss, %d resident (%dB), %d evicted",
 		s.CheckpointHits, s.CheckpointMisses, s.CheckpointRows, s.CheckpointBytes, s.CheckpointEvicted)
-	line += fmt.Sprintf(", probe rows %d hit/%d miss, %d resident (%dB), %d evicted",
-		s.ProbeRowHits, s.ProbeRowMisses, s.ProbeRows, s.ProbeRowBytes, s.ProbeRowEvicted)
 	if s.StoreEnabled {
 		line += ", " + s.Store.String()
 	}
@@ -475,8 +445,8 @@ func (c *Cache) flatFor(t *tree.Node, fp tree.Fingerprint) *flat {
 
 // mirrorFlat returns the memoised flat of t's mirror image, building it on
 // first sight of fp, t's own fingerprint. The mirrored flat carries the
-// true fingerprints of the mirrored subtrees, so everything keyed on them
-// (blocks and probe rows) stays content-addressed.
+// true fingerprints of the mirrored subtrees, so the blocks keyed on them
+// stay content-addressed.
 // Racing builders keep the first, like flatFor.
 func (c *Cache) mirrorFlat(t *tree.Node, fp tree.Fingerprint) *flat {
 	c.mu.RLock()

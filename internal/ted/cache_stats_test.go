@@ -121,9 +121,6 @@ func TestCacheStatsAccounting(t *testing.T) {
 		"ted.ckpt_rows_hit":          st.CheckpointHits,
 		"ted.ckpt_rows_miss":         st.CheckpointMisses,
 		"ted.ckpt_rows_evicted":      st.CheckpointEvicted,
-		"ted.probe_rows_hit":         st.ProbeRowHits,
-		"ted.probe_rows_miss":        st.ProbeRowMisses,
-		"ted.probe_rows_evicted":     st.ProbeRowEvicted,
 	})
 }
 

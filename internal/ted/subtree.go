@@ -36,14 +36,6 @@ const (
 	// block header, map bucket share) on top of the payload.
 	subEntryOverhead = 120
 
-	// ckptDefaultMinRows gates the forest-prefix checkpoint memo on the
-	// a-tree's node count (the root keyroot's DP row count). Below it the
-	// root row is cheap enough that checkpoint bookkeeping cannot pay for
-	// itself. The gate also guarantees no root-row pair falls below the
-	// block threshold (cells = n1*m2 >= n1), which the all-or-nothing
-	// resume rule requires.
-	ckptDefaultMinRows = 64
-
 	// ckptDefaultMaxBytes bounds the in-memory checkpoint memo, separate
 	// from the block bound so checkpoint pressure can never evict blocks
 	// (or vice versa) and perturb the block reuse counters.
@@ -51,14 +43,6 @@ const (
 
 	// ckptEntryOverhead approximates per-entry bookkeeping bytes.
 	ckptEntryOverhead = 96
-
-	// rowDefaultMaxBytes bounds the probe-row memo. Entries are slot lists
-	// (16 bytes per recorded hit), so even a fully warm corpus measures in
-	// single-digit megabytes; the bound caps pathological corpora.
-	rowDefaultMaxBytes = 64 << 20
-
-	// rowEntryOverhead approximates per-entry bookkeeping bytes.
-	rowEntryOverhead = 112
 
 	// pathDefaultMinSaving is the smallest predicted saving, in DP cells,
 	// for which a root child's sub-DP runs mirrored. Below it the sub-DP's
@@ -123,40 +107,6 @@ func ckptRowBytes(vals []int32) int64 {
 	return int64(len(vals))*4 + ckptEntryOverhead
 }
 
-// rowKey addresses one probed keyroot row of the block grid: the a-side
-// keyroot subtree, the whole b tree, and the cost model. For a fixed b
-// flat the probe result of row ki — which grid slot holds which block —
-// is a pure function of these three, because every slot's block key is
-// (a.krFP[ki], b.krFP[kj], costs) and the kj enumeration is determined
-// by b's content.
-type rowKey struct {
-	a, b  tree.Fingerprint
-	costs Costs
-}
-
-// rowSlot records one above-threshold hit in a memoised probe row.
-type rowSlot struct {
-	kj int32
-	bl *subBlock
-}
-
-// rowEntry is one freshly recorded all-hit probe row awaiting
-// publication. Only rows whose every above-threshold slot hit are
-// recorded: the block memo is keep-first and append-only (eviction
-// aside), so an all-hit row can never gain a hit later — the recording
-// is permanently identical to what a fresh slot-by-slot probe would
-// return, and replaying it preserves both distances and counter
-// semantics exactly.
-type rowEntry struct {
-	key   rowKey
-	slots []rowSlot
-}
-
-// rowEntryBytes is the accounting size of one probe-row entry.
-func rowEntryBytes(slots []rowSlot) int64 {
-	return int64(len(slots))*16 + rowEntryOverhead
-}
-
 // subKey addresses one keyroot-pair block: oriented subtree fingerprints
 // plus the cost model.
 type subKey struct {
@@ -182,14 +132,13 @@ func subBlockBytes(b *subBlock) int64 {
 	return int64(len(b.vals))*4 + subEntryOverhead
 }
 
-// publishSubBlocks installs freshly built blocks, checkpoint rows, and
-// probe rows under one write lock, keep-first: a racing builder of the
-// same key computed a bit-identical payload, so the loser's copy is
-// garbage, never a conflict. It returns how many blocks it installed.
-// All three memos are in-memory only (§13): a block is re-derivable from
-// its keyroot DP, so cross-process reuse goes through the watch
-// snapshot, not the store.
-func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRows []rowEntry) int {
+// publishSubBlocks installs freshly built blocks and checkpoint rows
+// under one write lock, keep-first: a racing builder of the same key
+// computed a bit-identical payload, so the loser's copy is garbage, never
+// a conflict. It returns how many blocks it installed. Both memos are
+// in-memory only (§13): a block is re-derivable from its keyroot DP, so
+// cross-process reuse goes through the watch snapshot, not the store.
+func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry) int {
 	installed := 0
 	c.subMu.Lock()
 	for _, e := range fresh {
@@ -215,21 +164,9 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 	if c.ckptBytes > c.ckptMax {
 		ckEvicted = evictLocked(c.ckpts, &c.ckptBytes, c.ckptMax, ckptRowBytes)
 	}
-	for _, e := range freshRows {
-		if _, ok := c.rows[e.key]; ok {
-			continue
-		}
-		c.rows[e.key] = e.slots
-		c.rowBytes += rowEntryBytes(e.slots)
-	}
-	var rowEvicted int64
-	if c.rowBytes > c.rowMax {
-		rowEvicted = evictLocked(c.rows, &c.rowBytes, c.rowMax, rowEntryBytes)
-	}
 	c.subMu.Unlock()
 	c.counts.subEvicted.Add(evicted)
 	c.counts.ckptEvicted.Add(ckEvicted)
-	c.counts.rowEvicted.Add(rowEvicted)
 	return installed
 }
 
@@ -237,12 +174,9 @@ func (c *Cache) publishSubBlocks(fresh []subEntry, freshCk []ckptEntry, freshRow
 // its accounted size is back under three quarters of bound — hysteresis so a
 // memo riding the limit does not evict on every publish — and returns how
 // many it dropped. Random-order eviction is sound for every memo it serves:
-// a dropped block costs a future recompute, a dropped checkpoint row a
-// future full root-row DP, and a dropped probe row a future slot-by-slot
-// probe, never a wrong answer; the bounds are sized so normal corpora never
-// get here. Probe rows pin the blocks they reference even past block
-// eviction (blocks are immutable, so a pinned block still restores
-// correctly); dropping the row releases them. Callers hold subMu.
+// a dropped block costs a future recompute and a dropped checkpoint row a
+// future full root-row DP, never a wrong answer; the bounds are sized so
+// normal corpora never get here. Callers hold subMu.
 func evictLocked[K comparable, V any](m map[K]V, bytes *int64, bound int64, size func(V) int64) int64 {
 	target := bound - bound/4
 	var n int64
@@ -313,5 +247,5 @@ func (c *Cache) ImportSubtreeBlocks(recs []SubtreeBlockRecord) int {
 			block: &subBlock{l1: r.L1, l2: r.L2, vals: r.Vals},
 		})
 	}
-	return c.publishSubBlocks(fresh, nil, nil)
+	return c.publishSubBlocks(fresh, nil)
 }

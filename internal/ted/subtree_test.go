@@ -18,13 +18,12 @@ import (
 )
 
 // memoCache returns a cache whose subtree memo and checkpoint memo fire
-// on every keyroot pair: the default thresholds exist to skip work too
-// small to profit, which would leave the fuzz-sized trees below them and
+// on every keyroot pair: the default threshold exists to skip work too
+// small to profit, which would leave the fuzz-sized trees below it and
 // the memos untested.
 func memoCache() *Cache {
 	c := NewCache()
 	c.subMin = 1
-	c.ckptMin = 1
 	return c
 }
 
@@ -312,7 +311,9 @@ func appendChild(t, extra *tree.Node) *tree.Node {
 // after warming a pair, an append-only edit to the a-side root must be
 // served by resuming the root keyroot's DP row from a memoised boundary
 // (CheckpointHits advances) and still return the monolithic distance
-// bit-identically. A b-side append must also stay correct even though
+// bit-identically. A second, different append on the now-warm cache must
+// also equal the monolithic DP: its grid probe meets rows whose every
+// block hit. A b-side append must also stay correct even though
 // checkpoints are a-side-only (no resume, just block-level reuse).
 func TestRootRowCheckpointResume(t *testing.T) {
 	r := rand.New(rand.NewSource(76))
@@ -341,6 +342,12 @@ func TestRootRowCheckpointResume(t *testing.T) {
 		edited := c.Stats()
 		if edited.CheckpointHits == warm.CheckpointHits {
 			t.Fatalf("append edit did not resume from a checkpoint: %+v", edited)
+		}
+
+		a3 := appendChild(a, randTree(r, 1+r.Intn(10)))
+		if got, want := c.DistanceWithCosts(a3, b, costs), DistanceWithCosts(a3, b, costs); got != want {
+			t.Fatalf("second append on a warm cache: %d != monolithic %d\na3=%s\nb=%s costs=%+v",
+				got, want, a3, b, costs)
 		}
 
 		b2 := appendChild(b, randTree(r, 1+r.Intn(10)))
@@ -395,13 +402,11 @@ func TestPathStrategyKeepsCheckpoints(t *testing.T) {
 	}
 }
 
-// TestProbeRowMemo pins the probe-row fast path: a keyroot row whose
-// probe once came back all-hit is recorded and replayed on the next pair
-// that shares the (a keyroot subtree, b tree, costs) address, with
-// distances and SubtreeHits identical to a slot-by-slot probe. The
-// sequence needs three sweeps: the cold sweep records nothing (all
-// misses), the first edit's sweep observes the unchanged keyroot rows
-// all-hit and records them, the second edit's sweep replays them.
+// TestProbeRowMemo pins the warm-cache edit sequence the grid probe
+// exists for: after a cold sweep and a first append edit, a second,
+// different append meets keyroot rows whose every block is already
+// memoised. The probe must serve those blocks (SubtreeHits advances)
+// and the distance must still equal the monolithic DP bit for bit.
 func TestProbeRowMemo(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 25; trial++ {
@@ -415,24 +420,19 @@ func TestProbeRowMemo(t *testing.T) {
 		c.DistanceWithCosts(a, b, costs)
 
 		a2 := appendChild(a, randTree(r, 1+r.Intn(10)))
-		c.DistanceWithCosts(a2, b, costs)
-		recorded := c.Stats()
-		if recorded.ProbeRows == 0 {
-			t.Fatalf("first edit sweep recorded no probe rows: %+v", recorded)
+		if got, want := c.DistanceWithCosts(a2, b, costs), DistanceWithCosts(a2, b, costs); got != want {
+			t.Fatalf("first append: %d != monolithic %d", got, want)
 		}
-		if recorded.ProbeRowHits != 0 {
-			t.Fatalf("probe rows hit before any could be recorded: %+v", recorded)
-		}
+		warm := c.Stats()
 
 		a3 := appendChild(a, randTree(r, 1+r.Intn(10)))
 		want := DistanceWithCosts(a3, b, costs)
 		if got := c.DistanceWithCosts(a3, b, costs); got != want {
-			t.Fatalf("row-replayed distance %d != monolithic %d\na3=%s\nb=%s costs=%+v",
+			t.Fatalf("second append on a warm cache: %d != monolithic %d\na3=%s\nb=%s costs=%+v",
 				got, want, a3, b, costs)
 		}
-		replayed := c.Stats()
-		if replayed.ProbeRowHits == 0 {
-			t.Fatalf("second edit sweep replayed no probe rows: %+v", replayed)
+		if s := c.Stats(); s.SubtreeHits == warm.SubtreeHits {
+			t.Fatalf("second append served no memoised blocks: %+v", s)
 		}
 	}
 }

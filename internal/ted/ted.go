@@ -136,15 +136,11 @@ func zsDistance(a, b *flat, c Costs, sc *dpScratch) int {
 //     of its lmld class).
 //
 // Map traffic is batched: one read-lock probes the whole keyroot grid
-// plus the root-row checkpoints (phase 1), the DP/materialise pass runs
-// lock-free (phase 2), and one write lock publishes fresh blocks,
-// checkpoint rows, and probe rows keep-first (phase 3) — so the warm
-// path pays two lock acquisitions per tree pair, not two per keyroot
-// pair. The probe-row memo collapses phase 1 further: a keyroot row
-// whose probe once came back all-hit is recorded under (a keyroot
-// subtree, b tree, costs) and replayed as one map probe plus a pointer
-// copy, so a warm re-probe pays one lookup per row instead of one per
-// memoisable slot (§13).
+// slot by slot plus the root-row checkpoints (phase 1), the
+// DP/materialise pass runs lock-free (phase 2), and one write lock
+// publishes fresh blocks and checkpoint rows keep-first (phase 3) — so
+// the warm path pays two lock acquisitions per tree pair, not two per
+// keyroot pair.
 func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheObs, ta, tb *tree.Node) int {
 	n1 := len(a.labels)
 	n2 := len(b.labels)
@@ -161,12 +157,14 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 	// td rectangle out, so no prefix may stay unproduced) and materialises
 	// everything at the end.
 	sub := ta == nil
-	// ckEligible also requires n1 >= minCells: with it, every root-row
-	// pair has cells = n1*m2 >= n1 >= minCells, so the all-or-nothing
-	// resume rule never has to reason about below-threshold pairs. The
-	// path strategy relies on the same guard: the root pair is never
-	// deferred, so mirrored rows are only ever read by the root row.
-	ckEligible := !sub && len(a.ckptRow) > 0 && n1 >= c.ckptMin && n1 >= minCells
+	// ckEligible requires n1 >= minCells. Below it the root row is cheap
+	// enough that checkpoint bookkeeping cannot pay for itself; at or
+	// above it every root-row pair has cells = n1*m2 >= n1 >= minCells,
+	// so the all-or-nothing resume rule never has to reason about
+	// below-threshold pairs. The path strategy relies on the same guard:
+	// the root pair is never deferred, so mirrored rows are only ever
+	// read by the root row.
+	ckEligible := !sub && len(a.ckptRow) > 0 && n1 >= minCells
 	var resume []ckptRef
 	if ckEligible {
 		resume = sc.ckptRefs(k2)
@@ -179,9 +177,7 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 		mirrored, skip = c.planPaths(a, b, sc)
 	}
 
-	var hits, misses, ckHits, ckMisses, rowHits, rowMisses int64
-	var freshRows []rowEntry
-	bRoot := b.krFP[k2-1] // root is the last keyroot: the whole b tree
+	var hits, misses, ckHits, ckMisses int64
 	c.subMu.RLock()
 	for ki, i := range a.kr {
 		if skip != nil && skip[ki] {
@@ -189,25 +185,6 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 		}
 		m1 := i - int(a.lmld[i]) + 1
 		row := blocks[ki*k2 : (ki+1)*k2]
-		// One probe-row memo hit replaces the whole slot-by-slot scan.
-		// Recorded rows were all-hit when recorded, and the block memo is
-		// keep-first and append-only, so the replay equals a fresh probe:
-		// same slots, same blocks, same hit count (see rowEntry).
-		rk := rowKey{a: a.krFP[ki], b: bRoot, costs: costs}
-		if slots, ok := c.rows[rk]; ok {
-			rowHits++
-			for kj := range row {
-				row[kj] = nil
-			}
-			for _, s := range slots {
-				row[s.kj] = s.bl
-			}
-			hits += int64(len(slots))
-			continue
-		}
-		rowMisses++
-		allHit := true
-		var slots []rowSlot
 		for kj, j := range b.kr {
 			if m1*(j-int(b.lmld[j])+1) < minCells {
 				row[kj] = nil // scratch slot may hold a stale pointer
@@ -217,13 +194,7 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 			row[kj] = bl
 			if bl != nil {
 				hits++
-				slots = append(slots, rowSlot{kj: int32(kj), bl: bl})
-			} else {
-				allHit = false
 			}
-		}
-		if allHit {
-			freshRows = append(freshRows, rowEntry{key: rk, slots: slots})
 		}
 	}
 	resumable := ckEligible
@@ -415,8 +386,8 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 		d = int(td[n1-1][n2-1])
 	}
 
-	if len(fresh) > 0 || len(freshCk) > 0 || len(freshRows) > 0 {
-		c.publishSubBlocks(fresh, freshCk, freshRows)
+	if len(fresh) > 0 || len(freshCk) > 0 {
+		c.publishSubBlocks(fresh, freshCk)
 	}
 	if o != nil {
 		o.dpCells.Add(computed)
@@ -426,8 +397,6 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 	k.subMisses.Add(misses)
 	k.ckptHits.Add(ckHits)
 	k.ckptMisses.Add(ckMisses)
-	k.rowHits.Add(rowHits)
-	k.rowMisses.Add(rowMisses)
 	return d
 }
 

@@ -202,11 +202,12 @@ func EstimateDistance(a, b Signature) float64 {
 	return (1 - j) / (1 + j)
 }
 
-// Structural estimator coefficients, fitted on the all-units corpus
-// probe (4371 cross-unit pairs, every unit of every seed app × model,
-// weighted least squares under the per-cell error norm, residuals stable
-// under even/odd holdout — see EXPERIMENTS.md). With mx/mn the
-// larger/smaller node count and I the label-multiset intersection:
+// Structural estimator coefficients: constants, the recorded fit on the
+// all-units corpus probe (4371 cross-unit pairs, every unit of every
+// seed app × model, weighted least squares under the per-cell error
+// norm, residuals stable under even/odd holdout — see EXPERIMENTS.md).
+// With mx/mn the larger/smaller node count and I the label-multiset
+// intersection:
 //
 //	est ≈ 0.96·(mx−I) − 0.19·I + (0.60 + 0.12·approx)·mn
 //
