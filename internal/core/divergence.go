@@ -176,9 +176,7 @@ func DivergeWithCosts(a, b *Index, metric string, costs ted.Costs) (Divergence, 
 
 func divergeWithCosts(a, b *Index, metric string, costs ted.Costs,
 	dist func(t1, t2 *tree.Node, c ted.Costs) int) (Divergence, error) {
-	switch metric {
-	case MetricTsrc, MetricTsrcPP, MetricTsem, MetricTsemI, MetricTir:
-	default:
+	if !isTreeMetric(metric) {
 		return Divergence{}, fmt.Errorf("core: weighted divergence needs a tree metric, got %q", metric)
 	}
 	return divergeTrees(a, b, metric, costs, func(ta, tb *tree.Node) float64 {
@@ -196,9 +194,7 @@ func ApproxDiverge(a, b *Index, metric string) (Divergence, error) {
 }
 
 func approxDivergeWith(a, b *Index, metric string, approx approxFunc) (Divergence, error) {
-	switch metric {
-	case MetricTsrc, MetricTsrcPP, MetricTsem, MetricTsemI, MetricTir:
-	default:
+	if !isTreeMetric(metric) {
 		return Divergence{}, fmt.Errorf("core: approximate divergence needs a tree metric, got %q", metric)
 	}
 	pairs, onlyA, onlyB := match(a, b)

@@ -53,9 +53,9 @@ type Engine struct {
 	subReused, subRecomputed *obs.Counter
 
 	// cell memo: the matrix-cell invalidation layer (DESIGN.md §12) and
-	// the only matrix memo. Every sweep memoises each computed cell under
-	// (per-side metric hash, metric, costs, routing policy); warm
-	// re-sweeps recompute only cells whose key changed.
+	// the only matrix memo. Every sweep memoises each computed cell, with
+	// its tier provenance, under (per-side metric hash, metric, screen
+	// bit); warm re-sweeps recompute only cells whose key changed.
 	cellMu   sync.Mutex
 	cellMemo map[cellKey]cellVal
 }
@@ -188,31 +188,20 @@ func (e *Engine) Matrix(idxs map[string]*Index, order []string, metric string) (
 // the cancellation remain in the shared cache; each is a complete exact
 // result, so a later identical request stays bit-identical to cold.
 func (e *Engine) MatrixCtx(ctx context.Context, idxs map[string]*Index, order []string, metric string) ([][]float64, error) {
-	m, _, err := e.matrixMemo(ctx, idxs, order, metric, ted.UnitCosts(), ted.TierPolicy{})
-	return m, err
-}
-
-// MatrixWithCosts is Matrix under a non-unit TED cost model (tree metrics
-// only, like DivergeWithCosts). Cells are memoised under the cost model,
-// so sweeps under different costs never share cells — a cached cell keyed
-// under old costs is unreachable from a new cost model by construction.
-func (e *Engine) MatrixWithCosts(idxs map[string]*Index, order []string, metric string, costs ted.Costs) ([][]float64, error) {
-	m, _, err := e.matrixMemo(context.Background(), idxs, order, metric, costs, ted.TierPolicy{})
-	return m, err
+	return e.matrixMemo(ctx, idxs, order, metric, ted.TierPolicy{}, nil)
 }
 
 // matrixMemo is the one memoised matrix sweep (DESIGN.md §12), behind
-// Matrix, MatrixWithCosts and MatrixTiered. Clean cells are served from
-// the cell memo; each dirty cell is one worker-pool task. When the policy
-// routes (tierable, unit costs) a task sends its matched pairs through
-// Cache.TierRoute and runs exact TED only on the pairs routed exact, and
-// the sweep also returns every cell's tier provenance; otherwise cells is
-// nil and the policy plays no part in the cell key.
-func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order []string, metric string, costs ted.Costs, policy ted.TierPolicy) ([][]float64, [][]TierCell, error) {
+// Matrix and MatrixTiered. Clean cells are served from the cell memo;
+// each dirty cell is one worker-pool task. A screening sweep (a policy
+// that routes, on a tree metric) sends matched pairs through
+// Cache.TierRoute and runs exact TED only on the pairs routed exact.
+// When cells is non-nil it receives every cell's tier provenance.
+func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order []string, metric string, policy ted.TierPolicy, cells [][]TierCell) ([][]float64, error) {
 	n := len(order)
 	for _, name := range order {
 		if _, ok := idxs[name]; !ok {
-			return nil, nil, fmt.Errorf("core: no index for model %q", name)
+			return nil, fmt.Errorf("core: no index for model %q", name)
 		}
 	}
 	m := make([][]float64, n)
@@ -227,16 +216,9 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 		}
 	}
 	sp := e.rec.Start("engine.matrix").Arg("metric", metric)
-	routed := costs == ted.UnitCosts() && e.tierable(metric, policy)
-	ps := ""
-	var cells [][]TierCell
-	if routed {
-		ps = policy.String()
-		sp.Arg("policy", ps)
-		cells = make([][]TierCell, n)
-		for i := range cells {
-			cells[i] = make([]TierCell, n)
-		}
+	screen := policy.Enabled() && isTreeMetric(metric)
+	if screen {
+		sp.Arg("policy", policy.String())
 	}
 	e.cells.Add(int64(len(all)))
 
@@ -249,14 +231,14 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 	}
 	set := func(c pos, v cellVal) {
 		m[c.i][c.j], m[c.j][c.i] = v.norm, v.rev
-		if routed {
+		if cells != nil {
 			cells[c.i][c.j], cells[c.j][c.i] = v.tc, v.tc
 		}
 	}
 	var work []pos
 	keys := make([]cellKey, 0, len(all))
 	for _, c := range all {
-		key := cellKey{a: hs[c.i], b: hs[c.j], metric: metric, costs: costs, policy: ps}
+		key := cellKey{a: hs[c.i], b: hs[c.j], metric: metric, screen: screen}
 		if v, ok := e.cellLookup(key); ok {
 			set(c, v)
 			continue
@@ -269,60 +251,57 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 	errs := make([]error, len(work))
 	vals := make([]cellVal, len(work))
 	ctxErr := e.runParallel(ctx, len(work), sp, "engine.cell", func(k int) {
-		vals[k], errs[k] = e.cell(idxs[order[work[k].i]], idxs[order[work[k].j]], metric, costs, policy, routed)
+		vals[k], errs[k] = e.cell(idxs[order[work[k].i]], idxs[order[work[k].j]], metric, policy, screen)
 	})
 	sp.End()
 	if ctxErr != nil {
 		// Canceled mid-sweep: the vals slots of unstarted cells are zero
 		// and must never reach the memo, so the whole sweep publishes
 		// nothing (all-or-nothing, like the store's index records).
-		return nil, nil, ctxErr
+		return nil, ctxErr
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	for k, c := range work {
 		set(c, vals[k])
 		e.cellStore(keys[k], vals[k])
 	}
-	return m, cells, nil
+	return m, nil
 }
 
-// cell computes one matrix cell: both normalised orientations and, on a
-// routed sweep, its tier provenance (zero on the exact path). A routed
-// cell routes each matched pair through Cache.TierRoute and runs exact
-// TED only on the pairs routed exact, accumulating in divergeTrees' one
-// order, so its value is bit-identical across runs and worker counts.
-// The absolute metrics are symmetric; every other metric normalises the
-// reverse direction by a's weight (Eq. 7).
-func (e *Engine) cell(a, b *Index, metric string, costs ted.Costs, policy ted.TierPolicy, routed bool) (cellVal, error) {
+// cell computes one matrix cell: both normalised orientations and its
+// tier provenance. A tree-metric cell runs divergeTrees' one
+// accumulation order over its matched pairs, so its value is
+// bit-identical across runs and worker counts; on a screening sweep each
+// pair first routes through Cache.TierRoute, and only pairs routed exact
+// run exact TED. The absolute metrics are symmetric; every other metric
+// normalises the reverse direction by a's weight (Eq. 7).
+func (e *Engine) cell(a, b *Index, metric string, policy ted.TierPolicy, screen bool) (cellVal, error) {
 	var d Divergence
 	var tc TierCell
-	var err error
-	switch {
-	case routed:
-		d = divergeTrees(a, b, metric, costs, func(ta, tb *tree.Node) float64 {
-			est, tier := e.cache.TierRoute(ta, tb, policy)
-			switch tier {
-			case ted.TierExact:
-				tc.Exact++
-				return float64(e.cache.Distance(ta, tb))
-			case ted.TierEstimated:
-				tc.Estimated++
-			case ted.TierFar:
-				tc.Far++
+	if isTreeMetric(metric) {
+		d = divergeTrees(a, b, metric, ted.UnitCosts(), func(ta, tb *tree.Node) float64 {
+			if screen {
+				switch est, tier := e.cache.TierRoute(ta, tb, policy); tier {
+				case ted.TierEstimated:
+					tc.Estimated++
+					return est
+				case ted.TierFar:
+					tc.Far++
+					return est
+				}
 			}
-			return est
+			tc.Exact++
+			return float64(e.cache.Distance(ta, tb))
 		})
-	case costs == ted.UnitCosts():
-		d, err = e.Diverge(a, b, metric)
-	default:
-		d, err = e.DivergeWithCosts(a, b, metric, costs)
-	}
-	if err != nil {
-		return cellVal{}, err
+	} else {
+		var err error
+		if d, err = e.Diverge(a, b, metric); err != nil {
+			return cellVal{}, err
+		}
 	}
 	if metric == MetricSLOC || metric == MetricLLOC {
 		return cellVal{norm: d.Norm, rev: d.Norm}, nil
@@ -425,12 +404,6 @@ func (e *Engine) runParallel(ctx context.Context, n int, parent *obs.Span, spanN
 		}
 	}
 	return runParallelCtx(ctx, n, e.workers, fn)
-}
-
-// runParallel is the uncancellable form of the shared bounded pool, kept
-// for the index pipeline's non-context entry points.
-func runParallel(n, workers int, fn func(int)) {
-	runParallelCtx(context.Background(), n, workers, fn)
 }
 
 // runParallelCtx is the shared bounded pool: workers goroutines pull task

@@ -143,7 +143,7 @@ func TestPathStrategyMatrixBitIdentical(t *testing.T) {
 		if !sameBits(want, got) {
 			t.Fatalf("workers=%d: path-strategy matrix differs from the monolithic DP", workers)
 		}
-		if rec.Counter("ted.subdp_mirrored").Value() == 0 {
+		if rec.Snapshot().Counters["ted.subdp_mirrored"] == 0 {
 			t.Fatalf("workers=%d: no mirrored sub-DP ran; the strategy never engaged", workers)
 		}
 	}

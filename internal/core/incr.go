@@ -6,7 +6,6 @@ import (
 
 	"silvervale/internal/corpus"
 	"silvervale/internal/store"
-	"silvervale/internal/ted"
 	"silvervale/internal/tree"
 )
 
@@ -21,7 +20,7 @@ import (
 //     one recorded at index time — only edited units re-run MiniC or
 //     MiniFortran;
 //   - matrix cells: the engine memoises every divergence cell under
-//     (per-side metric hash, metric, cost model, tier policy), so a warm
+//     (per-side metric hash, metric, screen bit), so a warm
 //     re-sweep recomputes exactly the cells whose fingerprint pair changed
 //     and serves the rest from the memo, bit-identically.
 //
@@ -193,7 +192,7 @@ func IndexCodebaseIncrementalCtx(ctx context.Context, cb *corpus.Codebase, prior
 		byFile[prior.Units[i].File] = &prior.Units[i]
 	}
 	idx := &Index{Codebase: cb.App, Model: string(cb.Model), Lang: cb.Lang, Opts: od}
-	units := make([]UnitIndex, len(cb.Units))
+	idx.Units = make([]UnitIndex, len(cb.Units))
 	var dirty []int
 	for i, u := range cb.Units {
 		pu := byFile[u.File]
@@ -202,40 +201,17 @@ func IndexCodebaseIncrementalCtx(ctx context.Context, cb *corpus.Codebase, prior
 			// Clean: the unit is a pure function of its dependency
 			// closure, which is byte-identical — share the parsed form
 			// (trees are immutable once indexed).
-			units[i] = *pu
+			idx.Units[i] = *pu
 			st.UnitsReused++
 			continue
 		}
 		dirty = append(dirty, i)
 	}
 	st.UnitsReparsed = len(dirty)
-	workers := opts.ResolvedWorkers()
 	root := opts.Recorder.Start("incr.index").
 		Arg("app", cb.App).Arg("model", string(cb.Model))
-	errs := make([]error, len(dirty))
-	ctxErr := runParallelCtx(ctx, len(dirty), workers, func(k int) {
-		i := dirty[k]
-		u := cb.Units[i]
-		usp := root.Start("index.unit").Arg("file", u.File)
-		if cb.Lang == corpus.LangFortran {
-			units[i], errs[k] = indexFortranUnit(cb, u, opts, usp)
-		} else {
-			units[i], errs[k] = indexCXXUnit(cb, u, opts, usp)
-		}
-		usp.End()
-	})
-	root.End()
-	if ctxErr != nil {
-		return nil, st, ctxErr
-	}
-	for k, err := range errs {
-		if err != nil {
-			return nil, st, fmt.Errorf("core: %s/%s %s: %w", cb.App, cb.Model, cb.Units[dirty[k]].File, err)
-		}
-	}
-	idx.Units = units
-	sortUnits(idx.Units)
-	return idx, st, nil
+	idx, err := indexUnits(ctx, cb, opts, idx, root, dirty)
+	return idx, st, err
 }
 
 // IndexCodebaseIncremental is the engine form: the engine's worker pool
@@ -296,15 +272,14 @@ func MetricHash(idx *Index, metric string) store.ContentHash {
 
 // cellKey addresses one memoised matrix cell: the two sides' metric
 // hashes (orientation preserved — the reverse normalisation differs), the
-// metric, the TED cost model, and the rendered tier policy ("" for a
-// sweep that does not route). Everything that can change a cell's value
-// is in the key, so a memo hit is bit-identical to recomputation by
-// construction.
+// metric, and whether the sweep screens (a tier policy at or above
+// ted.ScreeningBudget on a tree metric; every screening budget routes
+// identically). Everything that can change a cell's value is in the key,
+// so a memo hit is bit-identical to recomputation by construction.
 type cellKey struct {
 	a, b   store.ContentHash
 	metric string
-	costs  ted.Costs
-	policy string
+	screen bool
 }
 
 // cellVal is one memoised cell: both normalised orientations plus the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"compress/gzip"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 	"silvervale/internal/cbdb"
 	"silvervale/internal/corpus"
 	"silvervale/internal/coverage"
+	"silvervale/internal/msgpack"
 	"silvervale/internal/obs"
 	"silvervale/internal/srcloc"
 	"silvervale/internal/store"
@@ -268,44 +271,10 @@ func mustApp(tb testing.TB, name string) corpus.App {
 	return app
 }
 
-// TestCellMemoCostModelChange: cells memoised under one TED cost model
-// are never served to a sweep under another — the cost model is part of
-// the cell key.
-func TestCellMemoCostModelChange(t *testing.T) {
-	idxs, order := buildIndexes(t, "babelstream-fortran")
-	n := len(order)
-	cells := n * (n - 1) / 2
-	e := NewEngine(2)
-	if _, err := e.MatrixWithCosts(idxs, order, MetricTsem, ted.UnitCosts()); err != nil {
-		t.Fatal(err)
-	}
-	base := e.IncrStats()
-	if base.CellsRecomputed != cells {
-		t.Fatalf("cold sweep: %+v", base)
-	}
-	heavy := ted.Costs{Insert: 2, Delete: 2, Rename: 1}
-	if _, err := e.MatrixWithCosts(idxs, order, MetricTsem, heavy); err != nil {
-		t.Fatal(err)
-	}
-	d := e.IncrStats().Delta(base)
-	if d.CellsReused != 0 || d.CellsRecomputed != cells {
-		t.Fatalf("changed cost model was served cached cells: %+v", d)
-	}
-	// Same costs again: now everything hits.
-	before := e.IncrStats()
-	if _, err := e.MatrixWithCosts(idxs, order, MetricTsem, heavy); err != nil {
-		t.Fatal(err)
-	}
-	d = e.IncrStats().Delta(before)
-	if d.CellsReused != cells || d.CellsRecomputed != 0 {
-		t.Fatalf("repeat sweep under the same costs missed the memo: %+v", d)
-	}
-}
-
-// TestTieredMemoPolicyKey: a tiered sweep never reuses cells memoised by
-// the exact path (or under a different budget) — the rendered policy is
-// part of the cell key — while a repeated sweep under the same policy is
-// answered entirely from the memo with its tier provenance intact.
+// TestTieredMemoPolicyKey: a screening sweep never reuses cells memoised
+// by the exact path — the screen bit is part of the cell key — while a
+// repeated screening sweep, under the same or any other screening budget,
+// is answered entirely from the memo with its tier provenance intact.
 func TestTieredMemoPolicyKey(t *testing.T) {
 	idxs, order := buildIndexes(t, "babelstream-fortran")
 	n := len(order)
@@ -326,20 +295,22 @@ func TestTieredMemoPolicyKey(t *testing.T) {
 		t.Fatalf("tiered sweep was served exact-path cells: %+v", d)
 	}
 
-	before := e.IncrStats()
-	tm2, err := e.MatrixTiered(idxs, order, MetricTsem, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d = e.IncrStats().Delta(before)
-	if d.CellsReused != cells || d.CellsRecomputed != 0 {
-		t.Fatalf("repeat tiered sweep missed the memo: %+v", d)
-	}
-	if !sameBits(tm.Values, tm2.Values) {
-		t.Fatal("memoised tiered matrix differs from the computed one")
-	}
-	if tm2.Stats != tm.Stats {
-		t.Fatalf("memo hits lost tier provenance: %+v vs %+v", tm2.Stats, tm.Stats)
+	for _, budget := range []float64{ted.ScreeningBudget, 0.7} {
+		before := e.IncrStats()
+		tm2, err := e.MatrixTiered(idxs, order, MetricTsem, ted.TierPolicy{Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d = e.IncrStats().Delta(before)
+		if d.CellsReused != cells || d.CellsRecomputed != 0 {
+			t.Fatalf("budget %g: repeat screening sweep missed the memo: %+v", budget, d)
+		}
+		if !sameBits(tm.Values, tm2.Values) {
+			t.Fatalf("budget %g: memoised tiered matrix differs from the computed one", budget)
+		}
+		if tm2.Stats != tm.Stats {
+			t.Fatalf("budget %g: memo hits lost tier provenance: %+v vs %+v", budget, tm2.Stats, tm.Stats)
+		}
 	}
 }
 
@@ -372,15 +343,21 @@ func TestIncrementalDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: the watch snapshot (indexes + memoised cells)
-// survives Save/Load, and a restored engine answers a repeat sweep
-// entirely from the imported memo, bit-identically.
+// TestSnapshotRoundTrip: the watch snapshot (indexes + memoised cells,
+// exact and screened) survives Save/Load, and a restored engine answers a
+// repeat exact sweep and a repeat screening sweep entirely from the
+// imported memo, bit-identically and with the same tier provenance.
 func TestSnapshotRoundTrip(t *testing.T) {
 	cbs, order := generateAll(t, "babelstream-fortran")
 	e := NewEngine(1)
 	idxs, cold := pr8Sweep(t, e, cbs, nil, order, MetricTsem)
 	n := len(order)
 	cells := n * (n - 1) / 2
+	policy := ted.TierPolicy{Budget: ted.ScreeningBudget}
+	screened, err := e.MatrixTiered(idxs, order, MetricTsem, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	snap := &Snapshot{Metric: MetricTsem, Models: map[string]*cbdb.DB{}}
 	for name, idx := range idxs {
@@ -389,8 +366,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Entries can undercount cells: ports with bit-identical trees share
 	// a metric hash, so their cells collapse onto one memo key.
 	snap.Cells = e.ExportCells()
-	if len(snap.Cells) == 0 || len(snap.Cells) > cells {
-		t.Fatalf("exported %d cells, want 1..%d", len(snap.Cells), cells)
+	var exactRecs, screenRecs int
+	for _, c := range snap.Cells {
+		if c.Screen {
+			screenRecs++
+		} else {
+			exactRecs++
+		}
+	}
+	if exactRecs == 0 || exactRecs > cells || screenRecs == 0 || screenRecs > cells {
+		t.Fatalf("exported %d exact and %d screened cells, want 1..%d each", exactRecs, screenRecs, cells)
 	}
 	path := filepath.Join(t.TempDir(), "warm.svsnap")
 	if err := snap.Save(path); err != nil {
@@ -417,7 +402,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		prior[name] = idx
 	}
-	_, warm := pr8Sweep(t, e2, cbs, prior, order, MetricTsem)
+	warmIdxs, warm := pr8Sweep(t, e2, cbs, prior, order, MetricTsem)
 	st := e2.IncrStats()
 	if st.CellsRecomputed != 0 || st.CellsReused != cells {
 		t.Fatalf("restored engine recomputed cells: %+v", st)
@@ -427,6 +412,47 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !sameBits(warm, cold) {
 		t.Fatal("restored sweep differs from the original")
+	}
+
+	tm, err := e2.MatrixTiered(warmIdxs, order, MetricTsem, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := e2.IncrStats().Delta(st); d.CellsRecomputed != 0 || d.CellsReused != cells {
+		t.Fatalf("restored engine recomputed screened cells: %+v", d)
+	}
+	if !sameBits(tm.Values, screened.Values) {
+		t.Fatal("restored screening sweep differs from the original")
+	}
+	if tm.Stats != screened.Stats {
+		t.Fatalf("restored screening provenance %+v, want %+v", tm.Stats, screened.Stats)
+	}
+}
+
+// TestReadSnapshotRejectsOtherVersions: a payload of any version but
+// SnapshotVersion is refused with the "unsupported version" error rather
+// than misread.
+func TestReadSnapshotRejectsOtherVersions(t *testing.T) {
+	for _, ver := range []int64{1, SnapshotVersion - 1, SnapshotVersion + 1} {
+		var buf bytes.Buffer
+		gz := gzip.NewWriter(&buf)
+		payload := map[string]any{
+			"version": ver,
+			"metric":  MetricTsem,
+			"models":  map[string]any{},
+			"cells":   []any{},
+			"subs":    []any{},
+		}
+		if err := msgpack.NewEncoder(gz).Encode(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := gz.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadSnapshot(&buf)
+		if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version %d: ReadSnapshot error = %v, want unsupported version", ver, err)
+		}
 	}
 }
 
@@ -483,9 +509,9 @@ func TestEditResweepWork(t *testing.T) {
 	cells := n * (n - 1) / 2
 	rec := obs.NewRecorder()
 	e := NewEngineObs(1, ted.NewCache(), rec)
-	dpCells := rec.Counter("ted.dp_cells")
+	dpCells := func() int64 { return rec.Snapshot().Counters["ted.dp_cells"] }
 	idxs, _ := pr8Sweep(t, e, cbs, nil, order, MetricTsem)
-	cold := dpCells.Value()
+	cold := dpCells()
 	if cold == 0 {
 		t.Fatal("cold sweep computed no DP cells")
 	}
@@ -495,8 +521,8 @@ func TestEditResweepWork(t *testing.T) {
 	if d := e.IncrStats().Delta(before); d.UnitsReparsed != 0 || d.CellsRecomputed != 0 || d.CellsReused != cells {
 		t.Fatalf("no-edit re-sweep did work: %+v", d)
 	}
-	if got := e.CacheStats().Misses; got != misses || dpCells.Value() != cold {
-		t.Fatalf("no-edit re-sweep ran TED: %d new misses, %d DP cells", got-misses, dpCells.Value()-cold)
+	if got := e.CacheStats().Misses; got != misses || dpCells() != cold {
+		t.Fatalf("no-edit re-sweep ran TED: %d new misses, %d DP cells", got-misses, dpCells()-cold)
 	}
 
 	// Each edit appends a function of the same shape with its own name and
@@ -510,14 +536,14 @@ func TestEditResweepWork(t *testing.T) {
 	for rep := 0; rep < 3; rep++ {
 		cbs[victim].Files[file] = base +
 			fmt.Sprintf("\ndouble edit_%d(double x) {\n\treturn x * %d.0;\n}\n", rep, rep+3)
-		before, c0 := e.IncrStats(), dpCells.Value()
+		before, c0 := e.IncrStats(), dpCells()
 		idxs, _ = pr8Sweep(t, e, cbs, idxs, order, MetricTsem)
 		d := e.IncrStats().Delta(before)
 		if d.UnitsReparsed != 1 || d.CellsRecomputed != n-1 || d.CellsReused != cells-(n-1) {
 			t.Fatalf("edit %d: dirty set %+v, want 1 unit and %d cells", rep, d, n-1)
 		}
 		deltas = append(deltas, d)
-		work = append(work, dpCells.Value()-c0)
+		work = append(work, dpCells()-c0)
 	}
 	for rep, d := range deltas[1:] {
 		if d.SubtreeBlocksReused != deltas[1].SubtreeBlocksReused ||
@@ -542,7 +568,7 @@ func TestEditResweepWork(t *testing.T) {
 			}
 		}
 	}
-	dirtyCold := freshRec.Counter("ted.dp_cells").Value()
+	dirtyCold := freshRec.Snapshot().Counters["ted.dp_cells"]
 	for rep, w := range work {
 		if w*10 > cold || w*10 > dirtyCold {
 			t.Fatalf("edit %d re-swept %d DP cells: more than a tenth of the cold sweep (%d) or of the dirty cells on a cold cache (%d)",

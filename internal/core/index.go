@@ -49,6 +49,15 @@ func TreeMetrics() []string {
 	return []string{MetricTsrc, MetricTsrcPP, MetricTsem, MetricTsemI, MetricTir}
 }
 
+// isTreeMetric reports whether metric is one of TreeMetrics.
+func isTreeMetric(metric string) bool {
+	switch metric {
+	case MetricTsrc, MetricTsrcPP, MetricTsem, MetricTsemI, MetricTir:
+		return true
+	}
+	return false
+}
+
 // UnitIndex is the indexed form of one unit (Eq. 1: source file plus
 // dependencies).
 type UnitIndex struct {
@@ -166,20 +175,35 @@ func IndexCodebase(cb *corpus.Codebase, opts Options) (*Index, error) {
 // run returns ctx.Err() with no partial Index — callers never see (and
 // never persist) a half-indexed codebase.
 func IndexCodebaseCtx(ctx context.Context, cb *corpus.Codebase, opts Options) (*Index, error) {
-	idx := &Index{Codebase: cb.App, Model: string(cb.Model), Lang: cb.Lang, Opts: opts.Digest()}
-	workers := opts.ResolvedWorkers()
 	root := opts.Recorder.Start("index.codebase").
 		Arg("app", cb.App).Arg("model", string(cb.Model))
 	opts.Recorder.Counter("index.units").Add(int64(len(cb.Units)))
-	units := make([]UnitIndex, len(cb.Units))
-	errs := make([]error, len(cb.Units))
-	ctxErr := runParallelCtx(ctx, len(cb.Units), workers, func(i int) {
+	idx := &Index{Codebase: cb.App, Model: string(cb.Model), Lang: cb.Lang, Opts: opts.Digest()}
+	idx.Units = make([]UnitIndex, len(cb.Units))
+	todo := make([]int, len(cb.Units))
+	for i := range todo {
+		todo[i] = i
+	}
+	return indexUnits(ctx, cb, opts, idx, root, todo)
+}
+
+// indexUnits is the per-unit pool behind both index entry points: it runs
+// the frontend over cb.Units[i] into idx.Units[i] for every i in todo, on
+// the Options.Workers pool, each unit under an "index.unit" span beneath
+// root, then ends root. The first failure is reported in input order,
+// matching the serial loop; otherwise the units are sorted into canonical
+// order and idx is returned. A canceled run returns ctx.Err() and no
+// Index.
+func indexUnits(ctx context.Context, cb *corpus.Codebase, opts Options, idx *Index, root *obs.Span, todo []int) (*Index, error) {
+	errs := make([]error, len(todo))
+	ctxErr := runParallelCtx(ctx, len(todo), opts.ResolvedWorkers(), func(k int) {
+		i := todo[k]
 		u := cb.Units[i]
 		usp := root.Start("index.unit").Arg("file", u.File)
 		if cb.Lang == corpus.LangFortran {
-			units[i], errs[i] = indexFortranUnit(cb, u, opts, usp)
+			idx.Units[i], errs[k] = indexFortranUnit(cb, u, opts, usp)
 		} else {
-			units[i], errs[i] = indexCXXUnit(cb, u, opts, usp)
+			idx.Units[i], errs[k] = indexCXXUnit(cb, u, opts, usp)
 		}
 		usp.End()
 	})
@@ -187,13 +211,11 @@ func IndexCodebaseCtx(ctx context.Context, cb *corpus.Codebase, opts Options) (*
 	if ctxErr != nil {
 		return nil, ctxErr
 	}
-	// report the first failure in input order, matching the serial loop
-	for i, err := range errs {
+	for k, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("core: %s/%s %s: %w", cb.App, cb.Model, cb.Units[i].File, err)
+			return nil, fmt.Errorf("core: %s/%s %s: %w", cb.App, cb.Model, cb.Units[todo[k]].File, err)
 		}
 	}
-	idx.Units = units
 	sortUnits(idx.Units)
 	return idx, nil
 }

@@ -20,8 +20,9 @@ import (
 
 // SnapshotVersion guards the snapshot wire format; bump on any schema
 // change so stale files are rejected instead of misread. Version 2 added
-// the subtree-block section (DESIGN.md §13).
-const SnapshotVersion = 2
+// the subtree-block section (DESIGN.md §13); version 3 keys cells on the
+// screen bit alone and records every cell's provenance.
+const SnapshotVersion = 3
 
 // Snapshot is the warm state a watch session (or a CI baseline run)
 // persists so a later `-since` invocation can resume incrementally: every
@@ -38,15 +39,14 @@ type Snapshot struct {
 }
 
 // CellRecord is the portable form of one memoised matrix cell: the two
-// sides' metric hashes, the full key (metric, cost model, tier policy) and
-// the value (both normalised orientations, tier provenance). Floats travel
-// as IEEE-754 bit patterns, so a restored cell is bit-identical to the one
+// sides' metric hashes, the rest of the key (metric, screen bit) and the
+// value (both normalised orientations, tier provenance). Floats travel as
+// IEEE-754 bit patterns, so a restored cell is bit-identical to the one
 // exported.
 type CellRecord struct {
 	A, B                  [2]uint64
 	Metric                string
-	Costs                 ted.Costs
-	Policy                string
+	Screen                bool
 	Norm, Rev             float64
 	Exact, Estimated, Far int
 }
@@ -59,7 +59,7 @@ func (e *Engine) ExportCells() []CellRecord {
 	for k, v := range e.cellMemo {
 		recs = append(recs, CellRecord{
 			A: [2]uint64{k.a.H1, k.a.H2}, B: [2]uint64{k.b.H1, k.b.H2},
-			Metric: k.metric, Costs: k.costs, Policy: k.policy,
+			Metric: k.metric, Screen: k.screen,
 			Norm: v.norm, Rev: v.rev,
 			Exact: v.tc.Exact, Estimated: v.tc.Estimated, Far: v.tc.Far,
 		})
@@ -76,12 +76,7 @@ func (e *Engine) ExportCells() []CellRecord {
 		if a.Metric != b.Metric {
 			return a.Metric < b.Metric
 		}
-		if a.Costs != b.Costs {
-			return a.Costs.Insert < b.Costs.Insert ||
-				(a.Costs.Insert == b.Costs.Insert && a.Costs.Delete < b.Costs.Delete) ||
-				(a.Costs.Insert == b.Costs.Insert && a.Costs.Delete == b.Costs.Delete && a.Costs.Rename < b.Costs.Rename)
-		}
-		return a.Policy < b.Policy
+		return !a.Screen && b.Screen
 	})
 	return recs
 }
@@ -93,7 +88,7 @@ func (e *Engine) ImportCells(recs []CellRecord) {
 		k := cellKey{
 			a:      store.ContentHash{H1: r.A[0], H2: r.A[1]},
 			b:      store.ContentHash{H1: r.B[0], H2: r.B[1]},
-			metric: r.Metric, costs: r.Costs, policy: r.Policy,
+			metric: r.Metric, screen: r.Screen,
 		}
 		e.cellMemo[k] = cellVal{
 			norm: r.Norm, rev: r.Rev,
@@ -130,9 +125,7 @@ func (s *Snapshot) Write(w io.Writer) error {
 	for i, c := range s.Cells {
 		cells[i] = []any{
 			c.A[0], c.A[1], c.B[0], c.B[1],
-			c.Metric,
-			int64(c.Costs.Insert), int64(c.Costs.Delete), int64(c.Costs.Rename),
-			c.Policy,
+			c.Metric, c.Screen,
 			math.Float64bits(c.Norm), math.Float64bits(c.Rev),
 			int64(c.Exact), int64(c.Estimated), int64(c.Far),
 		}
@@ -200,7 +193,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	rawCells, _ := m["cells"].([]any)
 	for i, rc := range rawCells {
 		parts, ok := rc.([]any)
-		if !ok || len(parts) != 14 {
+		if !ok || len(parts) != 11 {
 			return nil, fmt.Errorf("core: snapshot: malformed cell %d", i)
 		}
 		u := make([]uint64, len(parts))
@@ -213,14 +206,12 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			}
 		}
 		metric, _ := parts[4].(string)
-		policy, _ := parts[8].(string)
+		screen, _ := parts[5].(bool)
 		s.Cells = append(s.Cells, CellRecord{
 			A: [2]uint64{u[0], u[1]}, B: [2]uint64{u[2], u[3]},
-			Metric: metric,
-			Costs:  ted.Costs{Insert: int(u[5]), Delete: int(u[6]), Rename: int(u[7])},
-			Policy: policy,
-			Norm:   math.Float64frombits(u[9]), Rev: math.Float64frombits(u[10]),
-			Exact: int(u[11]), Estimated: int(u[12]), Far: int(u[13]),
+			Metric: metric, Screen: screen,
+			Norm: math.Float64frombits(u[6]), Rev: math.Float64frombits(u[7]),
+			Exact: int(u[8]), Estimated: int(u[9]), Far: int(u[10]),
 		})
 	}
 	rawSubs, _ := m["subs"].([]any)

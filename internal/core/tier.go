@@ -73,32 +73,6 @@ func (e *Engine) countTier(c TierCell) {
 	k.tierFar.Add(int64(c.Far))
 }
 
-// tierable reports whether a sweep under (metric, policy) actually routes
-// pairs: the policy must be enabled and the metric must be a tree metric —
-// everything else delegates to the exact path.
-func (e *Engine) tierable(metric string, p ted.TierPolicy) bool {
-	if !p.Enabled() {
-		return false
-	}
-	switch metric {
-	case MetricTsrc, MetricTsrcPP, MetricTsem, MetricTsemI, MetricTir:
-		return true
-	}
-	return false
-}
-
-// exactCell is the provenance of a cell computed on the exact path: every
-// matched tree pair counts as TierExact. Non-tree metrics have no tree
-// pairs to route and report the zero cell.
-func exactCell(a, b *Index, metric string) TierCell {
-	switch metric {
-	case MetricTsrc, MetricTsrcPP, MetricTsem, MetricTsemI, MetricTir:
-		pairs, _, _ := match(a, b)
-		return TierCell{Exact: len(pairs)}
-	}
-	return TierCell{}
-}
-
 // TieredMatrix bundles the matrix values with per-cell tier provenance
 // and the sweep's routing counts. Cells[i][j] and Cells[j][i] mirror the
 // same cell; the diagonal is zero.
@@ -124,26 +98,19 @@ func (e *Engine) MatrixTiered(idxs map[string]*Index, order []string, metric str
 // publishes nothing to the matrix-cell memo or the tier counts. Cells
 // computed on the exact path report every matched pair exact.
 func (e *Engine) MatrixTieredCtx(ctx context.Context, idxs map[string]*Index, order []string, metric string, policy ted.TierPolicy) (*TieredMatrix, error) {
-	vals, cells, err := e.matrixMemo(ctx, idxs, order, metric, ted.UnitCosts(), policy)
+	cells := make([][]TierCell, len(order))
+	for i := range cells {
+		cells[i] = make([]TierCell, len(order))
+	}
+	vals, err := e.matrixMemo(ctx, idxs, order, metric, policy, cells)
 	if err != nil {
 		return nil, err
 	}
 	tm := &TieredMatrix{Values: vals, Cells: cells, Policy: policy}
-	if cells == nil {
-		tm.Cells = make([][]TierCell, len(order))
-		for i := range tm.Cells {
-			tm.Cells[i] = make([]TierCell, len(order))
-		}
-	}
 	for i := range order {
 		for j := i + 1; j < len(order); j++ {
-			tc := tm.Cells[i][j]
-			if cells == nil {
-				tc = exactCell(idxs[order[i]], idxs[order[j]], metric)
-				tm.Cells[i][j], tm.Cells[j][i] = tc, tc
-			}
-			tm.Stats.add(tc)
-			e.countTier(tc)
+			tm.Stats.add(cells[i][j])
+			e.countTier(cells[i][j])
 		}
 	}
 	return tm, nil

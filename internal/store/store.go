@@ -1,17 +1,19 @@
 // Package store implements the persistent content-addressed artifact
-// store: cross-run warm starts for the two expensive products of the TBMD
-// pipeline — exact TED distances and indexed codebases. The paper's own
-// workflow already persists the index step as a portable Codebase DB
-// (Zstd+MessagePack, package cbdb); this package generalises that idea
-// into a two-tier on-disk cache addressed by content, so a repeat sweep
-// (re-running figures, CI checks, per-PR metric runs) is bounded by decode
-// time instead of the quadratic TED core.
+// store: cross-run warm starts for the expensive products of the TBMD
+// pipeline — exact TED distances, indexed codebases and screening
+// estimates. The paper's own workflow already persists the index step as
+// a portable Codebase DB (Zstd+MessagePack, package cbdb); this package
+// generalises that idea into a three-tier on-disk cache addressed by
+// content, so a repeat sweep (re-running figures, CI checks, per-PR
+// metric runs) is bounded by decode time instead of the quadratic TED
+// core.
 //
-// Layout: <root>/<tier>/<shard>/<name>, where tier is "ted", "idx", or
-// "tier", name is a 128-bit hash over the full record key (fingerprint
-// pair + cost model + format version for distances; app/model/content
-// hash + format versions for indexes) and shard is the name's first
-// byte in hex — a 256-way fan-out that keeps directories small at
+// Layout: <root>/<tier>/<shard>/<name>, where tier is "ted" (exact
+// distances), "idx" (indexes) or "tier" (screening estimates), name is a
+// 128-bit hash over the full record key (fingerprint pair + cost model +
+// format version for distances; app/model/content hash + format versions
+// for indexes; fingerprint pair + routing tier for estimates) and shard
+// is the name's first byte in hex — a 256-way fan-out that keeps directories small at
 // millions of records.
 //
 // Durability model: records are immutable and written via temp-file +

@@ -96,18 +96,18 @@ type cacheCounters struct {
 	ckptHits    obs.Counter // root-row DPs resumed from a checkpoint
 	ckptMisses  obs.Counter // root-row misses with no usable checkpoint
 	ckptEvicted obs.Counter // checkpoint rows dropped by the byte bound
+	dpCells     obs.Counter // forest-distance cells computed by the DP
+	subdpLeft   obs.Counter // root-child sub-DPs run in left-path orientation
+	subdpMirror obs.Counter // root-child sub-DPs run on mirrored trees
+	approxCalls obs.Counter // pq-gram distance lookups
 }
 
 // cacheObs caches the recorder plus the opt-in counters/histograms the hot
 // path touches, resolved once in SetRecorder.
 type cacheObs struct {
-	rec         *obs.Recorder
-	calls       *obs.Counter   // ted.calls — exact-TED lookups
-	approxCalls *obs.Counter   // ted.approx.calls — pq-gram lookups
-	dpCells     *obs.Counter   // ted.dp_cells — forest-distance cells computed by the DP
-	subdpLeft   *obs.Counter   // ted.subdp_left — root-child sub-DPs run in left-path orientation
-	subdpMirror *obs.Counter   // ted.subdp_mirrored — root-child sub-DPs run on mirrored trees
-	pairNodes   *obs.Histogram // ted.pair_nodes — size bucket per call
+	rec       *obs.Recorder
+	calls     *obs.Counter   // ted.calls — exact-TED lookups
+	pairNodes *obs.Histogram // ted.pair_nodes — size bucket per call
 }
 
 // pairKey addresses one exact-TED evaluation. When Insert == Delete the
@@ -140,10 +140,10 @@ func NewCache() *Cache {
 
 // SetRecorder attaches an observability recorder. It adopts the cache's
 // always-on counters ("ted.cache.*", "ted.flat_memo.*", "ted.bound_pruned",
-// and the subtree and checkpoint memo counters), whose counts
-// cover the cache's whole lifetime, and turns on the opt-in instruments:
-// the "ted.calls", "ted.approx.calls", "ted.dp_cells", and "ted.subdp_*"
-// counters, the "ted.pair_nodes" size histogram, and — on misses —
+// the subtree and checkpoint memo counters, "ted.dp_cells",
+// "ted.subdp_*" and "ted.approx.calls"), whose counts cover the cache's
+// whole lifetime, and turns on the opt-in instruments: the "ted.calls"
+// counter, the "ted.pair_nodes" size histogram, and — on misses —
 // "ted.fingerprint" / "ted.distance" spans. Attach once, at construction;
 // a nil recorder is ignored.
 func (c *Cache) SetRecorder(rec *obs.Recorder) {
@@ -165,17 +165,17 @@ func (c *Cache) SetRecorder(rec *obs.Recorder) {
 		"ted.ckpt_rows_hit":          &k.ckptHits,
 		"ted.ckpt_rows_miss":         &k.ckptMisses,
 		"ted.ckpt_rows_evicted":      &k.ckptEvicted,
+		"ted.dp_cells":               &k.dpCells,
+		"ted.subdp_left":             &k.subdpLeft,
+		"ted.subdp_mirrored":         &k.subdpMirror,
+		"ted.approx.calls":           &k.approxCalls,
 	} {
 		rec.Adopt(name, n)
 	}
 	c.obs.Store(&cacheObs{
-		rec:         rec,
-		calls:       rec.Counter("ted.calls"),
-		approxCalls: rec.Counter("ted.approx.calls"),
-		dpCells:     rec.Counter("ted.dp_cells"),
-		subdpLeft:   rec.Counter("ted.subdp_left"),
-		subdpMirror: rec.Counter("ted.subdp_mirrored"),
-		pairNodes:   rec.Histogram("ted.pair_nodes"),
+		rec:       rec,
+		calls:     rec.Counter("ted.calls"),
+		pairNodes: rec.Histogram("ted.pair_nodes"),
 	})
 }
 
@@ -381,10 +381,10 @@ func (c *Cache) DistanceWithCosts(t1, t2 *tree.Node, costs Costs) int {
 	}
 	if o != nil {
 		dsp := o.rec.Start("ted.distance")
-		d = c.compute(t1, t2, fa, fb, costs, o)
+		d = c.compute(t1, t2, fa, fb, costs)
 		dsp.End()
 	} else {
-		d = c.compute(t1, t2, fa, fb, costs, o)
+		d = c.compute(t1, t2, fa, fb, costs)
 	}
 	c.mu.Lock()
 	c.dist[key] = d
@@ -399,7 +399,7 @@ func (c *Cache) DistanceWithCosts(t1, t2 *tree.Node, costs Costs) int {
 // then — only when no gate fires — the pooled Zhang–Shasha DP. Results are
 // identical to the package-level DistanceWithCosts by construction (same
 // gates, same kernel) and by the equivalence property test.
-func (c *Cache) compute(t1, t2 *tree.Node, fa, fb tree.Fingerprint, costs Costs, o *cacheObs) int {
+func (c *Cache) compute(t1, t2 *tree.Node, fa, fb tree.Fingerprint, costs Costs) int {
 	if t1 == nil {
 		return t2.Size() * costs.Insert
 	}
@@ -413,7 +413,7 @@ func (c *Cache) compute(t1, t2 *tree.Node, fa, fb tree.Fingerprint, costs Costs,
 	if pruned {
 		c.counts.boundPruned.Add(1)
 	} else {
-		d = c.zsDistanceMemo(a, b, costs, sc, o, t1, t2)
+		d = c.zsDistanceMemo(a, b, costs, sc, t1, t2)
 	}
 	putScratch(sc)
 	return d
@@ -487,8 +487,6 @@ func (c *Cache) Profile(t *tree.Node) PQGramProfile {
 // the hit/miss counters nor the distance memo, which account exact TED
 // only.
 func (c *Cache) ApproxDistance(t1, t2 *tree.Node) float64 {
-	if o := c.obs.Load(); o != nil {
-		o.approxCalls.Add(1)
-	}
+	c.counts.approxCalls.Add(1)
 	return PQGramDistance(c.Profile(t1), c.Profile(t2))
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"silvervale/internal/obs"
 	"silvervale/internal/tree"
 )
 
@@ -471,14 +470,12 @@ var strategyShapes = []struct {
 }
 
 // pathCache is memoCache with the path strategy taken for any predicted
-// saving, so fuzz-sized trees engage it, and a recorder attached so the
-// tests can see which sub-DPs ran.
-func pathCache() (*Cache, *obs.Recorder) {
+// saving, so fuzz-sized trees engage it; its subdp counters show which
+// sub-DPs ran.
+func pathCache() *Cache {
 	c := memoCache()
 	c.pathMin = 1
-	rec := obs.NewRecorder()
-	c.SetRecorder(rec)
-	return c, rec
+	return c
 }
 
 // TestPathStrategyMatchesReference checks the path strategy and its
@@ -493,7 +490,7 @@ func TestPathStrategyMatchesReference(t *testing.T) {
 		for _, sb := range strategyShapes {
 			t.Run(sa.name+"-vs-"+sb.name, func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(len(sa.name)*37 + len(sb.name))))
-				c, rec := pathCache()
+				c := pathCache()
 				cdef := NewCache()
 				for i := 0; i < 4; i++ {
 					a := sa.gen(r, 20+r.Intn(60))
@@ -512,7 +509,7 @@ func TestPathStrategyMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				mirroredRuns += rec.Counter("ted.subdp_mirrored").Value()
+				mirroredRuns += c.counts.subdpMirror.Value()
 			})
 		}
 	}
@@ -526,7 +523,7 @@ func TestPathStrategyMatchesReference(t *testing.T) {
 // d(mirror a, mirror b) == d(a, b), under any cost model.
 func TestMirrorInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
-	c, _ := pathCache()
+	c := pathCache()
 	for trial := 0; trial < 60; trial++ {
 		sa := strategyShapes[r.Intn(len(strategyShapes))]
 		sb := strategyShapes[r.Intn(len(strategyShapes))]

@@ -201,7 +201,7 @@ func TestSubtreeMemoConcurrent(t *testing.T) {
 			want[p] = DistanceWithCosts(trees[i], trees[j], costs)
 		}
 	}
-	pc, rec := pathCache()
+	pc := pathCache()
 	for _, c := range []*Cache{memoCache(), pc} {
 		var wg sync.WaitGroup
 		errs := make(chan string, 8)
@@ -231,7 +231,7 @@ func TestSubtreeMemoConcurrent(t *testing.T) {
 			t.Fatalf("shared cache never hit: %+v", s)
 		}
 	}
-	if rec.Counter("ted.subdp_mirrored").Value() == 0 {
+	if pc.counts.subdpMirror.Value() == 0 {
 		t.Fatal("the path-strategy cache ran no mirrored sub-DP")
 	}
 }
@@ -374,8 +374,8 @@ func TestPathStrategyKeepsCheckpoints(t *testing.T) {
 		a := rootOf(kids...)
 		b := relabelSome(r, a, 1+r.Intn(4))
 		costs := Costs{Insert: 1 + r.Intn(2), Delete: 1 + r.Intn(2), Rename: 1 + r.Intn(2)}
-		c, rec := pathCache()
-		mirrored, left := rec.Counter("ted.subdp_mirrored"), rec.Counter("ted.subdp_left")
+		c := pathCache()
+		mirrored, left := &c.counts.subdpMirror, &c.counts.subdpLeft
 		if got, want := c.DistanceWithCosts(a, b, costs), refDistanceWithCosts(a, b, costs); got != want {
 			t.Fatalf("warming pass: %d != seed %d", got, want)
 		}
@@ -491,7 +491,7 @@ func FuzzSubtreeMemo(f *testing.F) {
 		// the same pair and append edit with the path strategy engaged:
 		// mirrored root-child sub-DPs on the warm pass, the left-path root
 		// row resuming from a checkpoint on the edit
-		cp, _ := pathCache()
+		cp := pathCache()
 		if got := cp.DistanceWithCosts(a, b, costs); got != want {
 			t.Fatalf("path strategy %d != monolithic %d\na=%s\nb=%s costs=%+v",
 				got, want, a, b, costs)

@@ -141,7 +141,7 @@ func zsDistance(a, b *flat, c Costs, sc *dpScratch) int {
 // publishes fresh blocks and checkpoint rows keep-first (phase 3) — so
 // the warm path pays two lock acquisitions per tree pair, not two per
 // keyroot pair.
-func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheObs, ta, tb *tree.Node) int {
+func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *tree.Node) int {
 	n1 := len(a.labels)
 	n2 := len(b.labels)
 	td, fd, boff := sc.dpTables(n1, n2)
@@ -291,15 +291,13 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 			case int(k.start) < lo:
 			case mirrored[m]:
 				nMirrored++
-				c.mirroredSubDP(ta.Children[m], k, a, tb, b, costs, td, o)
+				c.mirroredSubDP(ta.Children[m], k, a, tb, b, costs, td)
 			default:
 				nLeft++
 			}
 		}
-		if o != nil {
-			o.subdpLeft.Add(nLeft)
-			o.subdpMirror.Add(nMirrored)
-		}
+		c.counts.subdpLeft.Add(nLeft)
+		c.counts.subdpMirror.Add(nMirrored)
 	}
 
 	var fresh []subEntry
@@ -389,10 +387,8 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, o *cacheO
 	if len(fresh) > 0 || len(freshCk) > 0 {
 		c.publishSubBlocks(fresh, freshCk)
 	}
-	if o != nil {
-		o.dpCells.Add(computed)
-	}
 	k := c.counts
+	k.dpCells.Add(computed)
 	k.subHits.Add(hits)
 	k.subMisses.Add(misses)
 	k.ckptHits.Add(ckHits)
@@ -436,11 +432,11 @@ func (c *Cache) planPaths(a, b *flat, sc *dpScratch) (mirrored, skip []bool) {
 // columns mapped by post_mirror(x) = n−1−pre(x). Every td cell is a
 // subtree-pair distance and TED is invariant under mirroring both trees,
 // so the copied cells equal those the left-path rows would have written.
-func (c *Cache) mirroredSubDP(tk *tree.Node, k *kidShape, a *flat, tb *tree.Node, b *flat, costs Costs, td [][]int32, o *cacheObs) {
+func (c *Cache) mirroredSubDP(tk *tree.Node, k *kidShape, a *flat, tb *tree.Node, b *flat, costs Costs, td [][]int32) {
 	ma := c.mirrorFlat(tk, k.fp)
 	mb := c.mirrorFlat(tb, b.krFP[len(b.kr)-1])
 	sc := getScratch()
-	c.zsDistanceMemo(ma, mb, costs, sc, o, nil, nil)
+	c.zsDistanceMemo(ma, mb, costs, sc, nil, nil)
 	restoreBlock(td, a.mir[k.off:k.off+k.size], b.mir, sc.td[:len(ma.labels)*len(mb.labels)])
 	putScratch(sc)
 }
