@@ -58,6 +58,10 @@ type Engine struct {
 	// bit); warm re-sweeps recompute only cells whose key changed.
 	cellMu   sync.Mutex
 	cellMemo map[cellKey]cellVal
+
+	// units is the unit memo (DESIGN.md §12): every engine index that
+	// runs the pipeline serves each unit it indexed before from here.
+	units *unitMemo
 }
 
 // engineCounters are the engine's cumulative counts since construction,
@@ -68,7 +72,7 @@ type engineCounters struct {
 	tierEstimated obs.Counter // pairs estimated from the pq-gram distance
 	tierFar       obs.Counter // pairs estimated from LSH signatures alone
 
-	unitsReused     obs.Counter // parsed units served from a prior index
+	unitsReused     obs.Counter // parsed units served from the unit memo
 	unitsReparsed   obs.Counter // units re-run through the frontend
 	cellsReused     obs.Counter // matrix cells served from the cell memo
 	cellsRecomputed obs.Counter // matrix cells recomputed
@@ -97,6 +101,7 @@ func NewEngineObs(workers int, cache *ted.Cache, rec *obs.Recorder) *Engine {
 		queueDepth: rec.Histogram("engine.queue_depth"),
 		counts:     &engineCounters{},
 		cellMemo:   map[cellKey]cellVal{},
+		units:      newUnitMemo(),
 	}
 	e.subReused, e.subRecomputed = cache.SubtreeBlockCounters()
 	cache.SetRecorder(rec)
@@ -357,7 +362,9 @@ func (e *Engine) FromBaseCtx(ctx context.Context, idxs map[string]*Index, base s
 
 // IndexCodebase runs the extraction pipeline with the engine's worker
 // pool and recorder (equivalent to IndexCodebase with Options.Workers and
-// Options.Recorder set). With a persistent store attached, the codebase is
+// Options.Recorder set), through the engine's unit memo: a unit the engine
+// indexed before is served, not re-parsed (DESIGN.md §12), and counted in
+// incr.units_reused. With a persistent store attached, the codebase is
 // first looked up in the store's index tier by content hash and options
 // digest; misses run the pipeline and persist the result for the next
 // run. Non-default option sets (coverage masks, KeepSystemHeaders
@@ -372,14 +379,12 @@ func (e *Engine) IndexCodebase(cb *corpus.Codebase, opts Options) (*Index, error
 // returns ctx.Err() without persisting anything — the store's index tier
 // only ever receives fully built indexes.
 func (e *Engine) IndexCodebaseCtx(ctx context.Context, cb *corpus.Codebase, opts Options) (*Index, error) {
-	opts.Workers = e.workers
-	if opts.Recorder == nil {
-		opts.Recorder = e.rec
-	}
+	opts = e.indexOpts(opts)
 	if e.astore != nil {
 		return e.indexCodebaseStored(ctx, cb, opts)
 	}
-	return IndexCodebaseCtx(ctx, cb, opts)
+	idx, _, err := e.indexMemo(ctx, cb, nil, opts)
+	return idx, err
 }
 
 // runParallel executes fn(0..n-1) on at most e.workers goroutines under a

@@ -50,7 +50,11 @@ func buildMatrixFaulted(t *testing.T, workers int, st *store.Store, rec *obs.Rec
 func TestDegradedStoreMatrixEquivalence(t *testing.T) {
 	cold, coldOrder := buildMatrixWithStore(t, 2, nil)
 
-	for _, workers := range []int{1, 2, 4, 8} {
+	workerCounts := []int{1, 2, 4, 8}
+	if raceEnabled {
+		workerCounts = []int{1, 4}
+	}
+	for _, workers := range workerCounts {
 		// Open succeeds (MkdirAll is op 1), everything after fails.
 		fsys := faultfs.New(faultfs.OS{}, faultfs.Fault{N: 2, Sticky: true, Class: faultfs.ENOSPC})
 		st, err := store.Open(t.TempDir(), store.Options{FS: fsys, DegradeThreshold: 4})

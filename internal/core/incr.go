@@ -131,7 +131,7 @@ func finalizeUnit(cb *corpus.Codebase, ui *UnitIndex) {
 // Engine methods accumulate the same counts engine-lifetime (Engine.
 // IncrStats), in counters the recorder adopts as incr.*.
 type IncrStats struct {
-	UnitsReused     int // parsed units served from the prior index
+	UnitsReused     int // parsed units served from the unit memo or a prior index
 	UnitsReparsed   int // units re-run through the frontend
 	CellsReused     int // matrix cells served from the cell memo
 	CellsRecomputed int // matrix cells recomputed
@@ -168,7 +168,8 @@ func (s *IncrStats) add(o IncrStats) {
 // pool. The result is always identical to IndexCodebase(cb, opts): reuse
 // is keyed purely by content, and a prior index built under different
 // options (or for a different app/model/language) disqualifies itself
-// entirely. A nil prior degrades to the cold path.
+// entirely. A nil prior degrades to the cold path. A failed run returns
+// no Index and zero stats.
 func IndexCodebaseIncremental(cb *corpus.Codebase, prior *Index, opts Options) (*Index, IncrStats, error) {
 	return IndexCodebaseIncrementalCtx(context.Background(), cb, prior, opts)
 }
@@ -177,59 +178,47 @@ func IndexCodebaseIncremental(cb *corpus.Codebase, prior *Index, opts Options) (
 // cancellation context: the dirty-unit reparse pool checks ctx at every
 // task grant and a canceled run returns ctx.Err() with no partial Index.
 func IndexCodebaseIncrementalCtx(ctx context.Context, cb *corpus.Codebase, prior *Index, opts Options) (*Index, IncrStats, error) {
-	var st IncrStats
 	od := opts.Digest()
-	if prior == nil || prior.Codebase != cb.App || prior.Model != string(cb.Model) ||
-		prior.Lang != cb.Lang || prior.Opts != od {
-		idx, err := IndexCodebaseCtx(ctx, cb, opts)
-		if idx != nil {
-			st.UnitsReparsed = len(idx.Units)
-		}
-		return idx, st, err
-	}
-	byFile := make(map[string]*UnitIndex, len(prior.Units))
-	for i := range prior.Units {
-		byFile[prior.Units[i].File] = &prior.Units[i]
-	}
-	idx := &Index{Codebase: cb.App, Model: string(cb.Model), Lang: cb.Lang, Opts: od}
-	idx.Units = make([]UnitIndex, len(cb.Units))
-	var dirty []int
-	for i, u := range cb.Units {
-		pu := byFile[u.File]
-		if pu != nil && pu.Role == u.Role && pu.SrcHash != (store.ContentHash{}) &&
-			unitSrcHash(cb, u.File, u.Role, pu.Deps, pu.MissingDeps) == pu.SrcHash {
-			// Clean: the unit is a pure function of its dependency
-			// closure, which is byte-identical — share the parsed form
-			// (trees are immutable once indexed).
-			idx.Units[i] = *pu
-			st.UnitsReused++
-			continue
-		}
-		dirty = append(dirty, i)
-	}
-	st.UnitsReparsed = len(dirty)
-	root := opts.Recorder.Start("incr.index").
-		Arg("app", cb.App).Arg("model", string(cb.Model))
-	idx, err := indexUnits(ctx, cb, opts, idx, root, dirty)
-	return idx, st, err
+	return indexUnits(ctx, cb, opts, unitSource{od: od, prior: priorUnits(prior, cb, od)})
 }
 
 // IndexCodebaseIncremental is the engine form: the engine's worker pool
-// and recorder, plus the engine-lifetime incr.* accounting.
+// and recorder, the engine's unit memo (DESIGN.md §12) — prior's units
+// join it as candidates — and the engine-lifetime incr.* accounting.
 func (e *Engine) IndexCodebaseIncremental(cb *corpus.Codebase, prior *Index, opts Options) (*Index, IncrStats, error) {
+	return e.indexMemo(context.Background(), cb, prior, e.indexOpts(opts))
+}
+
+// indexOpts gives opts the engine's worker pool and, unless the caller
+// set one, its recorder.
+func (e *Engine) indexOpts(opts Options) Options {
 	opts.Workers = e.workers
 	if opts.Recorder == nil {
 		opts.Recorder = e.rec
 	}
-	idx, st, err := IndexCodebaseIncremental(cb, prior, opts)
+	return opts
+}
+
+// indexMemo is every engine index that runs the pipeline: each unit is
+// served from the unit memo when a candidate validates and parsed (then
+// published) otherwise, and the split is counted in incr.units_reused and
+// incr.units_reparsed — only for a run that returns an Index.
+func (e *Engine) indexMemo(ctx context.Context, cb *corpus.Codebase, prior *Index, opts Options) (*Index, IncrStats, error) {
+	od := opts.Digest()
+	idx, st, err := indexUnits(ctx, cb, opts, unitSource{
+		memo: e.units, call: e.units.begin(), od: od, prior: priorUnits(prior, cb, od),
+	})
+	if err != nil {
+		return nil, IncrStats{}, err
+	}
 	k := e.counts
-	// Adopted on first use, so runs that never index incrementally keep
-	// the counter set they always had.
+	// Adopted on first use, so runs that never index keep the counter set
+	// they always had.
 	e.rec.Adopt("incr.units_reused", &k.unitsReused)
 	e.rec.Adopt("incr.units_reparsed", &k.unitsReparsed)
 	k.unitsReused.Add(int64(st.UnitsReused))
 	k.unitsReparsed.Add(int64(st.UnitsReparsed))
-	return idx, st, err
+	return idx, st, nil
 }
 
 // MetricHash content-addresses everything one side of a matrix cell
@@ -312,7 +301,9 @@ func (e *Engine) countCells(reused, recomputed int) {
 
 // IncrStats returns the engine's cumulative incremental accounting: cells
 // reused/recomputed across every Matrix and MatrixTiered call, units
-// reused/reparsed across every IndexCodebaseIncremental call, and the
+// reused/reparsed across every engine index that ran the pipeline
+// (IndexCodebase on a store miss or without a store, and
+// IndexCodebaseIncremental), and the
 // subtree blocks the engine's cache reused/recomputed. The watch loop
 // diffs two snapshots to render its per-iteration stats line.
 func (e *Engine) IncrStats() IncrStats {

@@ -175,26 +175,72 @@ func IndexCodebase(cb *corpus.Codebase, opts Options) (*Index, error) {
 // run returns ctx.Err() with no partial Index — callers never see (and
 // never persist) a half-indexed codebase.
 func IndexCodebaseCtx(ctx context.Context, cb *corpus.Codebase, opts Options) (*Index, error) {
-	root := opts.Recorder.Start("index.codebase").
-		Arg("app", cb.App).Arg("model", string(cb.Model))
-	opts.Recorder.Counter("index.units").Add(int64(len(cb.Units)))
-	idx := &Index{Codebase: cb.App, Model: string(cb.Model), Lang: cb.Lang, Opts: opts.Digest()}
-	idx.Units = make([]UnitIndex, len(cb.Units))
-	todo := make([]int, len(cb.Units))
-	for i := range todo {
-		todo[i] = i
-	}
-	return indexUnits(ctx, cb, opts, idx, root, todo)
+	idx, _, err := indexUnits(ctx, cb, opts, unitSource{od: opts.Digest()})
+	return idx, err
 }
 
-// indexUnits is the per-unit pool behind both index entry points: it runs
-// the frontend over cb.Units[i] into idx.Units[i] for every i in todo, on
-// the Options.Workers pool, each unit under an "index.unit" span beneath
-// root, then ends root. The first failure is reported in input order,
-// matching the serial loop; otherwise the units are sorted into canonical
-// order and idx is returned. A canceled run returns ctx.Err() and no
-// Index.
-func indexUnits(ctx context.Context, cb *corpus.Codebase, opts Options, idx *Index, root *obs.Span, todo []int) (*Index, error) {
+// unitSource is where one index call finds units it need not parse: the
+// engine's unit memo (nil on the package-level paths, which keep none),
+// the call number that stamps every memo candidate it touches, and the
+// units of a usable prior index, by file (nil when there is none).
+type unitSource struct {
+	memo  *unitMemo
+	call  uint64
+	od    store.ContentHash
+	prior map[string]*UnitIndex
+}
+
+// priorUnits returns prior's units by file when prior can serve cb under
+// the options digest od — same app, model, language and options — and
+// nil otherwise.
+func priorUnits(prior *Index, cb *corpus.Codebase, od store.ContentHash) map[string]*UnitIndex {
+	if prior == nil || prior.Codebase != cb.App || prior.Model != string(cb.Model) ||
+		prior.Lang != cb.Lang || prior.Opts != od {
+		return nil
+	}
+	byFile := make(map[string]*UnitIndex, len(prior.Units))
+	for i := range prior.Units {
+		byFile[prior.Units[i].File] = &prior.Units[i]
+	}
+	return byFile
+}
+
+// indexUnits is the one per-unit path behind every index entry point. It
+// serves each unit of cb it can from src — a validated memo candidate or
+// prior unit, shared as is (trees are immutable once indexed) — and runs
+// the frontend over the rest on the Options.Workers pool, each under an
+// "index.unit" span beneath the call's root span: "incr.index" when a
+// prior index is in play, else "index.codebase" (which also counts the
+// codebase's units in index.units). The first failure is reported in
+// input order, matching the serial loop; a canceled run returns ctx.Err().
+// Either way there is no Index and no stats. Otherwise the parsed units
+// are published to the memo keep-first, the units are sorted into
+// canonical order, and the stats count each unit once: served or parsed.
+func indexUnits(ctx context.Context, cb *corpus.Codebase, opts Options, src unitSource) (*Index, IncrStats, error) {
+	var root *obs.Span
+	if src.prior != nil {
+		root = opts.Recorder.Start("incr.index")
+	} else {
+		root = opts.Recorder.Start("index.codebase")
+		opts.Recorder.Counter("index.units").Add(int64(len(cb.Units)))
+	}
+	root.Arg("app", cb.App).Arg("model", string(cb.Model))
+	idx := &Index{Codebase: cb.App, Model: string(cb.Model), Lang: cb.Lang, Opts: src.od}
+	idx.Units = make([]UnitIndex, len(cb.Units))
+	keys := make([]unitKey, len(cb.Units))
+	var st IncrStats
+	var todo []int
+	for i, u := range cb.Units {
+		var ok bool
+		keys[i], idx.Units[i], ok = src.memo.lookup(cb, u, src.od, src.call, src.prior[u.File])
+		if ok {
+			st.UnitsReused++
+		} else {
+			todo = append(todo, i)
+		}
+	}
+	st.UnitsReparsed = len(todo)
+
 	errs := make([]error, len(todo))
 	ctxErr := runParallelCtx(ctx, len(todo), opts.ResolvedWorkers(), func(k int) {
 		i := todo[k]
@@ -209,15 +255,18 @@ func indexUnits(ctx context.Context, cb *corpus.Codebase, opts Options, idx *Ind
 	})
 	root.End()
 	if ctxErr != nil {
-		return nil, ctxErr
+		return nil, IncrStats{}, ctxErr
 	}
 	for k, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("core: %s/%s %s: %w", cb.App, cb.Model, cb.Units[todo[k]].File, err)
+			return nil, IncrStats{}, fmt.Errorf("core: %s/%s %s: %w", cb.App, cb.Model, cb.Units[todo[k]].File, err)
 		}
 	}
+	for _, i := range todo {
+		src.memo.publish(keys[i], idx.Units[i], src.call)
+	}
 	sortUnits(idx.Units)
-	return idx, nil
+	return idx, st, nil
 }
 
 // sortUnits establishes the canonical unit order: by Role, tie-broken by

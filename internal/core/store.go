@@ -59,11 +59,12 @@ func CodebaseContentHash(cb *corpus.Codebase) store.ContentHash {
 }
 
 // indexCodebaseStored is the warm-start path behind Engine.IndexCodebase:
-// look the codebase up in the index tier, fall back to the full pipeline,
-// and persist fresh results. The key carries the options digest alongside
-// the content hash, so every option set — the default run, coverage
-// masks, KeepSystemHeaders ablations — warm-starts from its own records
-// and can never be served an index built under different options.
+// look the codebase up in the index tier, fall back to the pipeline
+// through the unit memo, and persist fresh results. A store hit does no
+// memo work. The key carries the options digest alongside the content
+// hash, so every option set — the default run, coverage masks,
+// KeepSystemHeaders ablations — warm-starts from its own records and can
+// never be served an index built under different options.
 func (e *Engine) indexCodebaseStored(ctx context.Context, cb *corpus.Codebase, opts Options) (*Index, error) {
 	key := store.IndexKey{
 		App:     cb.App,
@@ -79,7 +80,7 @@ func (e *Engine) indexCodebaseStored(ctx context.Context, cb *corpus.Codebase, o
 		// A record that decoded but does not reconstruct (e.g. an
 		// unparsable tree) is as good as corrupt: recompute and rewrite.
 	}
-	idx, err := IndexCodebaseCtx(ctx, cb, opts)
+	idx, _, err := e.indexMemo(ctx, cb, nil, opts)
 	if err != nil {
 		// Cancellation included: a canceled index is never persisted.
 		return nil, err

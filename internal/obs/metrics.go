@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -24,7 +25,9 @@ type Snapshot struct {
 	DroppedSpans uint64                       `json:"dropped_spans,omitempty"`
 }
 
-// Snapshot copies the recorder's current state. A nil recorder returns an
+// Snapshot copies the recorder's current state. Span aggregates are kept
+// as spans end, so a snapshot costs the number of names, not of spans: a
+// live scrape never copies the span buffer. A nil recorder returns an
 // empty snapshot.
 func (r *Recorder) Snapshot() Snapshot {
 	snap := Snapshot{
@@ -50,16 +53,8 @@ func (r *Recorder) Snapshot() Snapshot {
 		snap.Histograms[k.(string)] = v.(*Histogram).snapshot()
 		return true
 	})
-	for _, s := range r.Spans() {
-		agg := snap.Spans[s.Name]
-		agg.Count++
-		agg.TotalNS += s.Dur.Nanoseconds()
-		if ns := s.Dur.Nanoseconds(); ns > agg.MaxNS {
-			agg.MaxNS = ns
-		}
-		snap.Spans[s.Name] = agg
-	}
 	r.mu.Lock()
+	maps.Copy(snap.Spans, r.aggs)
 	snap.DroppedSpans = r.dropped
 	r.mu.Unlock()
 	return snap

@@ -40,6 +40,7 @@ type Recorder struct {
 
 	mu      sync.Mutex
 	spans   []SpanRecord
+	aggs    map[string]SpanAggregate // spans, summarised by name as they end
 	dropped uint64
 
 	counters sync.Map // name -> *Counter
@@ -51,7 +52,7 @@ type Recorder struct {
 
 // NewRecorder returns an enabled recorder whose clock starts now.
 func NewRecorder() *Recorder {
-	return &Recorder{epoch: time.Now(), maxSpans: DefaultMaxSpans}
+	return &Recorder{epoch: time.Now(), maxSpans: DefaultMaxSpans, aggs: map[string]SpanAggregate{}}
 }
 
 // SetMaxSpans bounds the finished-span buffer (n <= 0 restores the
@@ -149,6 +150,11 @@ func (s *Span) End() {
 	r.mu.Lock()
 	if len(r.spans) < r.maxSpans {
 		r.spans = append(r.spans, rec)
+		agg := r.aggs[rec.Name]
+		agg.Count++
+		agg.TotalNS += rec.Dur.Nanoseconds()
+		agg.MaxNS = max(agg.MaxNS, rec.Dur.Nanoseconds())
+		r.aggs[rec.Name] = agg
 	} else {
 		r.dropped++
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -346,5 +347,35 @@ func TestAdoptSumsOwnedCounters(t *testing.T) {
 	wg.Wait()
 	if got := r.Snapshot().Counters["engine.shared"]; got != goroutines {
 		t.Fatalf("engine.shared = %d, want %d", got, goroutines)
+	}
+}
+
+// TestSnapshotCostsNamesNotSpans: span aggregates are kept as spans end,
+// so a snapshot (and the live /metrics scrape that renders one) allocates
+// the same for ten thousand spans as for ten, and its aggregates still
+// match the retained span buffer.
+func TestSnapshotCostsNamesNotSpans(t *testing.T) {
+	record := func(n int) *Recorder {
+		r := NewRecorder()
+		for i := 0; i < n; i++ {
+			r.Start([]string{"a", "b"}[i%2]).End()
+		}
+		return r
+	}
+	small, large := record(10), record(10000)
+	allocs := func(r *Recorder) float64 { return testing.AllocsPerRun(20, func() { r.Snapshot() }) }
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Fatalf("Snapshot allocates %v times for 10 spans, %v for 10000", a, b)
+	}
+	want := map[string]SpanAggregate{}
+	for _, s := range large.Spans() {
+		agg := want[s.Name]
+		agg.Count++
+		agg.TotalNS += s.Dur.Nanoseconds()
+		agg.MaxNS = max(agg.MaxNS, s.Dur.Nanoseconds())
+		want[s.Name] = agg
+	}
+	if got := large.Snapshot().Spans; !reflect.DeepEqual(got, want) {
+		t.Fatalf("span aggregates %v, want %v from the span buffer", got, want)
 	}
 }

@@ -12,7 +12,8 @@
 //     MaxQueue more waiting; overflow is a deterministic 429 with
 //     Retry-After;
 //   - observability: per-request serve.* spans, counters, and the
-//     latency histogram on the same -metrics/-pprof surface the CLI has.
+//     latency histogram on the same -metrics/-pprof surface the CLI has,
+//     plus a live GET /metrics scrape of the same recorder.
 //
 // Responses reuse the CLI's JSON codecs, so a served matrix/phi payload
 // is byte-identical to `matrix -json` / `phi -json` on the same inputs.
@@ -131,6 +132,7 @@ func New(cfg Config) *Server {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
+	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/v1/codebases", s.handle("/v1/codebases", false, s.handleCodebases))
 	s.mux.HandleFunc("/v1/diverge", s.handle("/v1/diverge", true, s.handleDiverge))
 	s.mux.HandleFunc("/v1/matrix", s.handle("/v1/matrix", true, s.handleMatrix))
@@ -228,4 +230,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if err := writeJSON(w, s.Stats()); err != nil {
 		return
 	}
+}
+
+// handleMetrics is the live scrape: the recorder's Prometheus text (the
+// same rendering -metrics writes at exit), read from the counters every
+// module updates as it goes. 404 when the daemon runs without a recorder.
+// Like healthz and stats, a scrape is not a counted request.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if s.rec == nil {
+		http.NotFound(w, r)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = s.rec.WriteMetrics(w)
 }
