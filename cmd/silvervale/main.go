@@ -315,8 +315,9 @@ commands:
   serve [-addr a] [-max-inflight n]      divergence-as-a-service HTTP daemon
   dump <app> <model> [-tree m]           pretty-print a unit's tree
 
-index, diverge, matrix, experiment, and ingest accept -workers <n> to bound
-the divergence engine's worker pool (default: all CPUs; 1 = serial).
+index, diverge, matrix, phi, experiment, ingest, watch, and serve accept
+-workers <n> to bound the divergence engine's worker pool (default: all
+CPUs; 1 = serial).
 Results are identical for every value. They also accept the observability
 flags (leading or trailing): -trace <file> writes a Chrome trace_event
 JSON, -metrics prints a metrics summary (-metrics-format=text|json), and
@@ -352,9 +353,9 @@ are detected by content hash; only edited units re-run the frontend and
 only matrix cells whose side changed are recomputed — the rest come from
 the engine's memo, bit-identical to a cold sweep. Each emitted sweep
 prints the heatmap and dendrogram to stdout and an "incremental:" stats
-line to stderr. -snapshot <file> persists the warm state (indexes +
-memoised cells); -since <file> is the one-shot CI form: restore, sweep
-once incrementally, exit.
+line to stderr. -snapshot <file> persists the warm state (indexes,
+memoised cells and TED subtree blocks); -since <file> is the one-shot CI
+form: restore, sweep once incrementally, exit.
 
   silvervale watch ports/ -iters 1 -snapshot warm.svsnap   # CI baseline
   silvervale watch ports/ -since warm.svsnap               # ms warm re-sweep

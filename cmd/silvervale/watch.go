@@ -33,7 +33,7 @@ func cmdWatch(args []string, cfg *obsConfig) error {
 	metric := fs.String("metric", core.MetricTsem, "metric")
 	interval := fs.Duration("interval", 500*time.Millisecond, "poll interval between scans")
 	iters := fs.Int("iters", 0, "exit after this many emitted sweeps (0 = run until interrupted)")
-	snapPath := fs.String("snapshot", "", "persist warm state (indexes + memoised cells) here after every sweep")
+	snapPath := fs.String("snapshot", "", "persist warm state (indexes, memoised cells and subtree blocks) here after every sweep")
 	since := fs.String("since", "", "one-shot CI form: restore warm state from this snapshot, sweep once, exit")
 	workers := fs.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = serial)")
 	cfg.register(fs)
@@ -109,8 +109,9 @@ type watcher struct {
 }
 
 // restore seeds the watcher from a snapshot: prior indexes for frontend
-// reuse, memoised cells for the matrix sweep. Content addressing makes a
-// stale snapshot harmless — entries that no longer match simply miss.
+// reuse, memoised cells for the matrix sweep, subtree blocks for the TED
+// of the cells that recompute. Content addressing makes a stale snapshot
+// harmless — entries that no longer match simply miss.
 func (w *watcher) restore(snap *core.Snapshot) error {
 	for label, db := range snap.Models {
 		idx, err := core.IndexFromDB(db)

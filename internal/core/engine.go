@@ -40,7 +40,6 @@ type Engine struct {
 	// observability (all nil when disabled — the no-op hot path)
 	rec        *obs.Recorder
 	tasks      *obs.Counter   // engine.tasks — worker-pool tasks executed
-	cells      *obs.Counter   // engine.cells — matrix cells scheduled
 	taskNS     *obs.Histogram // engine.task_ns — per-task latency
 	queueDepth *obs.Histogram // engine.queue_depth — remaining tasks at dequeue
 
@@ -96,7 +95,6 @@ func NewEngineObs(workers int, cache *ted.Cache, rec *obs.Recorder) *Engine {
 		cache:      cache,
 		rec:        rec,
 		tasks:      rec.Counter("engine.tasks"),
-		cells:      rec.Counter("engine.cells"),
 		taskNS:     rec.Histogram("engine.task_ns"),
 		queueDepth: rec.Histogram("engine.queue_depth"),
 		counts:     &engineCounters{},
@@ -225,7 +223,6 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 	if screen {
 		sp.Arg("policy", policy.String())
 	}
-	e.cells.Add(int64(len(all)))
 
 	// Memo pass: serve clean cells, keep the dirty ones as work. The
 	// metric hash per side is computed once per sweep; map lookups are

@@ -14,11 +14,11 @@ import (
 // cell recomputed. This file derives the dirty set instead, at two
 // granularities:
 //
-//   - frontend: IndexCodebaseIncremental reuses parsed units from a prior
-//     Index whenever the unit's recomputed source hash (root file, spliced
-//     include closure, system flags, missing-include absences) matches the
-//     one recorded at index time — only edited units re-run MiniC or
-//     MiniFortran;
+//   - frontend: Engine.IndexCodebaseIncremental reuses parsed units from
+//     the engine's unit memo or a prior Index whenever the unit's
+//     recomputed source hash (root file, spliced include closure, system
+//     flags, missing-include absences) matches the one recorded at index
+//     time — only edited units re-run MiniC or MiniFortran;
 //   - matrix cells: the engine memoises every divergence cell under
 //     (per-side metric hash, metric, screen bit), so a warm
 //     re-sweep recomputes exactly the cells whose fingerprint pair changed
@@ -152,39 +152,16 @@ func (s IncrStats) Line() string {
 		s.SubtreeBlocksReused, s.SubtreeBlocksRecomputed)
 }
 
-func (s *IncrStats) add(o IncrStats) {
-	s.UnitsReused += o.UnitsReused
-	s.UnitsReparsed += o.UnitsReparsed
-	s.CellsReused += o.CellsReused
-	s.CellsRecomputed += o.CellsRecomputed
-	s.SubtreeBlocksReused += o.SubtreeBlocksReused
-	s.SubtreeBlocksRecomputed += o.SubtreeBlocksRecomputed
-}
-
-// IndexCodebaseIncremental indexes cb, reusing parsed units from a prior
-// Index of the same codebase wherever the unit's recomputed source hash
-// matches the recorded one. Unmatched (edited, added, renamed, or
-// dependency-touched) units re-run the full frontend on the Options.Workers
-// pool. The result is always identical to IndexCodebase(cb, opts): reuse
-// is keyed purely by content, and a prior index built under different
-// options (or for a different app/model/language) disqualifies itself
-// entirely. A nil prior degrades to the cold path. A failed run returns
-// no Index and zero stats.
-func IndexCodebaseIncremental(cb *corpus.Codebase, prior *Index, opts Options) (*Index, IncrStats, error) {
-	return IndexCodebaseIncrementalCtx(context.Background(), cb, prior, opts)
-}
-
-// IndexCodebaseIncrementalCtx is IndexCodebaseIncremental under a
-// cancellation context: the dirty-unit reparse pool checks ctx at every
-// task grant and a canceled run returns ctx.Err() with no partial Index.
-func IndexCodebaseIncrementalCtx(ctx context.Context, cb *corpus.Codebase, prior *Index, opts Options) (*Index, IncrStats, error) {
-	od := opts.Digest()
-	return indexUnits(ctx, cb, opts, unitSource{od: od, prior: priorUnits(prior, cb, od)})
-}
-
-// IndexCodebaseIncremental is the engine form: the engine's worker pool
-// and recorder, the engine's unit memo (DESIGN.md §12) — prior's units
-// join it as candidates — and the engine-lifetime incr.* accounting.
+// IndexCodebaseIncremental indexes cb through the engine's unit memo
+// (DESIGN.md §12), with prior's units joining it as candidates: a unit
+// is reused wherever its recomputed source hash matches the recorded one,
+// and unmatched (edited, added, renamed, or dependency-touched) units
+// re-run the frontend on the engine's worker pool. The result is always
+// identical to IndexCodebase(cb, opts): reuse is keyed purely by content,
+// and a prior index built under different options (or for a different
+// app/model/language) disqualifies itself entirely. A nil prior leaves
+// the memo alone to serve. A failed run returns no Index and zero stats;
+// a successful one adds its split to the engine-lifetime incr.* counts.
 func (e *Engine) IndexCodebaseIncremental(cb *corpus.Codebase, prior *Index, opts Options) (*Index, IncrStats, error) {
 	return e.indexMemo(context.Background(), cb, prior, e.indexOpts(opts))
 }

@@ -92,7 +92,8 @@ func TestOptionsDigest(t *testing.T) {
 
 // TestIncrementalIndexReuse: after a one-unit edit the incremental path
 // reparses exactly that unit, and the result is indistinguishable from a
-// cold index of the edited codebase.
+// cold index of the edited codebase. Each call runs on a fresh engine, so
+// its memo starts empty and the prior index is the only source of reuse.
 func TestIncrementalIndexReuse(t *testing.T) {
 	app, err := corpus.AppByName("babelstream")
 	if err != nil {
@@ -108,7 +109,7 @@ func TestIncrementalIndexReuse(t *testing.T) {
 	}
 
 	// No edit: everything reuses, nothing reparses.
-	same, st, err := IndexCodebaseIncremental(cb, prior, Options{Workers: 1})
+	same, st, err := NewEngine(1).IndexCodebaseIncremental(cb, prior, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestIncrementalIndexReuse(t *testing.T) {
 	}
 
 	edited := editKernels(t, cb)
-	incr, st, err := IndexCodebaseIncremental(cb, prior, Options{Workers: 1})
+	incr, st, err := NewEngine(1).IndexCodebaseIncremental(cb, prior, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestIncrementalIndexReuse(t *testing.T) {
 	}
 
 	// A different-options prior disqualifies itself: everything reparses.
-	_, st, err = IndexCodebaseIncremental(cb, prior, Options{Workers: 1, KeepSystemHeaders: true})
+	_, st, err = NewEngine(1).IndexCodebaseIncremental(cb, prior, Options{KeepSystemHeaders: true})
 	if err != nil {
 		t.Fatal(err)
 	}

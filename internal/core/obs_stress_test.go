@@ -63,7 +63,7 @@ func TestObsEngineStress(t *testing.T) {
 	// Serial instrumented run is the reference for deterministic counters.
 	refRec, refBytes := runInstrumentedMatrix(t, idxs, order, 1)
 	refSnap := refRec.Snapshot()
-	deterministic := []string{"engine.cells", "engine.tasks", "ted.calls"}
+	deterministic := []string{"incr.cells_recomputed", "engine.tasks", "ted.calls"}
 	for _, name := range deterministic {
 		if refSnap.Counters[name] == 0 {
 			t.Fatalf("serial run recorded no %s", name)
@@ -78,7 +78,8 @@ func TestObsEngineStress(t *testing.T) {
 		}
 		spans := rec.Spans()
 		checkSpanTree(t, spans)
-		// Exactly one engine.matrix root, and one engine.cell per cell.
+		// Exactly one engine.matrix root, and one engine.cell per
+		// recomputed cell.
 		var roots, cells int
 		for _, s := range spans {
 			switch s.Name {
@@ -91,7 +92,7 @@ func TestObsEngineStress(t *testing.T) {
 		if roots != 1 {
 			t.Errorf("workers=%d: %d engine.matrix spans, want 1", workers, roots)
 		}
-		if want := int(refSnap.Counters["engine.cells"]); cells != want {
+		if want := int(refSnap.Counters["incr.cells_recomputed"]); cells != want {
 			t.Errorf("workers=%d: %d engine.cell spans, want %d", workers, cells, want)
 		}
 		snap := rec.Snapshot()

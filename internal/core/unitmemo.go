@@ -65,8 +65,8 @@ func (c *unitCand) expires() uint64 {
 // unitMemo is the engine-owned, content-addressed unit memo. Candidates
 // are immutable once published (their trees are shared with every index
 // served from them); only stamps and hit counts change, under mu. A nil
-// *unitMemo is the package-level paths' "no memo": it keeps nothing and
-// serves only the prior unit a caller hands it.
+// *unitMemo is the package-level paths' "no memo": it keeps and serves
+// nothing.
 type unitMemo struct {
 	mu    sync.Mutex
 	calls uint64
@@ -113,22 +113,22 @@ func unitKeyOf(cb *corpus.Codebase, u corpus.Unit, od store.ContentHash) unitKey
 // index of the same codebase, or nil) is one more candidate, tried after
 // the memo's own; when it validates it is published, so the memo serves
 // it from then on. It also returns the unit's key, which publish takes
-// after a miss. A nil memo skips the key hash and tries prior alone.
+// after a miss. A nil memo serves nothing.
 func (m *unitMemo) lookup(cb *corpus.Codebase, u corpus.Unit, od store.ContentHash, call uint64, prior *UnitIndex) (unitKey, UnitIndex, bool) {
-	var k unitKey
-	if m != nil {
-		k = unitKeyOf(cb, u, od)
-		m.mu.Lock()
-		cands := append([]*unitCand(nil), m.m[k]...)
-		m.mu.Unlock()
-		for _, c := range cands {
-			if servable(cb, u.File, u.Role, &c.ui) {
-				m.mu.Lock()
-				c.stamp = max(c.stamp, call)
-				c.hits++
-				m.mu.Unlock()
-				return k, c.ui, true
-			}
+	if m == nil {
+		return unitKey{}, UnitIndex{}, false
+	}
+	k := unitKeyOf(cb, u, od)
+	m.mu.Lock()
+	cands := append([]*unitCand(nil), m.m[k]...)
+	m.mu.Unlock()
+	for _, c := range cands {
+		if servable(cb, u.File, u.Role, &c.ui) {
+			m.mu.Lock()
+			c.stamp = max(c.stamp, call)
+			c.hits++
+			m.mu.Unlock()
+			return k, c.ui, true
 		}
 	}
 	if prior != nil && servable(cb, u.File, u.Role, prior) {
@@ -141,7 +141,7 @@ func (m *unitMemo) lookup(cb *corpus.Codebase, u corpus.Unit, od store.ContentHa
 // servable reports whether ui may be served for the unit rooted at file
 // with role in cb: same role, and its recorded dependency closure (root,
 // spliced includes, system flags, missing-include absences) hashes to its
-// SrcHash over cb's files. The memo and the prior path share this rule.
+// SrcHash over cb's files. Memo candidates and prior units share this rule.
 func servable(cb *corpus.Codebase, file, role string, ui *UnitIndex) bool {
 	return ui.Role == role && ui.SrcHash != (store.ContentHash{}) &&
 		unitSrcHash(cb, file, role, ui.Deps, ui.MissingDeps) == ui.SrcHash

@@ -260,7 +260,7 @@ func TestUnitMemoConcurrentIndexes(t *testing.T) {
 // TestFailedIndexCountsNothing: an engine index that fails — here a unit
 // that does not parse, next to a unit the memo or the prior index could
 // serve — returns no Index and leaves IncrStats unchanged, on both engine
-// index paths and the package-level incremental one.
+// index paths.
 func TestFailedIndexCountsNothing(t *testing.T) {
 	cb := generateAllOne(t, "babelstream")
 	e := NewEngine(1)
@@ -276,9 +276,6 @@ func TestFailedIndexCountsNothing(t *testing.T) {
 	}
 	if idx, err := e.IndexCodebase(broken, Options{}); err == nil || idx != nil {
 		t.Fatalf("index of a broken unit: idx %v, err %v", idx != nil, err)
-	}
-	if idx, st, err := IndexCodebaseIncremental(broken, prior, Options{}); err == nil || idx != nil || st != (IncrStats{}) {
-		t.Fatalf("package-level incremental index of a broken unit: idx %v, stats %+v, err %v", idx != nil, st, err)
 	}
 	if d := e.IncrStats().Delta(before); d != (IncrStats{}) {
 		t.Fatalf("failed indexes moved IncrStats: %+v", d)

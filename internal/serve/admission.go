@@ -29,13 +29,9 @@ type admission struct {
 	limit    int64         // MaxInflight + MaxQueue
 }
 
+// newAdmission takes bounds New has already defaulted: maxInflight ≥ 1
+// and maxQueue ≥ 0.
 func newAdmission(maxInflight, maxQueue int) *admission {
-	if maxInflight < 1 {
-		maxInflight = 1
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
 	return &admission{
 		slots: make(chan struct{}, maxInflight),
 		limit: int64(maxInflight + maxQueue),

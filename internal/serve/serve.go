@@ -38,10 +38,12 @@ type Config struct {
 	// Recorder enables per-request observability (nil disables it, the
 	// same contract as everywhere else in the pipeline).
 	Recorder *obs.Recorder
-	// MaxInflight bounds concurrently running sweeps (default 2).
+	// MaxInflight bounds concurrently running sweeps (0 or less selects
+	// the default, 2).
 	MaxInflight int
-	// MaxQueue bounds sweeps waiting for a slot (default 8). Overflow
-	// beyond MaxInflight+MaxQueue is rejected with 429.
+	// MaxQueue bounds sweeps waiting for a slot: 0 means no queue, and a
+	// negative value selects the default, 8. Overflow beyond
+	// MaxInflight+MaxQueue is rejected with 429.
 	MaxQueue int
 	// RetryAfter is the hint returned with 429 responses (default 1s,
 	// rounded up to whole seconds for the header).

@@ -357,63 +357,69 @@ func TestQueuedClientDisconnectFreesSlot(t *testing.T) {
 }
 
 // TestAdmissionOverflowDeterministic: with the daemon pinned at full
-// capacity (MaxInflight 1 + MaxQueue 1), k concurrent requests yield
-// exactly k-2 rejections — 429 with a Retry-After hint — regardless of
-// scheduling, and once the pin lifts the queue drains to completion
-// with exact results. No starvation, no lost slots.
+// capacity (MaxInflight 1 + MaxQueue q), k concurrent requests yield
+// exactly k-(1+q) rejections — 429 with a Retry-After hint — regardless
+// of scheduling, and once the pin lifts the queue drains to completion
+// with exact results. No starvation, no lost slots. MaxQueue 0 means no
+// queue: every request beyond the one in flight is rejected.
 func TestAdmissionOverflowDeterministic(t *testing.T) {
 	want := matrixRef(t, serveApp, core.MetricTsem)
-	s := newServer(t, 1, 1, 1)
-	// Warm the engine so drained sweeps are memo reads.
-	if w := post(s, "/v1/matrix", matrixBody(serveApp, core.MetricTsem)); w.Code != http.StatusOK {
-		t.Fatalf("warm-up status %d: %s", w.Code, w.Body)
-	}
-	gate := make(chan struct{})
-	started := make(chan struct{}, 8)
-	s.holdSweep = func() {
-		started <- struct{}{}
-		<-gate
-	}
+	for _, queue := range []int{1, 0} {
+		t.Run(fmt.Sprintf("queue=%d", queue), func(t *testing.T) {
+			s := newServer(t, 1, 1, queue)
+			// Warm the engine so drained sweeps are memo reads.
+			if w := post(s, "/v1/matrix", matrixBody(serveApp, core.MetricTsem)); w.Code != http.StatusOK {
+				t.Fatalf("warm-up status %d: %s", w.Code, w.Body)
+			}
+			gate := make(chan struct{})
+			started := make(chan struct{}, 8)
+			s.holdSweep = func() {
+				started <- struct{}{}
+				<-gate
+			}
 
-	const k = 5 // 1 in flight + 1 queued + 3 rejected
-	results := make(chan *httptest.ResponseRecorder, k)
-	for i := 0; i < k; i++ {
-		go func() { results <- post(s, "/v1/matrix", matrixBody(serveApp, core.MetricTsem)) }()
-	}
-	<-started // one request holds the slot; one more is queued
+			const k = 5
+			admitted := 1 + queue // one in flight, the rest queued
+			results := make(chan *httptest.ResponseRecorder, k)
+			for i := 0; i < k; i++ {
+				go func() { results <- post(s, "/v1/matrix", matrixBody(serveApp, core.MetricTsem)) }()
+			}
+			<-started // one request holds the slot; queue more wait
 
-	// The three overflow rejections return while the daemon stays
-	// pinned; the admitted two cannot finish before the gate opens, so
-	// every early response must be a 429.
-	for i := 0; i < k-2; i++ {
-		select {
-		case w := <-results:
-			if w.Code != http.StatusTooManyRequests {
-				t.Fatalf("overflow response %d: status %d: %s", i, w.Code, w.Body)
+			// The overflow rejections return while the daemon stays
+			// pinned; the admitted requests cannot finish before the gate
+			// opens, so every early response must be a 429.
+			for i := 0; i < k-admitted; i++ {
+				select {
+				case w := <-results:
+					if w.Code != http.StatusTooManyRequests {
+						t.Fatalf("overflow response %d: status %d: %s", i, w.Code, w.Body)
+					}
+					if w.Header().Get("Retry-After") == "" {
+						t.Errorf("429 without Retry-After header")
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatalf("only %d of %d rejections arrived", i, k-admitted)
+				}
 			}
-			if w.Header().Get("Retry-After") == "" {
-				t.Errorf("429 without Retry-After header")
+			close(gate) // lift the pin: the queue must drain
+			for i := 0; i < admitted; i++ {
+				select {
+				case w := <-results:
+					if w.Code != http.StatusOK {
+						t.Fatalf("drained sweep status %d: %s", w.Code, w.Body)
+					}
+					if !bytes.Equal(w.Body.Bytes(), want) {
+						t.Error("drained sweep differs from serial rendering")
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatal("queue did not drain")
+				}
 			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("only %d of %d rejections arrived", i, k-2)
-		}
-	}
-	close(gate) // lift the pin: the queue must drain
-	for i := 0; i < 2; i++ {
-		select {
-		case w := <-results:
-			if w.Code != http.StatusOK {
-				t.Fatalf("drained sweep status %d: %s", w.Code, w.Body)
+			if st := s.Stats(); st.Requests != k+1 || st.Rejected != int64(k-admitted) || st.Inflight != 0 || st.Queued != 0 || st.Canceled != 0 {
+				t.Fatalf("stats after drain = %+v", st)
 			}
-			if !bytes.Equal(w.Body.Bytes(), want) {
-				t.Error("drained sweep differs from serial rendering")
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("queue did not drain")
-		}
-	}
-	if st := s.Stats(); st.Requests != k+1 || st.Rejected != k-2 || st.Inflight != 0 || st.Queued != 0 || st.Canceled != 0 {
-		t.Fatalf("stats after drain = %+v", st)
+		})
 	}
 }
 
