@@ -180,17 +180,10 @@ func cacheFS() (faultfs.FS, error) {
 	return faultfs.New(faultfs.OS{}, faults...), nil
 }
 
-// closeStore drains the store's write-behind queue. Idempotent, nil-safe,
-// and called before metrics are printed so the flush counters are final
-// (and deferred in run so error paths still drain).
-func (c *obsConfig) closeStore() error {
-	return c.st.Close()
-}
-
-// finish writes the trace file and prints the metrics summary. The store
-// is closed first so store.flushes / store.bytes_written are final.
+// finish closes the store (returning its fault under -cache-strict),
+// writes the trace file and prints the metrics summary.
 func (c *obsConfig) finish() error {
-	if err := c.closeStore(); err != nil {
+	if err := c.st.Close(); err != nil {
 		return err
 	}
 	if c.rec == nil {
@@ -254,7 +247,6 @@ func (c *obsConfig) tierRequested() bool { return c.tierBudget >= 0 }
 
 func run(args []string) error {
 	cfg := &obsConfig{metricsFormat: "text", tierBudget: -1}
-	defer cfg.closeStore() // error paths still drain the write-behind queue
 	gfs := flag.NewFlagSet("silvervale", flag.ContinueOnError)
 	cfg.register(gfs)
 	if err := gfs.Parse(args); err != nil {
@@ -353,9 +345,13 @@ are detected by content hash; only edited units re-run the frontend and
 only matrix cells whose side changed are recomputed — the rest come from
 the engine's memo, bit-identical to a cold sweep. Each emitted sweep
 prints the heatmap and dendrogram to stdout and an "incremental:" stats
-line to stderr. -snapshot <file> persists the warm state (indexes,
-memoised cells and TED subtree blocks); -since <file> is the one-shot CI
-form: restore, sweep once incrementally, exit.
+line to stderr. Stdout is identical for every -workers value; above one
+worker the line's "subtree blocks reused, recomputed" split is not,
+because concurrent cells race to publish a shared block first (use
+-workers 1 to compare that split across runs). -snapshot <file>
+persists the warm state (indexes, memoised cells and TED subtree
+blocks); -since <file> is the one-shot CI form: restore, sweep once
+incrementally, exit.
 
   silvervale watch ports/ -iters 1 -snapshot warm.svsnap   # CI baseline
   silvervale watch ports/ -since warm.svsnap               # ms warm re-sweep
@@ -592,12 +588,8 @@ func cmdMatrix(args []string, cfg *obsConfig) error {
 	}
 	fmt.Println(cluster.Render(root))
 	if env.Engine().Store() != nil {
-		// Drain the write-behind queue so the flush/bytes counters are
-		// final, then report to stderr, so matrix stdout stays
-		// byte-identical cold vs warm.
-		if err := cfg.closeStore(); err != nil {
-			return err
-		}
+		// Cache stats go to stderr so matrix stdout stays byte-identical
+		// cold vs warm.
 		fmt.Fprintln(os.Stderr, env.Engine().CacheStats())
 	}
 	if cfg.tierRequested() {
@@ -699,11 +691,6 @@ func cmdExperiment(args []string, cfg *obsConfig) error {
 			return err
 		}
 		fmt.Printf("==== %s: %s ====\n%s\n", res.ID, res.Title, res.Text)
-	}
-	// Drain the store's write-behind queue (nil-safe no-op without
-	// -cache-dir) so the post-sweep line reports final store counters.
-	if err := cfg.closeStore(); err != nil {
-		return err
 	}
 	fmt.Println(env.Engine().CacheStats())
 	if cfg.tierRequested() {

@@ -137,11 +137,14 @@ func TestTierBudgetRejectsNonFinite(t *testing.T) {
 // TestMatrixTieredWarmStore drives the tiered warm-store path from the
 // CLI: a screening sweep run cold, then warm, over one -cache-dir. The
 // warm stdout and tier stats line must be byte-identical to the cold
-// ones, and the warm run must read its estimates from the store's tier
-// records.
+// ones, the warm run must read its estimates from the store's tier
+// records, and a second cold run over a fresh directory must report the
+// same cache line as the first.
 func TestMatrixTieredWarmStore(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"matrix", trimApp, "-metric", "tsem", "-tier-budget", "0.5", "-cache-dir", dir, "-workers", "1"}
+	argsIn := func(dir string) []string {
+		return []string{"matrix", trimApp, "-metric", "tsem", "-tier-budget", "0.5", "-cache-dir", dir, "-workers", "1"}
+	}
+	args := argsIn(t.TempDir())
 	cold, coldErr, err := captureBoth(t, args...)
 	if err != nil {
 		t.Fatal(err)
@@ -164,5 +167,14 @@ func TestMatrixTieredWarmStore(t *testing.T) {
 	read := regexp.MustCompile(`(?m)^ted cache: .*tier tier \d+B written/(\d+)B read`).FindStringSubmatch(warmErr)
 	if read == nil || read[1] == "0" {
 		t.Fatalf("warm run read no tier records: %q", warmErr)
+	}
+	// Store traffic depends only on the inputs.
+	_, cold2Err, err := captureBoth(t, argsIn(t.TempDir())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cacheLine := regexp.MustCompile(`(?m)^ted cache: .*$`)
+	if a, b := cacheLine.FindString(coldErr), cacheLine.FindString(cold2Err); a == "" || a != b {
+		t.Fatalf("two cold runs disagree on the cache line:\n%s\n%s", a, b)
 	}
 }

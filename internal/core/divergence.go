@@ -153,13 +153,13 @@ func divergeTrees(a, b *Index, metric string, costs ted.Costs, pair func(ta, tb 
 		ta := p[0].Trees[metric]
 		tb := p[1].Trees[metric]
 		raw += pair(ta, tb)
-		dmax += float64(tb.Size() * costs.Insert)
+		dmax += float64(p[1].treeSize(metric) * costs.Insert)
 	}
 	for _, u := range onlyA {
-		raw += float64(u.Trees[metric].Size() * costs.Delete)
+		raw += float64(u.treeSize(metric) * costs.Delete)
 	}
 	for _, u := range onlyB {
-		n := float64(u.Trees[metric].Size() * costs.Insert)
+		n := float64(u.treeSize(metric) * costs.Insert)
 		raw += n
 		dmax += n
 	}
@@ -200,19 +200,17 @@ func approxDivergeWith(a, b *Index, metric string, approx approxFunc) (Divergenc
 	pairs, onlyA, onlyB := match(a, b)
 	num, den := 0.0, 0.0
 	for _, p := range pairs {
-		ta := p[0].Trees[metric]
-		tb := p[1].Trees[metric]
-		w := float64(tb.Size())
-		num += approx(ta, tb) * w
+		w := float64(p[1].treeSize(metric))
+		num += approx(p[0].Trees[metric], p[1].Trees[metric]) * w
 		den += w
 	}
 	for _, u := range onlyA {
-		w := float64(u.Trees[metric].Size())
+		w := float64(u.treeSize(metric))
 		num += w
 		den += w
 	}
 	for _, u := range onlyB {
-		w := float64(u.Trees[metric].Size())
+		w := float64(u.treeSize(metric))
 		num += w
 		den += w
 	}
@@ -267,9 +265,7 @@ func Weight(idx *Index, metric string) float64 {
 		case MetricSourcePP:
 			w += float64(len(u.SourceLinesPP))
 		default:
-			if t, ok := u.Trees[metric]; ok {
-				w += float64(t.Size())
-			}
+			w += float64(u.treeSize(metric)) // 0 for a unit without the tree
 		}
 	}
 	return w

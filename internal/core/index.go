@@ -110,6 +110,12 @@ func (u *UnitIndex) TreeFingerprint(metric string) tree.Fingerprint {
 	return u.Trees[metric].Fingerprint()
 }
 
+// treeSize returns the node count of the unit's tree under a metric, read
+// from its fingerprint so a memoised unit costs no tree walk.
+func (u *UnitIndex) treeSize(metric string) int {
+	return int(u.TreeFingerprint(metric).Size)
+}
+
 // sourceHash returns the content hash of the unit's normalised line set
 // (pre- or post-preprocessor), preferring the memoised value.
 func (u *UnitIndex) sourceHash(pp bool) store.ContentHash {

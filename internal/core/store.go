@@ -11,10 +11,9 @@ import (
 
 // NewEngineStore returns an engine whose cache and index pipeline are
 // backed by a persistent artifact store: TED misses read through to (and
-// write behind into) the store's distance tier, and IndexCodebase
-// warm-starts from the index tier. The engine does not own the store —
-// the caller must Close it to drain pending writes. A nil store yields
-// exactly NewEngineObs.
+// write into) the store's distance tier, and IndexCodebase warm-starts
+// from the index tier. The engine does not own the store — the caller
+// closes it. A nil store yields exactly NewEngineObs.
 func NewEngineStore(workers int, cache *ted.Cache, rec *obs.Recorder, st *store.Store) *Engine {
 	e := NewEngineObs(workers, cache, rec)
 	if st != nil {

@@ -85,8 +85,8 @@ func NewEnvObs(workers int, rec *obs.Recorder) *Env {
 // by a persistent artifact store: app indexes warm-start from the store's
 // index tier and TED distances from its distance tier, so a repeat sweep
 // over the same corpus pays decode time instead of the pipeline and the
-// quadratic DP. The caller owns the store and must Close it to drain
-// write-behind records; a nil store yields exactly NewEnvObs.
+// quadratic DP. The caller owns the store and closes it; a nil store
+// yields exactly NewEnvObs.
 func NewEnvStore(workers int, rec *obs.Recorder, st *store.Store) *Env {
 	return &Env{
 		engine:    core.NewEngineStore(workers, ted.NewCache(), rec, st),

@@ -20,7 +20,7 @@ import (
 
 // FS is the set of filesystem operations the artifact store uses. All
 // paths are ordinary OS paths; implementations must be safe for
-// concurrent use (the store's flusher runs on its own goroutine).
+// concurrent use (the store commits on every calling goroutine).
 type FS interface {
 	MkdirAll(path string, perm fs.FileMode) error
 	ReadFile(path string) ([]byte, error)

@@ -4,7 +4,7 @@
 // directory with that single fault injected, and hands the resulting
 // tree — frozen mid-flight for crash classes — to an invariant check
 // that reopens it the way a restarted process would. The artifact
-// store's crash-replay suite (internal/store) drives its put→flush→Close
+// store's crash-replay suite (internal/store) drives its put→commit→Close
 // sequence through this harness; any workload expressible as
 // func(FS, dir) can be swept the same way.
 package replay

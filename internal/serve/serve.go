@@ -23,8 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
 	"silvervale/internal/experiments"
 	"silvervale/internal/obs"
@@ -45,9 +43,6 @@ type Config struct {
 	// negative value selects the default, 8. Overflow beyond
 	// MaxInflight+MaxQueue is rejected with 429.
 	MaxQueue int
-	// RetryAfter is the hint returned with 429 responses (default 1s,
-	// rounded up to whole seconds for the header).
-	RetryAfter time.Duration
 }
 
 // Stats is the GET /v1/stats payload: always-on atomic counters (they
@@ -68,15 +63,18 @@ func (s Stats) Line() string {
 		s.Requests, s.Rejected, s.Canceled, s.Errors)
 }
 
+// retryAfter is the Retry-After header of a 429: a rejected sweep may
+// retry after one second.
+const retryAfter = "1"
+
 // Server is the daemon: an http.Handler serving sweeps from one shared
 // engine. Safe for concurrent use; construct with New.
 type Server struct {
-	env        *experiments.Env
-	rec        *obs.Recorder
-	adm        *admission
-	reg        *registry
-	mux        *http.ServeMux
-	retryAfter string
+	env *experiments.Env
+	rec *obs.Recorder
+	adm *admission
+	reg *registry
+	mux *http.ServeMux
 
 	// counts is the always-on request accounting, adopted by the
 	// recorder under the serve.* names (DESIGN.md §5) alongside the
@@ -106,20 +104,12 @@ func New(cfg Config) *Server {
 	if cfg.MaxQueue < 0 {
 		cfg.MaxQueue = 8
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	retrySecs := int64(cfg.RetryAfter / time.Second)
-	if cfg.RetryAfter%time.Second != 0 {
-		retrySecs++
-	}
 	s := &Server{
-		env:        cfg.Env,
-		rec:        cfg.Recorder,
-		adm:        newAdmission(cfg.MaxInflight, cfg.MaxQueue),
-		reg:        newRegistry(),
-		retryAfter: strconv.FormatInt(retrySecs, 10),
-		counts:     &serveCounters{},
+		env:    cfg.Env,
+		rec:    cfg.Recorder,
+		adm:    newAdmission(cfg.MaxInflight, cfg.MaxQueue),
+		reg:    newRegistry(),
+		counts: &serveCounters{},
 	}
 	k := s.counts
 	for name, c := range map[string]*obs.Counter{
@@ -174,7 +164,7 @@ func (s *Server) handle(endpoint string, admit bool, fn func(w http.ResponseWrit
 			if err != nil {
 				if errors.Is(err, errOverflow) {
 					s.counts.rejected.Add(1)
-					w.Header().Set("Retry-After", s.retryAfter)
+					w.Header().Set("Retry-After", retryAfter)
 					writeError(w, http.StatusTooManyRequests, "sweep capacity exhausted, retry later")
 					req.End(http.StatusTooManyRequests, "rejected")
 					return

@@ -395,8 +395,8 @@ func TestAdmissionOverflowDeterministic(t *testing.T) {
 					if w.Code != http.StatusTooManyRequests {
 						t.Fatalf("overflow response %d: status %d: %s", i, w.Code, w.Body)
 					}
-					if w.Header().Get("Retry-After") == "" {
-						t.Errorf("429 without Retry-After header")
+					if got := w.Header().Get("Retry-After"); got != "1" {
+						t.Errorf("429 Retry-After = %q, want \"1\"", got)
 					}
 				case <-time.After(30 * time.Second):
 					t.Fatalf("only %d of %d rejections arrived", i, k-admitted)

@@ -21,7 +21,7 @@ var replayKeys = []struct {
 	{303, 4096},
 }
 
-// storeWorkload is the put→flush→Close sequence under test, expressed
+// storeWorkload is the put→commit→Close sequence under test, expressed
 // over an injectable filesystem. Injected commit faults are swallowed by
 // the store by design, so the workload itself only fails if Open does.
 func storeWorkload(fsys *faultfs.FaultFS, dir string) error {
@@ -62,7 +62,7 @@ func countRecordFiles(t *testing.T, dir string) (records, temps []string) {
 }
 
 // TestCrashReplayStoreWritePath is the crash-consistency gate of ISSUE 5:
-// every kill point of the put→flush→Close sequence × every fault class.
+// every kill point of the put→commit→Close sequence × every fault class.
 // After each replay the frozen tree is reopened with the real filesystem
 // and the three invariants are asserted: (1) no wrong answers — every
 // lookup either misses or returns the exact committed value; (2) every

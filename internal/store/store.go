@@ -18,13 +18,14 @@
 //
 // Durability model: records are immutable and written via temp-file +
 // fsync + rename, so a reader never observes a partial record under its
-// final name. Writes go through a background flusher goroutine behind a
-// bounded queue (write-behind); Close drains the queue synchronously.
-// Loads are corruption-tolerant: a truncated, bit-flipped, wrong-version,
-// or colliding record fails its envelope checks or key echo and is
-// counted in corrupt_skipped and treated as a miss — never a panic, never
-// a wrong answer. Killing a process mid-flush therefore costs at most the
-// queued records, not correctness.
+// final name. Every Put commits on the calling goroutine before it
+// returns; there is no queue and no background writer, so a record is on
+// disk once its Put returns and Close has nothing to drain. Loads are
+// corruption-tolerant: a truncated, bit-flipped, wrong-version, or
+// colliding record fails its envelope checks or key echo and is counted
+// in corrupt_skipped and treated as a miss — never a panic, never a wrong
+// answer. Killing a process mid-commit therefore costs at most the record
+// being written, not correctness.
 //
 // Failure model (DESIGN.md §9): every filesystem call goes through a
 // faultfs.FS, so the whole write/read path is fault-injectable. I/O
@@ -75,18 +76,9 @@ func tierIndex(tier string) int {
 	return 0
 }
 
-// maxBatch bounds how many queued records one flush writes; with the
-// queue non-empty the flusher coalesces up to this many puts into a
-// single pass (one flushes increment).
-const maxBatch = 256
-
-// defaultQueue is the write-behind queue bound when Options.QueueSize is
-// zero. Producers block once the queue is full — backpressure, not loss.
-const defaultQueue = 1024
-
 // defaultDegradeThreshold is how many I/O errors trip the breaker when
 // Options.DegradeThreshold is zero. Low enough that a dead disk stops
-// costing syscalls within one flush batch, high enough that a single
+// costing syscalls within a handful of commits, high enough that a single
 // transient EIO does not give up the warm-start tier for the whole run.
 const defaultDegradeThreshold = 8
 
@@ -95,8 +87,6 @@ type Options struct {
 	// Readonly serves lookups but drops every Put, so shared or archived
 	// cache directories can back runs without being mutated.
 	Readonly bool
-	// QueueSize bounds the write-behind queue (0 selects the default).
-	QueueSize int
 	// FS is the filesystem the store performs all I/O through. Nil
 	// selects the passthrough faultfs.OS; tests inject a faultfs.FaultFS
 	// to script failures and crash points.
@@ -110,14 +100,6 @@ type Options struct {
 	DegradeThreshold int
 }
 
-// pending is one queued write: the target path plus a deferred encoder,
-// so payload rendering happens on the flusher goroutine, off the TED hot
-// path.
-type pending struct {
-	tier, name string
-	encode     func() ([]byte, error)
-}
-
 // Store is a persistent content-addressed artifact store. All methods are
 // safe for concurrent use. A nil *Store is valid and behaves as an empty
 // read-through with dropped writes, so callers can thread an optional
@@ -129,10 +111,7 @@ type Store struct {
 	threshold uint64
 	fs        faultfs.FS
 
-	mu     sync.RWMutex // guards queue against Close; RLock to send
-	queue  chan pending
-	closed bool
-	wg     sync.WaitGroup
+	closed atomic.Bool // set by Close; later puts are dropped
 
 	// counts holds the counters SetRecorder adopts under the store.*
 	// names; writeErrors and the per-tier byte splits have no stable name
@@ -163,16 +142,15 @@ type storeCounters struct {
 	misses         obs.Counter // lookups with no (usable) record
 	bytesRead      obs.Counter // compressed bytes read by hits and skips
 	bytesWritten   obs.Counter // compressed bytes committed to disk
-	flushes        obs.Counter // write-behind batches flushed
 	corruptSkipped obs.Counter // undecodable or key-mismatched records skipped
 	ioErrors       obs.Counter // failed filesystem calls
 	faultInjected  obs.Counter // the subset of ioErrors faultfs scheduled
 	degraded       obs.Counter // 1 once the breaker trips
 }
 
-// Open creates (or reuses) a store rooted at dir and starts the flusher
-// unless the store is readonly. Open itself fails hard on error — an
-// unusable root is a configuration problem, not a mid-run fault.
+// Open creates (or reuses) a store rooted at dir. Open itself fails hard
+// on error — an unusable root is a configuration problem, not a mid-run
+// fault.
 func Open(dir string, opts Options) (*Store, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -185,24 +163,14 @@ func Open(dir string, opts Options) (*Store, error) {
 	if threshold == 0 {
 		threshold = defaultDegradeThreshold
 	}
-	s := &Store{
+	return &Store{
 		root:      dir,
 		readonly:  opts.Readonly,
 		strict:    opts.Strict,
 		threshold: threshold,
 		fs:        fsys,
 		counts:    &storeCounters{},
-	}
-	if !opts.Readonly {
-		n := opts.QueueSize
-		if n <= 0 {
-			n = defaultQueue
-		}
-		s.queue = make(chan pending, n)
-		s.wg.Add(1)
-		go s.flusher()
-	}
-	return s, nil
+	}, nil
 }
 
 // Clear removes every record tier under dir. Only the store's own
@@ -260,7 +228,6 @@ func (s *Store) SetRecorder(rec *obs.Recorder) {
 		"store.misses":          &k.misses,
 		"store.bytes_read":      &k.bytesRead,
 		"store.bytes_written":   &k.bytesWritten,
-		"store.flushes":         &k.flushes,
 		"store.corrupt_skipped": &k.corruptSkipped,
 		"store.io_errors":       &k.ioErrors,
 		"store.degraded":        &k.degraded,
@@ -284,7 +251,6 @@ type Stats struct {
 	Misses         uint64 // lookups with no (usable) record
 	BytesRead      uint64 // compressed bytes read by hits and skips
 	BytesWritten   uint64 // compressed bytes committed to disk
-	Flushes        uint64 // write-behind batches flushed
 	CorruptSkipped uint64 // undecodable or key-mismatched records skipped
 	WriteErrors    uint64 // failed record commits (records dropped)
 	IOErrors       uint64 // failed filesystem calls (reads and writes)
@@ -314,7 +280,6 @@ func (s *Store) Stats() Stats {
 		Misses:         v(&k.misses),
 		BytesRead:      v(&k.bytesRead),
 		BytesWritten:   v(&k.bytesWritten),
-		Flushes:        v(&k.flushes),
 		CorruptSkipped: v(&k.corruptSkipped),
 		WriteErrors:    s.writeErrors.Load(),
 		IOErrors:       v(&k.ioErrors),
@@ -326,11 +291,10 @@ func (s *Store) Stats() Stats {
 
 // String renders the snapshot as the store fragment of the post-sweep
 // cache-stats line. The base shape is stable; fault traffic and the
-// breaker only append fragments, so fault-free runs print exactly the
-// historical line.
+// breaker only append fragments, so fault-free runs keep that shape.
 func (s Stats) String() string {
-	line := fmt.Sprintf("store %d hits, %d misses, %dB read, %dB written, %d flushes, %d corrupt-skipped",
-		s.Hits, s.Misses, s.BytesRead, s.BytesWritten, s.Flushes, s.CorruptSkipped)
+	line := fmt.Sprintf("store %d hits, %d misses, %dB read, %dB written, %d corrupt-skipped",
+		s.Hits, s.Misses, s.BytesRead, s.BytesWritten, s.CorruptSkipped)
 	for _, name := range tierNames {
 		if io := s.TierBytes[name]; io.Read != 0 || io.Written != 0 {
 			line += fmt.Sprintf(", %s tier %dB written/%dB read", name, io.Written, io.Read)
@@ -364,16 +328,13 @@ func (s *Store) LookupDist(k DistKey) (int, bool) {
 	return d, true
 }
 
-// PutDist queues a distance record for write-behind. No-op on nil,
-// readonly, degraded, or closed stores.
+// PutDist commits a distance record. No-op on nil, readonly, degraded, or
+// closed stores.
 func (s *Store) PutDist(k DistKey, d int) {
-	if s == nil {
-		return
+	if s.writable() {
+		data, err := encodeDist(k, d)
+		s.put(distDir, distName(k), data, err)
 	}
-	s.put(pending{
-		tier: distDir, name: distName(k),
-		encode: func() ([]byte, error) { return encodeDist(k, d) },
-	})
 }
 
 // LookupTierDist returns the stored tiered-distance estimate for a key,
@@ -398,16 +359,13 @@ func (s *Store) LookupTierDist(k TierKey) (float64, bool) {
 	return d, true
 }
 
-// PutTierDist queues a tiered-distance record for write-behind. No-op on
-// nil, readonly, degraded, or closed stores.
+// PutTierDist commits a tiered-distance record. No-op on nil, readonly,
+// degraded, or closed stores.
 func (s *Store) PutTierDist(k TierKey, d float64) {
-	if s == nil {
-		return
+	if s.writable() {
+		data, err := encodeTier(k, d)
+		s.put(tierDir, tierName(k), data, err)
 	}
-	s.put(pending{
-		tier: tierDir, name: tierName(k),
-		encode: func() ([]byte, error) { return encodeTier(k, d) },
-	})
 }
 
 // LookupIndex returns the stored codebase DB for a key, if a valid record
@@ -429,35 +387,24 @@ func (s *Store) LookupIndex(k IndexKey) (*cbdb.DB, bool) {
 	return db, true
 }
 
-// PutIndex queues an index record for write-behind. The DB must not be
-// mutated afterwards (core.Index.ToDB builds a fresh one).
+// PutIndex commits an index record. No-op on nil, readonly, degraded, or
+// closed stores.
 func (s *Store) PutIndex(k IndexKey, db *cbdb.DB) {
-	if s == nil {
-		return
+	if s.writable() {
+		data, err := encodeIndex(k, db)
+		s.put(indexDir, indexName(k), data, err)
 	}
-	s.put(pending{
-		tier: indexDir, name: indexName(k),
-		encode: func() ([]byte, error) { return encodeIndex(k, db) },
-	})
 }
 
-// Close stops accepting writes, drains the queue synchronously, and waits
-// for the flusher to commit every pending record. Safe to call more than
-// once and on nil/readonly stores. Under Options.Strict it returns the
-// first I/O fault the store observed, so fault-intolerant runs fail here.
+// Close stops accepting writes: puts after it are dropped. A put that
+// returned before it has already committed, so there is nothing to wait
+// for. Safe to call more than once and on nil/readonly stores. Under
+// Options.Strict it returns the first I/O fault the store observed, so
+// fault-intolerant runs fail here.
 func (s *Store) Close() error {
-	if s == nil || s.readonly {
-		return s.Err()
+	if s != nil {
+		s.closed.Store(true)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return s.Err()
-	}
-	s.closed = true
-	close(s.queue)
-	s.mu.Unlock()
-	s.wg.Wait()
 	return s.Err()
 }
 
@@ -531,61 +478,26 @@ func (s *Store) trip(err error) {
 	})
 }
 
-// put enqueues one record for the flusher, blocking when the queue is
-// full (backpressure). The RLock pairs with Close's Lock so a concurrent
-// Close never closes the channel under an in-flight send.
-func (s *Store) put(p pending) {
-	if s.readonly || s.Degraded() {
-		return
-	}
-	s.mu.RLock()
-	if !s.closed {
-		s.queue <- p
-	}
-	s.mu.RUnlock()
+// writable reports whether a put would reach disk: the store exists, is
+// not readonly or closed, and the breaker has not tripped. Puts check it
+// before encoding, so a dropped put costs nothing.
+func (s *Store) writable() bool {
+	return s != nil && !s.readonly && !s.closed.Load() && !s.Degraded()
 }
 
-// flusher drains the queue in batches until Close. Each pass coalesces up
-// to maxBatch pending records and commits them one temp-file+rename at a
-// time; a failed commit drops that record only.
-func (s *Store) flusher() {
-	defer s.wg.Done()
-	for p := range s.queue {
-		batch := []pending{p}
-	coalesce:
-		for len(batch) < maxBatch {
-			select {
-			case q, ok := <-s.queue:
-				if !ok {
-					break coalesce
-				}
-				batch = append(batch, q)
-			default:
-				break coalesce
-			}
-		}
-		s.writeBatch(batch)
+// put commits one encoded record on the calling goroutine. A failed
+// encode or commit drops that record only and feeds the breaker.
+func (s *Store) put(tier, name string, data []byte, err error) {
+	if err == nil {
+		err = s.commit(tier, name, data)
+	}
+	if err != nil {
+		s.writeErrors.Add(1)
+		s.ioError(err)
 	}
 }
 
-// writeBatch commits a batch of records and counts one flush. Once the
-// breaker has tripped, remaining records are dropped without touching
-// disk (each failed syscall already cost latency and fed the breaker).
-func (s *Store) writeBatch(batch []pending) {
-	for _, p := range batch {
-		if s.Degraded() {
-			s.writeErrors.Add(1)
-			continue
-		}
-		if err := s.commit(p); err != nil {
-			s.writeErrors.Add(1)
-			s.ioError(err)
-		}
-	}
-	s.counts.flushes.Add(1)
-}
-
-// commit writes one record crash-safely: encode, write to a temp file in
+// commit writes one record crash-safely: write to a temp file in
 // the destination directory, fsync, rename into place. Every failure
 // path removes the temp file — including a failed Sync between write and
 // rename, the leak the faultfs regression suite pins — so an erroring
@@ -594,16 +506,12 @@ func (s *Store) writeBatch(batch []pending) {
 // payloads are identical, rename is atomic, and the keep-first probe
 // below drops re-puts of an already-committed record, so the first
 // commit stays in place and any interleaving leaves a valid record.
-func (s *Store) commit(p pending) error {
-	data, err := p.encode()
-	if err != nil {
-		return err
-	}
-	dir := filepath.Join(s.root, p.tier, p.name[:2])
+func (s *Store) commit(tier, name string, data []byte) error {
+	dir := filepath.Join(s.root, tier, name[:2])
 	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	dst := filepath.Join(dir, p.name)
+	dst := filepath.Join(dir, name)
 	// Keep-first: engines sharing one store race benignly on a key —
 	// payloads are deterministic, so when the destination already holds
 	// exactly the bytes this put would write, the first committed record
@@ -637,6 +545,6 @@ func (s *Store) commit(p pending) error {
 		return err
 	}
 	s.counts.bytesWritten.Add(int64(len(data)))
-	s.tierWritten[tierIndex(p.tier)].Add(uint64(len(data)))
+	s.tierWritten[tierIndex(tier)].Add(uint64(len(data)))
 	return nil
 }

@@ -2,8 +2,12 @@ package store
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -62,7 +66,7 @@ func TestDistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Misses != 1 || st.BytesWritten == 0 || st.Flushes == 0 {
+	if st.Misses != 1 || st.BytesWritten == 0 {
 		t.Fatalf("writer stats: %+v", st)
 	}
 
@@ -77,6 +81,62 @@ func TestDistRoundTrip(t *testing.T) {
 	st = s2.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.BytesRead == 0 {
 		t.Fatalf("reader stats: %+v", st)
+	}
+}
+
+// TestPutCommitsBeforeReturning: a put is on disk once it returns — a
+// second handle over the same directory serves it while the writer is
+// still open, and the writer's byte counters are already final.
+func TestPutCommitsBeforeReturning(t *testing.T) {
+	dir := t.TempDir()
+	w := openT(t, dir, Options{})
+	k := distKey(11)
+	w.PutDist(k, 3)
+	written := w.Stats().BytesWritten
+	if written == 0 {
+		t.Fatalf("put returned before committing: %+v", w.Stats())
+	}
+	if d, ok := openT(t, dir, Options{}).LookupDist(k); !ok || d != 3 {
+		t.Fatalf("open writer's record = %d, %v; want 3, true", d, ok)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Stats().BytesWritten; got != written {
+		t.Fatalf("Close wrote %dB more; a put must not defer work to it", got-written)
+	}
+}
+
+// TestOneWritePath is the structural gate on the write path: the store's
+// non-test code starts no goroutine and declares, sends on or receives
+// from no channel, so every put commits on its caller.
+func TestOneWritePath(t *testing.T) {
+	sources, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, src := range sources {
+		if strings.HasSuffix(src, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, src, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s: store starts a goroutine", fset.Position(n.Pos()))
+			case *ast.ChanType, *ast.SendStmt:
+				t.Errorf("%s: store uses a channel", fset.Position(n.Pos()))
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW {
+					t.Errorf("%s: store receives from a channel", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
 	}
 }
 
@@ -150,7 +210,7 @@ func TestReadonlyDropsWrites(t *testing.T) {
 	}
 	ro.PutDist(distKey(8), 1)
 	ro.Close()
-	if st := ro.Stats(); st.BytesWritten != 0 || st.Flushes != 0 {
+	if st := ro.Stats(); st.BytesWritten != 0 {
 		t.Fatalf("readonly store wrote: %+v", st)
 	}
 	if _, ok := openT(t, dir, Options{}).LookupDist(distKey(8)); ok {
@@ -236,7 +296,7 @@ func TestKeyEchoCatchesNameCollisions(t *testing.T) {
 	}
 }
 
-// TestAbandonedTempFilesAreIgnored: a crash mid-flush leaves tmp-* files
+// TestAbandonedTempFilesAreIgnored: a crash mid-commit leaves tmp-* files
 // behind; they are never read as records and never corrupt lookups.
 func TestAbandonedTempFilesAreIgnored(t *testing.T) {
 	dir := t.TempDir()
@@ -287,11 +347,11 @@ func TestClearRemovesOnlyTiers(t *testing.T) {
 	}
 }
 
-// TestConcurrentPutsAndLookups drives the write-behind queue and read
-// path from many goroutines (the race detector is part of tier-1).
+// TestConcurrentPutsAndLookups drives the commit and read paths from
+// many goroutines (the race detector is part of tier-1).
 func TestConcurrentPutsAndLookups(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, Options{QueueSize: 8})
+	s := openT(t, dir, Options{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -355,7 +415,6 @@ func TestObsCountersMirrorStats(t *testing.T) {
 		"store.misses":          int64(a.Misses + b.Misses),
 		"store.bytes_read":      int64(a.BytesRead + b.BytesRead),
 		"store.bytes_written":   int64(a.BytesWritten + b.BytesWritten),
-		"store.flushes":         int64(a.Flushes + b.Flushes),
 		"store.corrupt_skipped": int64(a.CorruptSkipped + b.CorruptSkipped),
 		"store.io_errors":       int64(a.IOErrors + b.IOErrors),
 		"store.fault_injected":  int64(a.FaultInjected + b.FaultInjected),
@@ -369,9 +428,9 @@ func TestObsCountersMirrorStats(t *testing.T) {
 
 // TestStatsString pins the fragment the post-sweep CLI line embeds.
 func TestStatsString(t *testing.T) {
-	s := Stats{Hits: 3, Misses: 1, BytesRead: 10, BytesWritten: 20, Flushes: 2, CorruptSkipped: 1}
+	s := Stats{Hits: 3, Misses: 1, BytesRead: 10, BytesWritten: 20, CorruptSkipped: 1}
 	got := s.String()
-	for _, frag := range []string{"store 3 hits", "1 misses", "10B read", "20B written", "2 flushes", "1 corrupt-skipped"} {
+	for _, frag := range []string{"store 3 hits", "1 misses", "10B read", "20B written", "1 corrupt-skipped"} {
 		if !bytes.Contains([]byte(got), []byte(frag)) {
 			t.Errorf("Stats.String() = %q missing %q", got, frag)
 		}
@@ -380,7 +439,7 @@ func TestStatsString(t *testing.T) {
 
 // TestTwoEnginesOneStoreInterleaving is the multi-tenant shape the serve
 // daemon introduces (DESIGN.md §14): two engines — modeled as two Store
-// handles over one directory, each with its own write-behind queue —
+// handles over one directory, each committing on its own callers —
 // interleave puts and lookups of the same deterministic keys. Concurrent
 // puts of the same key stay keep-first: once engine A's record is
 // committed, engine B's re-put of identical bytes never rewrites the
@@ -398,7 +457,7 @@ func TestTwoEnginesOneStoreInterleaving(t *testing.T) {
 
 	// Engine A commits every key first and we pin the committed records'
 	// modification times — the "first" of keep-first.
-	a := openT(t, dir, Options{QueueSize: 8})
+	a := openT(t, dir, Options{})
 	for i := 0; i < keys; i++ {
 		a.PutDist(distKey(uint64(i)), val(i))
 	}
@@ -418,8 +477,8 @@ func TestTwoEnginesOneStoreInterleaving(t *testing.T) {
 	// shared daemon store sees when two tenants compute the same cell)
 	// while reading back concurrently. Reads must only ever see the
 	// committed value.
-	b := openT(t, dir, Options{QueueSize: 8})
-	c := openT(t, dir, Options{QueueSize: 8})
+	b := openT(t, dir, Options{})
+	c := openT(t, dir, Options{})
 	var wg sync.WaitGroup
 	for _, s := range []*Store{b, c} {
 		wg.Add(1)

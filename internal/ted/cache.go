@@ -74,8 +74,8 @@ type Cache struct {
 	// backing is the optional persistent artifact store (nil when absent);
 	// an atomic pointer so SetStore is safe against in-flight lookups.
 	// Memory misses consult it before computing, disk hits are promoted
-	// into the in-memory memo, and fresh results are queued to it
-	// write-behind (see DESIGN.md §7).
+	// into the in-memory memo, and fresh results are committed to it
+	// (see DESIGN.md §7).
 	backing atomic.Pointer[store.Store]
 }
 
@@ -187,9 +187,8 @@ func (c *Cache) SubtreeBlockCounters() (hits, misses *obs.Counter) {
 
 // SetStore attaches a persistent backing store: memory misses consult it
 // before running the DP, disk hits are promoted into the in-memory memo,
-// and fresh distances are queued to it write-behind. A nil store detaches
-// (the default); the caller retains ownership and must Close the store
-// itself to drain pending writes.
+// and fresh distances are committed to it. A nil store detaches (the
+// default); the caller retains ownership and closes the store itself.
 //
 // The cache needs no fault handling of its own: a store that has degraded
 // to memory-only (see store.Store.Degraded and DESIGN.md §9) answers every
@@ -468,7 +467,12 @@ func (c *Cache) mirrorFlat(t *tree.Node, fp tree.Fingerprint) *flat {
 
 // Profile returns the memoised pq-gram profile of a tree.
 func (c *Cache) Profile(t *tree.Node) PQGramProfile {
-	f := t.Fingerprint()
+	return c.profile(t, t.Fingerprint())
+}
+
+// profile is Profile with the tree's fingerprint already in hand, so a
+// memo hit does not walk the tree.
+func (c *Cache) profile(t *tree.Node, f tree.Fingerprint) PQGramProfile {
 	c.mu.RLock()
 	p, ok := c.profiles[f]
 	c.mu.RUnlock()
@@ -487,6 +491,11 @@ func (c *Cache) Profile(t *tree.Node) PQGramProfile {
 // the hit/miss counters nor the distance memo, which account exact TED
 // only.
 func (c *Cache) ApproxDistance(t1, t2 *tree.Node) float64 {
+	return c.approxDistance(t1, t2, t1.Fingerprint(), t2.Fingerprint())
+}
+
+// approxDistance is ApproxDistance with both fingerprints already in hand.
+func (c *Cache) approxDistance(t1, t2 *tree.Node, fa, fb tree.Fingerprint) float64 {
 	c.counts.approxCalls.Add(1)
-	return PQGramDistance(c.Profile(t1), c.Profile(t2))
+	return PQGramDistance(c.profile(t1, fa), c.profile(t2, fb))
 }

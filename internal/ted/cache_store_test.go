@@ -22,7 +22,7 @@ func storeParse(t *testing.T, s string) *tree.Node {
 }
 
 // TestCacheStoreReadThroughWriteBehind exercises the full persistent
-// round trip: a cold cache computes and queues a record; after a drain, a
+// round trip: a cold cache computes and commits a record; after Close, a
 // completely fresh cache over the same directory answers from disk
 // without running the DP, and promotes the hit into its memo so the store
 // is consulted exactly once per pair.
@@ -47,7 +47,7 @@ func TestCacheStoreReadThroughWriteBehind(t *testing.T) {
 	if s := st.Stats(); s.Hits != 0 || s.Misses != 1 {
 		t.Fatalf("cold run: want 0 hits / 1 miss, got %+v", s)
 	}
-	if err := st.Close(); err != nil { // drain the write-behind queue
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -256,14 +256,19 @@ func (c *Cache) calibratedRaw(t1, t2 *tree.Node, fa, fb tree.Fingerprint, approx
 // SignatureFor returns the memoised minhash signature of a tree, building
 // profile and signature on first sight.
 func (c *Cache) SignatureFor(t *tree.Node) Signature {
-	fp := t.Fingerprint()
+	return c.signature(t, t.Fingerprint())
+}
+
+// signature is SignatureFor with the tree's fingerprint already in hand,
+// so a memo hit does not walk the tree.
+func (c *Cache) signature(t *tree.Node, fp tree.Fingerprint) Signature {
 	c.mu.RLock()
 	s, ok := c.sigs[fp]
 	c.mu.RUnlock()
 	if ok {
 		return s
 	}
-	s = NewSignature(c.Profile(t), sigBands, sigRows)
+	s = NewSignature(c.profile(t, fp), sigBands, sigRows)
 	c.mu.Lock()
 	c.sigs[fp] = s
 	c.mu.Unlock()
@@ -277,9 +282,11 @@ func (c *Cache) SignatureFor(t *tree.Node) Signature {
 // the budget. The decision and the estimate are pure functions of the two
 // trees — bit-identical across runs, schedulers, and worker counts — and
 // every step beneath it (signatures, pq-gram distance, flats) is memoised
-// by content fingerprint, so a repeated route recomputes only the
-// signature comparison and the multiset intersection (or, with a store
-// attached, re-reads the estimate's record).
+// by content fingerprint, so a repeated route recomputes only the two
+// fingerprints, the signature comparison and the multiset intersection
+// (or, with a store attached, re-reads the estimate's record). The
+// fingerprints are the only tree walks a repeated route makes: every
+// memo beneath is keyed by them.
 //
 // With a persistent store attached, estimated values read through the
 // store's tier records, keyed by the canonical fingerprint pair and the
@@ -297,8 +304,8 @@ func (c *Cache) TierRoute(t1, t2 *tree.Node, p TierPolicy) (float64, Tier) {
 	if fa.Size < tierMinNodes || fb.Size < tierMinNodes {
 		return 0, TierExact // below the calibration population; DP is cheap
 	}
-	sa := c.SignatureFor(t1)
-	sb := c.SignatureFor(t2)
+	sa := c.signature(t1, fa)
+	sb := c.signature(t2, fb)
 	if !SharesBand(sa, sb) {
 		if d := EstimateDistance(sa, sb); d >= screeningThreshold+farMargin {
 			// Provably-far bucket: no band collision and the signature
@@ -307,7 +314,7 @@ func (c *Cache) TierRoute(t1, t2 *tree.Node, p TierPolicy) (float64, Tier) {
 			return c.tieredEstimate(t1, t2, fa, fb, d, TierFar), TierFar
 		}
 	}
-	approx := c.ApproxDistance(t1, t2)
+	approx := c.approxDistance(t1, t2, fa, fb)
 	if approx >= screeningThreshold {
 		return c.tieredEstimate(t1, t2, fa, fb, approx, TierEstimated), TierEstimated
 	}
@@ -315,7 +322,7 @@ func (c *Cache) TierRoute(t1, t2 *tree.Node, p TierPolicy) (float64, Tier) {
 }
 
 // tieredEstimate produces the estimate for a far-routed pair, reading
-// through (and writing behind into) the store's tier records when a store
+// through (and writing into) the store's tier records when a store
 // is attached. The store key carries the routing tier, so records from
 // the two estimated tiers never mix.
 func (c *Cache) tieredEstimate(t1, t2 *tree.Node, fa, fb tree.Fingerprint, approx float64, tier Tier) float64 {

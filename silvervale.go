@@ -150,7 +150,8 @@ func Diverge(a, b *Index, metric string) (Divergence, error) {
 func NewEngine(workers int) *Engine { return core.NewEngine(workers) }
 
 // OpenArtifactStore opens (creating on first use) a persistent artifact
-// store rooted at dir. Close it to drain pending write-behind records.
+// store rooted at dir. Every put commits before it returns; Close stops
+// further writes.
 func OpenArtifactStore(dir string, readonly bool) (*ArtifactStore, error) {
 	return store.Open(dir, store.Options{Readonly: readonly})
 }
