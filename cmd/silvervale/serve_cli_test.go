@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -27,6 +29,11 @@ func TestServeCLISmoke(t *testing.T) {
 	want, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Both sides below share one writer, so pin its bytes independently:
+	// the same document decoded and re-encoded by encoding/json.
+	if ref := reencodeMatrixJSON(t, want); string(ref) != string(want) {
+		t.Fatalf("`matrix -json` output differs from encoding/json's rendering of it:\ncli:  %s\njson: %s", want, ref)
 	}
 
 	addrCh := make(chan net.Addr, 1)
@@ -124,6 +131,35 @@ func TestServeCLISmoke(t *testing.T) {
 	if !strings.Contains(stderr, "serve: 1 requests, 0 rejected, 0 canceled, 0 errors") {
 		t.Errorf("shutdown stats line missing from stderr: %q", stderr)
 	}
+}
+
+// reencodeMatrixJSON decodes a matrix payload into a plain mirror of its
+// fields (fingerprints as strings) and re-encodes it with encoding/json's
+// two-space indentation: the rendering the shared matrix writer must
+// reproduce byte for byte.
+func reencodeMatrixJSON(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var doc struct {
+		App    string      `json:"app"`
+		Metric string      `json:"metric"`
+		Order  []string    `json:"order"`
+		Matrix [][]float64 `json:"matrix"`
+		Units  map[string][]struct {
+			File        string `json:"file"`
+			Role        string `json:"role"`
+			Fingerprint string `json:"fingerprint"`
+		} `json:"units"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("matrix JSON does not parse: %v", err)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestServeRejectsBadInvocations: flag/positional/listen errors surface

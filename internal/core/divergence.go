@@ -10,13 +10,20 @@ import (
 	"silvervale/internal/tree"
 )
 
-// distFunc computes an exact TED; approxFunc a pq-gram distance. The
-// divergence recurrences are written against these so the serial one-shot
-// path (ted.Distance) and the cached engine path (ted.Cache) share one
+// distFunc computes an exact TED between two trees whose fingerprints
+// the caller already holds; approxFunc a pq-gram distance. The divergence
+// recurrences are written against these so the serial one-shot path
+// (plainDist) and the cached engine path (ted.Cache.DistanceFP) share one
 // implementation and produce bit-identical results.
-type distFunc func(t1, t2 *tree.Node) int
+type distFunc func(t1, t2 *tree.Node, f1, f2 tree.Fingerprint, c ted.Costs) int
 
 type approxFunc func(t1, t2 *tree.Node) float64
+
+// plainDist is the one-shot distFunc: ted.DistanceWithCosts, which has no
+// memo to key and so ignores the fingerprints.
+func plainDist(t1, t2 *tree.Node, _, _ tree.Fingerprint, c ted.Costs) int {
+	return ted.DistanceWithCosts(t1, t2, c)
+}
 
 // Divergence is the result of comparing two indexed codebases under one
 // metric.
@@ -64,7 +71,7 @@ func match(a, b *Index) (pairs [][2]*UnitIndex, onlyA, onlyB []*UnitIndex) {
 // Diverge computes the divergence of codebase b from codebase a under the
 // named metric.
 func Diverge(a, b *Index, metric string) (Divergence, error) {
-	return divergeWith(a, b, metric, ted.Distance)
+	return divergeWith(a, b, metric, plainDist)
 }
 
 func divergeWith(a, b *Index, metric string, dist distFunc) (Divergence, error) {
@@ -74,9 +81,7 @@ func divergeWith(a, b *Index, metric string, dist distFunc) (Divergence, error) 
 	case MetricSource, MetricSourcePP:
 		return divergeSource(a, b, metric), nil
 	case MetricTsrc, MetricTsrcPP, MetricTsem, MetricTsemI, MetricTir:
-		return divergeTrees(a, b, metric, ted.UnitCosts(), func(ta, tb *tree.Node) float64 {
-			return float64(dist(ta, tb))
-		}), nil
+		return divergeWithCosts(a, b, metric, ted.UnitCosts(), dist)
 	default:
 		return Divergence{}, fmt.Errorf("core: unknown metric %q", metric)
 	}
@@ -145,14 +150,15 @@ func divergeSource(a, b *Index, metric string) Divergence {
 // distance — exact TED, or a tier-routed estimate. This is the one
 // accumulation every tree-metric cell runs: matched pairs, then only-A,
 // then only-B. Under unit costs every multiplier is 1, so the sums are
-// bit-identical to the unweighted Eq. 6/7.
-func divergeTrees(a, b *Index, metric string, costs ted.Costs, pair func(ta, tb *tree.Node) float64) Divergence {
+// bit-identical to the unweighted Eq. 6/7. pair also receives both trees'
+// recorded fingerprints, so a memoised distance costs no tree walk.
+func divergeTrees(a, b *Index, metric string, costs ted.Costs, pair func(ta, tb *tree.Node, fa, fb tree.Fingerprint) float64) Divergence {
 	pairs, onlyA, onlyB := match(a, b)
 	raw, dmax := 0.0, 0.0
 	for _, p := range pairs {
 		ta := p[0].Trees[metric]
 		tb := p[1].Trees[metric]
-		raw += pair(ta, tb)
+		raw += pair(ta, tb, p[0].TreeFingerprint(metric), p[1].TreeFingerprint(metric))
 		dmax += float64(p[1].treeSize(metric) * costs.Insert)
 	}
 	for _, u := range onlyA {
@@ -171,16 +177,15 @@ func divergeTrees(a, b *Index, metric string, costs ted.Costs, pair func(ta, tb 
 // code may have a different productivity impact than removing existing
 // code".
 func DivergeWithCosts(a, b *Index, metric string, costs ted.Costs) (Divergence, error) {
-	return divergeWithCosts(a, b, metric, costs, ted.DistanceWithCosts)
+	return divergeWithCosts(a, b, metric, costs, plainDist)
 }
 
-func divergeWithCosts(a, b *Index, metric string, costs ted.Costs,
-	dist func(t1, t2 *tree.Node, c ted.Costs) int) (Divergence, error) {
+func divergeWithCosts(a, b *Index, metric string, costs ted.Costs, dist distFunc) (Divergence, error) {
 	if !isTreeMetric(metric) {
 		return Divergence{}, fmt.Errorf("core: weighted divergence needs a tree metric, got %q", metric)
 	}
-	return divergeTrees(a, b, metric, costs, func(ta, tb *tree.Node) float64 {
-		return float64(dist(ta, tb, costs))
+	return divergeTrees(a, b, metric, costs, func(ta, tb *tree.Node, fa, fb tree.Fingerprint) float64 {
+		return float64(dist(ta, tb, fa, fb, costs))
 	}), nil
 }
 

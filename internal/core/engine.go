@@ -157,12 +157,12 @@ func (e *Engine) CacheStats() ted.CacheStats { return e.cache.Stats() }
 
 // Diverge is the engine form of Diverge: identical results, cached TED.
 func (e *Engine) Diverge(a, b *Index, metric string) (Divergence, error) {
-	return divergeWith(a, b, metric, e.cache.Distance)
+	return divergeWith(a, b, metric, e.cache.DistanceFP)
 }
 
 // DivergeWithCosts is the engine form of DivergeWithCosts.
 func (e *Engine) DivergeWithCosts(a, b *Index, metric string, costs ted.Costs) (Divergence, error) {
-	return divergeWithCosts(a, b, metric, costs, e.cache.DistanceWithCosts)
+	return divergeWithCosts(a, b, metric, costs, e.cache.DistanceFP)
 }
 
 // ApproxDiverge is the engine form of ApproxDiverge: pq-gram profiles and
@@ -285,9 +285,9 @@ func (e *Engine) cell(a, b *Index, metric string, policy ted.TierPolicy, screen 
 	var d Divergence
 	var tc TierCell
 	if isTreeMetric(metric) {
-		d = divergeTrees(a, b, metric, ted.UnitCosts(), func(ta, tb *tree.Node) float64 {
+		d = divergeTrees(a, b, metric, ted.UnitCosts(), func(ta, tb *tree.Node, fa, fb tree.Fingerprint) float64 {
 			if screen {
-				switch est, tier := e.cache.TierRoute(ta, tb, policy); tier {
+				switch est, tier := e.cache.TierRouteFP(ta, tb, fa, fb, policy); tier {
 				case ted.TierEstimated:
 					tc.Estimated++
 					return est
@@ -297,7 +297,7 @@ func (e *Engine) cell(a, b *Index, metric string, policy ted.TierPolicy, screen 
 				}
 			}
 			tc.Exact++
-			return float64(e.cache.Distance(ta, tb))
+			return float64(e.cache.DistanceFP(ta, tb, fa, fb, ted.UnitCosts()))
 		})
 	} else {
 		var err error

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"silvervale/internal/corpus"
+	"silvervale/internal/obs"
 	"silvervale/internal/store"
 	"silvervale/internal/tree"
 )
@@ -117,12 +118,16 @@ func unitSrcHash(cb *corpus.Codebase, file, role string, deps, missing []string)
 // indexed unit: the source hash over its recorded dependency set and the
 // content addresses of its trees and line sets. Runs after coverage
 // masking, so the fingerprints address exactly what divergence consumes.
-func finalizeUnit(cb *corpus.Codebase, ui *UnitIndex) {
+// They are the only fingerprints the engine's TED calls use, so the
+// "ted.fingerprint" span is taken here, under the unit's span.
+func finalizeUnit(cb *corpus.Codebase, ui *UnitIndex, usp *obs.Span) {
 	ui.SrcHash = unitSrcHash(cb, ui.File, ui.Role, ui.Deps, ui.MissingDeps)
+	fsp := usp.Start("ted.fingerprint")
 	ui.FPs = make(map[string]tree.Fingerprint, len(ui.Trees))
 	for m, t := range ui.Trees {
 		ui.FPs[m] = t.Fingerprint()
 	}
+	fsp.End()
 	ui.LinesHash = linesHash(ui.SourceLines)
 	ui.LinesPPHash = linesHash(ui.SourceLinesPP)
 }

@@ -373,7 +373,7 @@ func indexCXXUnit(cb *corpus.Codebase, u corpus.Unit, opts Options, usp *obs.Spa
 	ui.Trees[MetricTir] = bundle.Tree()
 
 	applyCoverage(&ui, opts.Coverage)
-	finalizeUnit(cb, &ui)
+	finalizeUnit(cb, &ui, usp)
 	return ui, nil
 }
 
@@ -414,7 +414,7 @@ func indexFortranUnit(cb *corpus.Codebase, u corpus.Unit, opts Options, usp *obs
 	// Fortran units in this dialect have no include mechanism: the unit
 	// depends on its root file alone.
 	ui.Deps = []string{u.File}
-	finalizeUnit(cb, &ui)
+	finalizeUnit(cb, &ui, usp)
 	return ui, nil
 }
 

@@ -1,9 +1,12 @@
 package serve
 
 import (
-	"io"
+	"errors"
+	"fmt"
+	"strconv"
 
 	"silvervale/internal/core"
+	"silvervale/internal/tree"
 )
 
 // Response payloads shared with the one-shot CLI. The matrix payload and
@@ -14,9 +17,37 @@ import (
 
 // UnitFingerprint is one unit's content address in a JSON payload.
 type UnitFingerprint struct {
-	File        string `json:"file"`
-	Role        string `json:"role"`
-	Fingerprint string `json:"fingerprint"`
+	File        string      `json:"file"`
+	Role        string      `json:"role"`
+	Fingerprint Fingerprint `json:"fingerprint"`
+}
+
+// Fingerprint is a unit tree's fingerprint in a JSON payload, rendered as
+// its String form ("h1h2:size" in hex). Payloads carry the value, not the
+// string, so building one formats nothing; the matrix writer appends the
+// hex straight into its output.
+type Fingerprint tree.Fingerprint
+
+// MarshalText renders the fingerprint for encoding/json.
+func (f Fingerprint) MarshalText() ([]byte, error) {
+	return tree.Fingerprint(f).AppendHex(nil), nil
+}
+
+// UnmarshalText parses the String form back, so clients can decode
+// payloads into these types.
+func (f *Fingerprint) UnmarshalText(text []byte) error {
+	s := string(text)
+	if len(s) < 34 || s[32] != ':' {
+		return fmt.Errorf("serve: malformed fingerprint %q", s)
+	}
+	h1, err1 := strconv.ParseUint(s[:16], 16, 64)
+	h2, err2 := strconv.ParseUint(s[16:32], 16, 64)
+	size, err3 := strconv.ParseUint(s[33:], 10, 32)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return fmt.Errorf("serve: malformed fingerprint %q: %w", s, err)
+	}
+	*f = Fingerprint{H1: h1, H2: h2, Size: uint32(size)}
+	return nil
 }
 
 // MatrixPayload is the matrix sweep payload (`matrix -json` and
@@ -60,16 +91,11 @@ func BuildMatrixPayload(app, metric string, order []string, m [][]float64, idxs 
 			u := &idx.Units[i]
 			p.Units[model] = append(p.Units[model], UnitFingerprint{
 				File: u.File, Role: u.Role,
-				Fingerprint: u.TreeFingerprint(fpm).String(),
+				Fingerprint: Fingerprint(u.TreeFingerprint(fpm)),
 			})
 		}
 	}
 	return p
-}
-
-// WriteJSON writes the payload with the shared encoder configuration.
-func (p *MatrixPayload) WriteJSON(w io.Writer) error {
-	return encodeIndented(w, p)
 }
 
 // FromBasePayload is the POST /v1/frombase response: each model's
@@ -93,7 +119,7 @@ func BuildFromBasePayload(app, base, metric string, order []string, values map[s
 			u := &baseIdx.Units[i]
 			p.Units = append(p.Units, UnitFingerprint{
 				File: u.File, Role: u.Role,
-				Fingerprint: u.TreeFingerprint(fpm).String(),
+				Fingerprint: Fingerprint(u.TreeFingerprint(fpm)),
 			})
 		}
 	}

@@ -88,7 +88,9 @@ func ref(t testing.TB, key string, build func(env *experiments.Env, buf *bytes.B
 }
 
 // matrixRef renders the serial reference for POST /v1/matrix — the same
-// bytes `matrix -metric <m> -json` writes for the same app.
+// bytes `matrix -metric <m> -json` writes for the same app. It renders
+// through encodeIndented, not MatrixPayload.WriteJSON, so the served
+// bytes are pinned to encoding/json rather than to the writer under test.
 func matrixRef(t testing.TB, app, metric string) []byte {
 	return ref(t, "matrix/"+app+"/"+metric, func(env *experiments.Env, buf *bytes.Buffer) error {
 		m, order, err := env.Matrix(app, metric)
@@ -99,7 +101,7 @@ func matrixRef(t testing.TB, app, metric string) []byte {
 		if err != nil {
 			return err
 		}
-		return BuildMatrixPayload(app, metric, order, m, idxs).WriteJSON(buf)
+		return encodeIndented(buf, BuildMatrixPayload(app, metric, order, m, idxs))
 	})
 }
 

@@ -334,16 +334,26 @@ func (c *Cache) Distance(t1, t2 *tree.Node) int {
 // DistanceWithCosts is the cached form of DistanceWithCosts. Results are
 // always identical to the uncached function.
 func (c *Cache) DistanceWithCosts(t1, t2 *tree.Node, costs Costs) int {
-	o := c.obs.Load()
 	var fa, fb tree.Fingerprint
-	if o != nil {
-		o.calls.Add(1)
+	if o := c.obs.Load(); o != nil {
 		fsp := o.rec.Start("ted.fingerprint")
 		fa, fb = t1.Fingerprint(), t2.Fingerprint()
 		fsp.End()
-		o.pairNodes.Observe(int64(fa.Size) + int64(fb.Size))
 	} else {
 		fa, fb = t1.Fingerprint(), t2.Fingerprint()
+	}
+	return c.DistanceFP(t1, t2, fa, fb, costs)
+}
+
+// DistanceFP is DistanceWithCosts for callers that already hold both
+// trees' fingerprints (fa = t1.Fingerprint(), fb = t2.Fingerprint()), such
+// as the engine, which records every unit tree's fingerprint at index
+// time: a memo hit then costs no tree walk at all.
+func (c *Cache) DistanceFP(t1, t2 *tree.Node, fa, fb tree.Fingerprint, costs Costs) int {
+	o := c.obs.Load()
+	if o != nil {
+		o.calls.Add(1)
+		o.pairNodes.Observe(int64(fa.Size) + int64(fb.Size))
 	}
 	if fa == fb && tree.Equal(t1, t2) {
 		// d(t, t) == 0 under every cost model: the empty edit script.

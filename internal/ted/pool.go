@@ -6,9 +6,10 @@ import "sync"
 // flattened representations of both trees (uncached path only — the cached
 // path borrows memoised flats instead), the keyroot bool table, the DP
 // matrix backings with their row headers, the per-keyroot b-offset row,
-// and the stamp/count tables the bound gates use. All slices grow to the
-// high-water mark of the trees a scratch has seen and are never shrunk, so
-// a steady-state matrix sweep reuses the same memory for every cell.
+// and the stamp/count tables and stack the bound gates use. All slices
+// grow to the high-water mark of the trees a scratch has seen and are
+// never shrunk, so a steady-state matrix sweep reuses the same memory for
+// every cell.
 //
 // Matrix contents are deliberately NOT zeroed between uses: the
 // Zhang–Shasha recurrence writes every forest-distance cell before reading
@@ -32,6 +33,8 @@ type dpScratch struct {
 	stamp []int32 // bound gate: label-id stamps, indexed by interned id
 	cnt   []int32 // bound gate: label multiplicities for stamped ids
 	epoch int32   // current stamp generation
+
+	tdStack []int32 // bound gate: the top-down bound's child lists and DP rows
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(dpScratch) }}

@@ -27,6 +27,20 @@ func memoCache() *Cache {
 	return c
 }
 
+// dpDistance runs one pair through the cache's memoised DP
+// (zsDistanceMemo) on its memoised flats, skipping the distance memo and
+// the bound gates. The memo tests drive their pairs through it: their
+// append and relabel edits are near duplicates, which the bound sandwich
+// answers without a DP, and a gated pair captures no blocks or
+// checkpoint rows to test.
+func dpDistance(c *Cache, t1, t2 *tree.Node, costs Costs) int {
+	a := c.flatFor(t1, t1.Fingerprint())
+	b := c.flatFor(t2, t2.Fingerprint())
+	sc := getScratch()
+	defer putScratch(sc)
+	return c.zsDistanceMemo(a, b, costs, sc, t1, t2)
+}
+
 // postorderNodes collects t's nodes in post-order, the index space the
 // flat arrays live in.
 func postorderNodes(t *tree.Node, out []*tree.Node) []*tree.Node {
@@ -325,7 +339,7 @@ func TestRootRowCheckpointResume(t *testing.T) {
 		b := relabelSome(r, a, 1+r.Intn(6))
 		costs := Costs{Insert: 1 + r.Intn(2), Delete: 1 + r.Intn(2), Rename: 1 + r.Intn(2)}
 		c := memoCache()
-		if got, want := c.DistanceWithCosts(a, b, costs), DistanceWithCosts(a, b, costs); got != want {
+		if got, want := dpDistance(c, a, b, costs), refDistanceWithCosts(a, b, costs); got != want {
 			t.Fatalf("warming pass diverged: %d != %d", got, want)
 		}
 		warm := c.Stats()
@@ -334,8 +348,8 @@ func TestRootRowCheckpointResume(t *testing.T) {
 		}
 
 		a2 := appendChild(a, randTree(r, 1+r.Intn(10)))
-		want := DistanceWithCosts(a2, b, costs)
-		if got := c.DistanceWithCosts(a2, b, costs); got != want {
+		want := refDistanceWithCosts(a2, b, costs)
+		if got := dpDistance(c, a2, b, costs); got != want {
 			t.Fatalf("resumed distance %d != monolithic %d\na2=%s\nb=%s costs=%+v",
 				got, want, a2, b, costs)
 		}
@@ -345,13 +359,13 @@ func TestRootRowCheckpointResume(t *testing.T) {
 		}
 
 		a3 := appendChild(a, randTree(r, 1+r.Intn(10)))
-		if got, want := c.DistanceWithCosts(a3, b, costs), DistanceWithCosts(a3, b, costs); got != want {
+		if got, want := dpDistance(c, a3, b, costs), refDistanceWithCosts(a3, b, costs); got != want {
 			t.Fatalf("second append on a warm cache: %d != monolithic %d\na3=%s\nb=%s costs=%+v",
 				got, want, a3, b, costs)
 		}
 
 		b2 := appendChild(b, randTree(r, 1+r.Intn(10)))
-		if got, want := c.DistanceWithCosts(a2, b2, costs), DistanceWithCosts(a2, b2, costs); got != want {
+		if got, want := dpDistance(c, a2, b2, costs), refDistanceWithCosts(a2, b2, costs); got != want {
 			t.Fatalf("b-side append diverged: %d != %d", got, want)
 		}
 	}
@@ -376,7 +390,7 @@ func TestPathStrategyKeepsCheckpoints(t *testing.T) {
 		costs := Costs{Insert: 1 + r.Intn(2), Delete: 1 + r.Intn(2), Rename: 1 + r.Intn(2)}
 		c := pathCache()
 		mirrored, left := &c.counts.subdpMirror, &c.counts.subdpLeft
-		if got, want := c.DistanceWithCosts(a, b, costs), refDistanceWithCosts(a, b, costs); got != want {
+		if got, want := dpDistance(c, a, b, costs), refDistanceWithCosts(a, b, costs); got != want {
 			t.Fatalf("warming pass: %d != seed %d", got, want)
 		}
 		if mirrored.Value() == 0 {
@@ -385,7 +399,7 @@ func TestPathStrategyKeepsCheckpoints(t *testing.T) {
 		m0, l0, ck0 := mirrored.Value(), left.Value(), c.Stats().CheckpointHits
 
 		a2 := appendChild(a, heavyTree(r, 20+r.Intn(10), true))
-		if got, want := c.DistanceWithCosts(a2, b, costs), refDistanceWithCosts(a2, b, costs); got != want {
+		if got, want := dpDistance(c, a2, b, costs), refDistanceWithCosts(a2, b, costs); got != want {
 			t.Fatalf("append edit: %d != seed %d\na2=%s\nb=%s", got, want, a2, b)
 		}
 		if s := c.Stats(); s.CheckpointHits == ck0 {
@@ -417,17 +431,17 @@ func TestProbeRowMemo(t *testing.T) {
 		b := relabelSome(r, a, 1+r.Intn(6))
 		costs := Costs{Insert: 1 + r.Intn(2), Delete: 1 + r.Intn(2), Rename: 1 + r.Intn(2)}
 		c := memoCache()
-		c.DistanceWithCosts(a, b, costs)
+		dpDistance(c, a, b, costs)
 
 		a2 := appendChild(a, randTree(r, 1+r.Intn(10)))
-		if got, want := c.DistanceWithCosts(a2, b, costs), DistanceWithCosts(a2, b, costs); got != want {
+		if got, want := dpDistance(c, a2, b, costs), refDistanceWithCosts(a2, b, costs); got != want {
 			t.Fatalf("first append: %d != monolithic %d", got, want)
 		}
 		warm := c.Stats()
 
 		a3 := appendChild(a, randTree(r, 1+r.Intn(10)))
-		want := DistanceWithCosts(a3, b, costs)
-		if got := c.DistanceWithCosts(a3, b, costs); got != want {
+		want := refDistanceWithCosts(a3, b, costs)
+		if got := dpDistance(c, a3, b, costs); got != want {
 			t.Fatalf("second append on a warm cache: %d != monolithic %d\na3=%s\nb=%s costs=%+v",
 				got, want, a3, b, costs)
 		}

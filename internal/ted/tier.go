@@ -286,7 +286,7 @@ func (c *Cache) signature(t *tree.Node, fp tree.Fingerprint) Signature {
 // fingerprints, the signature comparison and the multiset intersection
 // (or, with a store attached, re-reads the estimate's record). The
 // fingerprints are the only tree walks a repeated route makes: every
-// memo beneath is keyed by them.
+// memo beneath is keyed by them, and TierRouteFP skips even those.
 //
 // With a persistent store attached, estimated values read through the
 // store's tier records, keyed by the canonical fingerprint pair and the
@@ -294,10 +294,19 @@ func (c *Cache) signature(t *tree.Node, fp tree.Fingerprint) Signature {
 // warm start can never serve an estimate produced under other settings,
 // and the records live apart from the exact tier.
 func (c *Cache) TierRoute(t1, t2 *tree.Node, p TierPolicy) (float64, Tier) {
+	if !p.Enabled() {
+		return 0, TierExact
+	}
+	return c.TierRouteFP(t1, t2, t1.Fingerprint(), t2.Fingerprint(), p)
+}
+
+// TierRouteFP is TierRoute for callers that already hold both trees'
+// fingerprints (fa = t1.Fingerprint(), fb = t2.Fingerprint()): a repeated
+// route then walks neither tree.
+func (c *Cache) TierRouteFP(t1, t2 *tree.Node, fa, fb tree.Fingerprint, p TierPolicy) (float64, Tier) {
 	if !p.Enabled() || t1 == nil || t2 == nil {
 		return 0, TierExact
 	}
-	fa, fb := t1.Fingerprint(), t2.Fingerprint()
 	if fa == fb && tree.Equal(t1, t2) {
 		return 0, TierExact // identity: exact distance 0, no DP needed anyway
 	}

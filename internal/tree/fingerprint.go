@@ -1,6 +1,6 @@
 package tree
 
-import "fmt"
+import "strconv"
 
 // Fingerprint is a content address for a tree: a stable structural hash
 // over node labels and shape. Source positions are ignored, exactly like
@@ -29,7 +29,21 @@ func (f Fingerprint) IsZero() bool { return f == Fingerprint{} }
 // External tools diff these strings to detect per-unit tree changes
 // between runs.
 func (f Fingerprint) String() string {
-	return fmt.Sprintf("%016x%016x:%d", f.H1, f.H2, f.Size)
+	return string(f.AppendHex(make([]byte, 0, 48)))
+}
+
+// AppendHex appends the String form to dst without an intermediate
+// string: each hash as 16 zero-padded lowercase hex digits, a colon, then
+// the node count in decimal.
+func (f Fingerprint) AppendHex(dst []byte) []byte {
+	const digits = "0123456789abcdef"
+	for _, h := range [2]uint64{f.H1, f.H2} {
+		for shift := 60; shift >= 0; shift -= 4 {
+			dst = append(dst, digits[h>>uint(shift)&0xf])
+		}
+	}
+	dst = append(dst, ':')
+	return strconv.AppendUint(dst, uint64(f.Size), 10)
 }
 
 // Less orders fingerprints lexicographically by (H1, H2, Size). The order

@@ -7,6 +7,7 @@ package tree_test
 // the generated mini-app corpus.
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -228,5 +229,20 @@ func TestSubtreeFingerprintsMatchStandalone(t *testing.T) {
 	var nilNode *tree.Node
 	if got := nilNode.SubtreeFingerprints(); got != nil {
 		t.Fatalf("nil tree yielded %v, want nil", got)
+	}
+}
+
+// TestFingerprintStringForm pins String (built on AppendHex) to its
+// documented external form, the fmt rendering "%016x%016x:%d".
+func TestFingerprintStringForm(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	fps := []tree.Fingerprint{{}, {H1: 1, H2: 1 << 63, Size: 1 << 31}}
+	for i := 0; i < 50; i++ {
+		fps = append(fps, tree.Fingerprint{H1: r.Uint64(), H2: r.Uint64() >> uint(r.Intn(64)), Size: r.Uint32()})
+	}
+	for _, fp := range fps {
+		if got, want := fp.String(), fmt.Sprintf("%016x%016x:%d", fp.H1, fp.H2, fp.Size); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
 	}
 }
