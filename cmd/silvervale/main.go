@@ -309,11 +309,13 @@ commands:
 
 index, diverge, matrix, phi, experiment, ingest, watch, and serve accept
 -workers <n> to bound the divergence engine's worker pool (default: all
-CPUs; 1 = serial).
-Results are identical for every value. They also accept the observability
-flags (leading or trailing): -trace <file> writes a Chrome trace_event
-JSON, -metrics prints a metrics summary (-metrics-format=text|json), and
--pprof <addr> serves net/http/pprof while the command runs.
+CPUs; 1 = serial). The same pool also bounds loading an app's per-port
+indexes (from the pipeline or the -cache-dir store) and profiling its
+ports under -phi-source measured. Results are identical for every value.
+They also accept the observability flags (leading or trailing): -trace
+<file> writes a Chrome trace_event JSON, -metrics prints a metrics
+summary (-metrics-format=text|json), and -pprof <addr> serves
+net/http/pprof while the command runs.
 
 The same commands accept -cache-dir <dir>: a persistent content-addressed
 artifact store that warm-starts TED distances and codebase indexes across

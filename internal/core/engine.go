@@ -384,6 +384,17 @@ func (e *Engine) IndexCodebaseCtx(ctx context.Context, cb *corpus.Codebase, opts
 	return idx, err
 }
 
+// RunTasks executes fn(0..n-1) as tasks on the engine's worker pool, under
+// the rules every sweep follows: at most Workers() tasks run at once,
+// cancellation is checked at each task grant, and fn must write only to
+// its own slot. Callers above the engine (the experiments environment's
+// per-port index loads and profiles) run on it so one worker bound
+// covers all of a process's CPU-bound work. The returned error is
+// ctx.Err() when the context was canceled, nil otherwise.
+func (e *Engine) RunTasks(ctx context.Context, n int, fn func(int)) error {
+	return e.runParallel(ctx, n, nil, "", fn)
+}
+
 // runParallel executes fn(0..n-1) on at most e.workers goroutines under a
 // cancellation context. With a single worker (or a single task) it
 // degenerates to the serial loop — no goroutines, no synchronisation — so

@@ -178,36 +178,55 @@ func (e *Env) Indexes(appName string) (map[string]*core.Index, []string, error) 
 }
 
 // IndexesCtx is Indexes under a cancellation context. The build runs
-// under the environment mutex; a canceled build caches nothing, so the
-// next request rebuilds from scratch (or from the engine's store tier).
+// under the environment mutex, one task per port on the engine's worker
+// pool (a store hit decodes, a miss runs the pipeline); each task fills
+// its own slot and the map is assembled afterwards, so it is the same at
+// every worker count. A canceled build caches nothing, so the next
+// request rebuilds from scratch (or from the engine's store tier).
 func (e *Env) IndexesCtx(ctx context.Context, appName string) (map[string]*core.Index, []string, error) {
 	app, err := corpus.AppByName(appName)
 	if err != nil {
 		return nil, nil, err
 	}
-	var order []string
-	for _, m := range corpus.ModelsFor(app) {
-		order = append(order, string(m))
+	models := corpus.ModelsFor(app)
+	order := make([]string, len(models))
+	for k, m := range models {
+		order[k] = string(m)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if idxs, ok := e.cache[appName]; ok {
 		return idxs, order, nil
 	}
-	idxs := map[string]*core.Index{}
-	for _, m := range corpus.ModelsFor(app) {
-		cb, err := corpus.Generate(app, m)
-		if err != nil {
-			return nil, nil, err
+	built := make([]*core.Index, len(models))
+	errs := make([]error, len(models))
+	ctxErr := e.engine.RunTasks(ctx, len(models), func(k int) {
+		cb, err := corpus.Generate(app, models[k])
+		if err == nil {
+			built[k], err = e.engine.IndexCodebaseCtx(ctx, cb, core.Options{})
 		}
-		idx, err := e.engine.IndexCodebaseCtx(ctx, cb, core.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-		idxs[string(m)] = idx
+		errs[k] = err
+	})
+	if err := firstError(errs, ctxErr); err != nil {
+		return nil, nil, err
+	}
+	idxs := make(map[string]*core.Index, len(models))
+	for k, name := range order {
+		idxs[name] = built[k]
 	}
 	e.cache[appName] = idxs
 	return idxs, order, nil
+}
+
+// firstError returns the first per-port error in model order, else the
+// pool's cancellation error.
+func firstError(errs []error, ctxErr error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return ctxErr
 }
 
 // Run regenerates one experiment by id. With a recorder attached, the

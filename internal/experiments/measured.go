@@ -1,15 +1,17 @@
 // Measured-Φ plumbing: the experiments environment can source every
 // performance figure (cascades, navigation charts, fig15) from
 // interpreter-measured cost vectors instead of the modeled landscape.
-// Profiles are built once per app under the environment mutex — serial
-// and in stable model order, so measured figures are bit-identical across
-// runs and worker counts — and the same single interpreter execution
-// also yields the port's coverage mask (DESIGN.md §11).
+// Profiles are built once per app under the environment mutex — one task
+// per port on the engine's worker pool, each writing its own slot, then
+// combined in stable model order, so measured figures are bit-identical
+// across runs and worker counts — and the same single interpreter
+// execution also yields the port's coverage mask (DESIGN.md §11).
 package experiments
 
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"silvervale/internal/core"
 	"silvervale/internal/corpus"
@@ -53,9 +55,11 @@ func (e *Env) ProfileRuns() int64 {
 }
 
 // MeasuredSet returns (profiling every C++ port on first use) the app's
-// measured cost set. Runs are serial under the environment mutex in
-// CXXModels order, so the resulting efficiencies are bit-identical for
-// every worker count.
+// measured cost set. The build runs under the environment mutex, one
+// profile per port as a task on the engine's worker pool: each task fills
+// its port's slot, and the cost set is assembled afterwards in CXXModels
+// order, so the resulting efficiencies are bit-identical for every worker
+// count.
 func (e *Env) MeasuredSet(appName string) (*perf.MeasuredSet, error) {
 	app, err := corpus.AppByName(appName)
 	if err != nil {
@@ -72,22 +76,36 @@ func (e *Env) MeasuredSet(appName string) (*perf.MeasuredSet, error) {
 	sp := e.rec.Start("interp.profile").Arg("app", appName)
 	defer sp.End()
 	models := corpus.CXXModels()
-	profs := make(map[corpus.Model]*interp.Profile, len(models))
-	for _, m := range models {
-		cb, err := corpus.Generate(app, m)
+	profs := make([]*interp.Profile, len(models))
+	errs := make([]error, len(models))
+	var runs atomic.Int64
+	ctxErr := e.engine.RunTasks(context.Background(), len(models), func(k int) {
+		cb, err := corpus.Generate(app, models[k])
 		if err != nil {
-			return nil, err
+			errs[k] = err
+			return
 		}
 		rp, err := core.ProfileCodebase(cb, sp)
 		if err != nil {
-			return nil, err
+			errs[k] = err
+			return
 		}
-		e.profileRuns++
-		profs[m] = rp.Cost
+		runs.Add(1)
+		profs[k] = rp.Cost
+	})
+	e.profileRuns += runs.Load()
+	if err := firstError(errs, ctxErr); err != nil {
+		return nil, err
+	}
+	var serial *interp.Profile
+	for k, m := range models {
+		if m == corpus.Serial {
+			serial = profs[k]
+		}
 	}
 	costs := make(map[corpus.Model]perf.AppCost, len(models))
-	for _, m := range models {
-		costs[m] = perf.BuildAppCost(app, m, profs[corpus.Serial], profs[m])
+	for k, m := range models {
+		costs[m] = perf.BuildAppCost(app, m, serial, profs[k])
 	}
 	set := perf.NewMeasuredSet(appName, models, costs)
 	e.measured[appName] = set

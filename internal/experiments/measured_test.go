@@ -3,10 +3,12 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"silvervale/internal/corpus"
 	"silvervale/internal/obs"
 )
 
@@ -35,31 +37,36 @@ func TestMeasuredSetRejectsFortran(t *testing.T) {
 
 // TestSinglePassProfiling: a sweep touching the same app from several
 // figures profiles each port exactly once — the regression gate for the
-// one-execution-two-artifacts design.
+// one-execution-two-artifacts design — whether the ports are profiled one
+// after another or as tasks on a 2-worker pool.
 func TestSinglePassProfiling(t *testing.T) {
-	e := NewEnvWorkers(1)
-	if err := e.SetPhiSource(PhiSourceMeasured); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.MeasuredSet("babelstream"); err != nil {
-		t.Fatal(err)
-	}
-	want := e.ProfileRuns()
-	if want == 0 {
-		t.Fatal("no profiling runs recorded")
-	}
-	// every further consumer of the same app must hit the cache
-	if _, err := e.MeasuredSet("babelstream"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.NavChart("babelstream"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.phiFns("babelstream"); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.ProfileRuns(); got != want {
-		t.Fatalf("profile runs grew %d → %d: app re-executed within one sweep", want, got)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := NewEnvWorkers(workers)
+			if err := e.SetPhiSource(PhiSourceMeasured); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.MeasuredSet("babelstream"); err != nil {
+				t.Fatal(err)
+			}
+			want := int64(len(corpus.CXXModels()))
+			if got := e.ProfileRuns(); got != want {
+				t.Fatalf("%d profile runs for %d ports", got, want)
+			}
+			// every further consumer of the same app must hit the cache
+			if _, err := e.MeasuredSet("babelstream"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.NavChart("babelstream"); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := e.phiFns("babelstream"); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.ProfileRuns(); got != want {
+				t.Fatalf("profile runs grew %d → %d: app re-executed within one sweep", want, got)
+			}
+		})
 	}
 }
 
@@ -121,9 +128,9 @@ func TestMeasuredNavChartJSON(t *testing.T) {
 
 // TestMeasuredDeterministicAcrossWorkers: independently built measured
 // charts are bit-identical, as structures and as JSON bytes, for every
-// worker count (profiling runs serial under the environment mutex; this
-// is the measured leg of the matrix-determinism gates, exercised under
-// -race by the tier-1 suite).
+// worker count (each port's profile fills its own slot and the set is
+// combined in model order; this is the measured leg of the
+// matrix-determinism gates, exercised under -race by the tier-1 suite).
 func TestMeasuredDeterministicAcrossWorkers(t *testing.T) {
 	var ref interface{}
 	var refJSON []byte

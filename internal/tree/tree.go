@@ -268,10 +268,22 @@ func (n *Node) Labels() []string {
 // ParseSexpr parses the one-line s-expression form produced by String.
 // Labels may contain any rune except space and parentheses. It is the
 // inverse of String for trees whose labels obey that restriction and is
-// used by tests and the DB round-trip.
+// used by tests and the DB round-trip, where it decodes every tree of a
+// stored index.
+//
+// The parse makes two allocations per tree. A first pass counts the label
+// atoms, one per node. The second carves every Node, in pre-order, from
+// one []Node, and every Children list from one shared []*Node. Each
+// Children slice has cap == len, so an append to one node's children
+// copies them out instead of writing into a sibling's.
 func ParseSexpr(s string) (*Node, error) {
-	p := &sexprParser{src: s}
-	n, err := p.parse()
+	n := countAtoms(s)
+	p := &sexprParser{src: s, nodes: make([]Node, n)}
+	if n > 1 {
+		p.kids = make([]*Node, n-1)
+		p.low = n - 1
+	}
+	root, err := p.parse()
 	if err != nil {
 		return nil, err
 	}
@@ -279,12 +291,39 @@ func ParseSexpr(s string) (*Node, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("tree: trailing input at %d in %q", p.pos, s)
 	}
-	return n, nil
+	return root, nil
 }
 
+// countAtoms counts the maximal runs of label characters in s: a bound on
+// the nodes any parse of s creates, and their exact number when the parse
+// succeeds.
+func countAtoms(s string) int {
+	n := 0
+	in := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		atom := c != ' ' && c != '(' && c != ')'
+		if atom && !in {
+			n++
+		}
+		in = atom
+	}
+	return n
+}
+
+// sexprParser carves nodes from nodes (next is the first free one) and
+// child lists from kids. kids holds two regions: finished child lists
+// fill it downward from the end (low is the start of the lowest one), and
+// the children of the open nodes are stacked upward from the start (top
+// is the stack height). Every node but the root sits in at most one of
+// the two, so the regions never meet.
 type sexprParser struct {
-	src string
-	pos int
+	src      string
+	pos      int
+	nodes    []Node
+	next     int
+	kids     []*Node
+	top, low int
 }
 
 func (p *sexprParser) skipSpace() {
@@ -293,13 +332,25 @@ func (p *sexprParser) skipSpace() {
 	}
 }
 
+func (p *sexprParser) node(label string) *Node {
+	n := &p.nodes[p.next]
+	p.next++
+	n.Label = label
+	return n
+}
+
 func (p *sexprParser) parse() (*Node, error) {
 	p.skipSpace()
 	if p.pos >= len(p.src) {
 		return nil, fmt.Errorf("tree: unexpected end of input")
 	}
 	if p.src[p.pos] != '(' {
-		return &Node{Label: p.atom()}, nil
+		label := p.atom()
+		if label == "" {
+			// Only a top-level ')' gets here: nothing parses, all trails.
+			return nil, fmt.Errorf("tree: trailing input at %d in %q", p.pos, p.src)
+		}
+		return p.node(label), nil
 	}
 	p.pos++ // consume '('
 	p.skipSpace()
@@ -307,7 +358,8 @@ func (p *sexprParser) parse() (*Node, error) {
 	if label == "" {
 		return nil, fmt.Errorf("tree: empty label at %d", p.pos)
 	}
-	n := &Node{Label: label}
+	n := p.node(label)
+	base := p.top
 	for {
 		p.skipSpace()
 		if p.pos >= len(p.src) {
@@ -315,13 +367,20 @@ func (p *sexprParser) parse() (*Node, error) {
 		}
 		if p.src[p.pos] == ')' {
 			p.pos++
+			if k := p.top - base; k > 0 {
+				lo := p.low - k
+				copy(p.kids[lo:p.low], p.kids[base:p.top])
+				n.Children = p.kids[lo:p.low:p.low]
+				p.low, p.top = lo, base
+			}
 			return n, nil
 		}
 		c, err := p.parse()
 		if err != nil {
 			return nil, err
 		}
-		n.Children = append(n.Children, c)
+		p.kids[p.top] = c
+		p.top++
 	}
 }
 
