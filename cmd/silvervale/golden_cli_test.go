@@ -85,6 +85,31 @@ func TestGoldenColdStoreCacheLine(t *testing.T) {
 	assertGolden(t, lineWith(t, stderr, "ted cache:"), goldenColdStoreCache)
 }
 
+// goldenColdDPCells are the DP counters of a cold babelstream sweep: the
+// forest-distance cells the keyroot DPs computed and the root-child
+// sub-DPs run each way. They are a pure function of the trees, the memo
+// thresholds and the path plan, so a DP kernel change that computes
+// different cells fails here even when every distance still matches.
+var goldenColdDPCells = []string{
+	"silvervale_ted_dp_cells 204184742",
+	"silvervale_ted_subdp_left 54",
+	"silvervale_ted_subdp_mirrored 481",
+}
+
+func TestGoldenColdDPCells(t *testing.T) {
+	if raceEnabled {
+		t.Skip("C++ BabelStream sweep is too slow under -race")
+	}
+	out, _, err := captureBoth(t, "matrix", "babelstream", "-workers", "1", "-metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range goldenColdDPCells {
+		name, _, _ := strings.Cut(want, " ")
+		assertGolden(t, lineWith(t, out, name+" "), want)
+	}
+}
+
 func TestGoldenTierLine(t *testing.T) {
 	if raceEnabled {
 		t.Skip("C++ BabelStream sweep is too slow under -race")

@@ -157,6 +157,16 @@ func (z *refZhangShasha) treedist(i, j int) {
 	}
 }
 
+func min3(a, b, c int32) int32 {
+	if b < a {
+		a = b
+	}
+	if c < a {
+		a = c
+	}
+	return a
+}
+
 func refDistanceWithCosts(t1, t2 *tree.Node, c Costs) int {
 	if t1 == nil && t2 == nil {
 		return 0

@@ -5,13 +5,14 @@ import "sync"
 // dpScratch bundles every per-call buffer the exact TED path needs: the
 // flattened representations of both trees (uncached path only — the cached
 // path borrows memoised flats instead), the keyroot bool table, the DP
-// matrix backings with their row headers, the per-keyroot b-offset row,
-// and the stamp/count tables and stack the bound gates use. All slices
-// grow to the high-water mark of the trees a scratch has seen and are
-// never shrunk, so a steady-state matrix sweep reuses the same memory for
-// every cell.
+// matrix backings with their row headers, the memoised path's per-grid
+// marks, and the stamp/count tables and stack the bound gates use. All
+// slices grow to the high-water mark of the trees a scratch has seen and
+// are never shrunk, so a steady-state matrix sweep reuses the same memory
+// for every cell.
 //
-// Matrix contents are deliberately NOT zeroed between uses: the
+// Matrix contents are deliberately NOT zeroed between uses. dpTables
+// writes fd's row 0 and column 0 for each tree pair; past those, the
 // Zhang–Shasha recurrence writes every forest-distance cell before reading
 // it, and only reads treedist cells written earlier in the same run (each
 // subtree pair belongs to exactly one keyroot pair, processed in ascending
@@ -23,7 +24,6 @@ type dpScratch struct {
 
 	td, fd         []int32     // DP matrix backings
 	tdRows, fdRows [][]int32   // row headers over td/fd
-	boff           []int32     // per-treedist b-side lmld offsets
 	blocks         []*subBlock // per-keyroot-pair probe results (memoised path)
 	done           []bool      // per-keyroot-pair lazily-restored marks (memoised path)
 	ckrefs         []ckptRef   // per-b-keyroot checkpoint probe results (memoised path)
@@ -61,16 +61,25 @@ func (s *dpScratch) prepFlat(f *flat, n int) {
 	}
 }
 
-// dpTables shapes the treedist/forestdist matrices and the b-offset row
-// for an n1 x n2 tree pair — the shared prologue of zsDistance and the
-// memoised Cache.zsDistanceMemo, which must size scratch identically for
-// the dirty-reuse invariant to hold across both paths. Contents are
-// unspecified (see the dpScratch comment).
-func (s *dpScratch) dpTables(n1, n2 int) (td, fd [][]int32, boff []int32) {
+// dpTables shapes the treedist/forestdist matrices for an n1 x n2 tree
+// pair under costs c — the shared prologue of zsDistance and the memoised
+// Cache.zsDistanceMemo. Every keyroot pair's forest DP starts from the
+// same borders, fd[0][cj] = cj·Insert (the insertion ramp) and fd[r][0] =
+// r·Delete, so they are written here once per tree pair and no kernel
+// writes them again. Every other cell is unspecified (see the dpScratch
+// comment).
+func (s *dpScratch) dpTables(n1, n2 int, c Costs) (td, fd [][]int32) {
 	td = s.matrix(&s.td, &s.tdRows, n1, n2)
 	fd = s.matrix(&s.fd, &s.fdRows, n1+1, n2+1)
-	s.boff = grow32(s.boff, n2)
-	return td, fd, s.boff
+	ins, del := int32(c.Insert), int32(c.Delete)
+	row0 := fd[0]
+	for cj := range row0 {
+		row0[cj] = int32(cj) * ins
+	}
+	for r := 1; r <= n1; r++ {
+		fd[r][0] = int32(r) * del
+	}
+	return td, fd
 }
 
 // blockRefs returns a scratch slice of n block pointers with unspecified

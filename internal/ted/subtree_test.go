@@ -416,12 +416,13 @@ func TestPathStrategyKeepsCheckpoints(t *testing.T) {
 	}
 }
 
-// TestProbeRowMemo pins the warm-cache edit sequence the grid probe
-// exists for: after a cold sweep and a first append edit, a second,
-// different append meets keyroot rows whose every block is already
-// memoised. The probe must serve those blocks (SubtreeHits advances)
-// and the distance must still equal the monolithic DP bit for bit.
-func TestProbeRowMemo(t *testing.T) {
+// TestGridProbeServesWarmBlocks pins the warm-cache edit sequence the
+// grid probe exists for: after a cold sweep and a first append edit, a
+// second, different append meets keyroot rows whose every block is
+// already memoised. The probe must serve those blocks (SubtreeHits
+// advances) and the distance must still equal the monolithic DP bit for
+// bit.
+func TestGridProbeServesWarmBlocks(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 25; trial++ {
 		a := randTree(r, 40+r.Intn(80))

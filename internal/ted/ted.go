@@ -80,10 +80,10 @@ func DistanceWithCosts(t1, t2 *tree.Node, c Costs) int {
 func zsDistance(a, b *flat, c Costs, sc *dpScratch) int {
 	n1 := len(a.labels)
 	n2 := len(b.labels)
-	td, fd, boff := sc.dpTables(n1, n2)
+	td, fd := sc.dpTables(n1, n2, c)
 	for _, i := range a.kr {
 		for _, j := range b.kr {
-			treedist(a, b, i, j, c, td, fd, boff)
+			treedist(a, b, i, j, c, td, fd)
 		}
 	}
 	return int(td[n1-1][n2-1])
@@ -144,7 +144,7 @@ func zsDistance(a, b *flat, c Costs, sc *dpScratch) int {
 func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *tree.Node) int {
 	n1 := len(a.labels)
 	n2 := len(b.labels)
-	td, fd, boff := sc.dpTables(n1, n2)
+	td, fd := sc.dpTables(n1, n2, costs)
 	k1 := len(a.kr)
 	k2 := len(b.kr)
 	blocks, done := sc.blockRefs(k1 * k2)
@@ -266,7 +266,7 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 					restoreBlock(td, rows, b.spine[b.spineOff[kj]:b.spineOff[kj+1]], bl.vals)
 				} else if j := b.kr[kj]; m1*(j-int(b.lmld[j])+1) < minCells {
 					rdone[kj] = true
-					treedist(a, b, i, j, costs, td, fd, boff)
+					treedist(a, b, i, j, costs, td, fd)
 					computed += int64(m1 * (j - int(b.lmld[j]) + 1))
 				}
 			}
@@ -338,7 +338,7 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 					materialise(li+minR0, i, 0, n2-1)
 					suffixDone = true
 				}
-				treedistFrom(a, b, i, j, costs, td, fd, boff, r0, resume[kj].vals)
+				treedistFrom(a, b, i, j, costs, td, fd, r0, resume[kj].vals)
 				computed += int64((m1 - r0) * (j - lj + 1))
 				rdone[kj] = true
 				freshCk = captureCkpts(freshCk, a, b.krFP[kj], j, lj, costs, fd, r0)
@@ -349,7 +349,15 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 				runKids(0)
 			}
 			materialise(li, i, lj, j)
-			treedist(a, b, i, j, costs, td, fd, boff)
+			// captureCkpts reads this run's fd rows, so a checkpoint-eligible
+			// root-row pair stays on the general kernel even when its b
+			// keyroot is a leaf: leafCol writes no fd.
+			capture := isRoot && ckEligible
+			if capture {
+				treedistFrom(a, b, i, j, costs, td, fd, 0, nil)
+			} else {
+				treedist(a, b, i, j, costs, td, fd)
+			}
 			computed += int64(cells)
 			rdone[kj] = true
 			cols := b.spine[b.spineOff[kj]:b.spineOff[kj+1]]
@@ -359,7 +367,7 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 				l2:   int32(len(cols)),
 				vals: harvestBlock(td, rows, cols),
 			}})
-			if isRoot && ckEligible {
+			if capture {
 				freshCk = captureCkpts(freshCk, a, b.krFP[kj], j, lj, costs, fd, 0)
 			}
 		}
@@ -487,114 +495,160 @@ func harvestBlock(td [][]int32, rows, cols []int32) []int32 {
 }
 
 // treedist fills td for the subtree pair rooted at post-order indices (i, j)
-// following the classic Zhang–Shasha forest recurrence. The inner loop is
-// restructured for the profile-measured hot path: the b-side lmld offsets
-// are precomputed once per keyroot pair into boff (so the per-cell whole-
-// forest test is a single compare against 0), rows where the a-forest is a
-// whole subtree are split from the common case (removing the branch from
-// the majority of cells), and the west/northwest neighbours are carried in
-// registers across the row instead of re-read from the matrix.
-func treedist(a, b *flat, i, j int, c Costs, td, fd [][]int32, boff []int32) {
-	treedistFrom(a, b, i, j, c, td, fd, boff, 0, nil)
+// with the Zhang–Shasha forest recurrence, choosing a kernel by the pair's
+// shape (DESIGN.md §6). A leaf keyroot on either side makes the DP a single
+// row or column whose fd reads are all pure functions of the index, so
+// leafRow and leafCol hold them in registers and write td only; every
+// other pair runs the general kernel, treedistFrom. All three compute the
+// same cells with the same values. The fd rows a leaf pair leaves behind
+// are unspecified, so a caller that reads fd after the call (checkpoint
+// capture) must call treedistFrom itself.
+func treedist(a, b *flat, i, j int, c Costs, td, fd [][]int32) {
+	switch {
+	case int(a.lmld[i]) == i:
+		leafRow(a, b, i, j, c, td)
+	case int(b.lmld[j]) == j:
+		leafCol(a, b, i, j, c, td)
+	default:
+		treedistFrom(a, b, i, j, c, td, fd, 0, nil)
+	}
 }
 
-// treedistFrom is treedist with checkpoint resume (§13): when r0 > 0,
-// the memoised fd row `resume` (the row completed at a-forest prefix
-// [0..r0-1], m2+1 cells) is installed as the predecessor row and the row
-// loop starts at prefix length r0 instead of 0. Only the root keyroot is
-// ever resumed, so li == 0 and fd row indices coincide with prefix
-// lengths. The skipped rows' td cells are NOT produced; the caller's
-// all-or-nothing rule guarantees nothing later reads them, and the rows
-// that do run read only fd rows >= r0 plus fd[0] (a suffix node's lmld
-// is either >= r0, or it is the root itself, whose lmld row is fd[0] —
-// written unconditionally below).
-func treedistFrom(a, b *flat, i, j int, c Costs, td, fd [][]int32, boff []int32, r0 int, resume []int32) {
-	li := int(a.lmld[i])
-	lj := int(b.lmld[j])
-	m1 := i - li + 1 // a-forest size (DP rows)
-	m2 := j - lj + 1 // b-forest size (DP cols)
-	ins := int32(c.Insert)
-	del := int32(c.Delete)
-	ren := int32(c.Rename)
-
-	// Column 0 is only read for rows >= r0 (the resumed row itself arrives
-	// via the checkpoint copy, whose [0] cell is the same pure function),
-	// so a resumed run skips the prefix writes.
-	fd[0][0] = 0
-	col := int32(r0) * del
-	for r := r0 + 1; r <= m1; r++ {
-		col += del
-		fd[r][0] = col
-	}
-	row0 := fd[0][:m2+1]
-	acc := int32(0)
-	for cj := 1; cj <= m2; cj++ {
-		acc += ins
-		row0[cj] = acc
-	}
-
-	// boff[cj] is bLmld[lj+cj]-lj: 0 exactly when the b-forest ending at
-	// that node is a whole subtree, and otherwise the fd column where the
-	// left part of the split b-forest ends.
+// leafRow is treedist for a leaf a keyroot i: the a-forest is the one node
+// i, so the DP is the single row fd[1]. Its predecessor row fd[0] and its
+// fdA row fd[lmld(i)−li] = fd[0] are both the insertion ramp cj·Insert,
+// and its column-0 cell is Delete, so the row runs on registers.
+func leafRow(a, b *flat, i, j int, c Costs, td [][]int32) {
+	lj := b.lmld[j]
+	ins, del, ren := int32(c.Insert), int32(c.Delete), int32(c.Rename)
+	la := a.labels[i]
 	bl := b.lmld[lj : j+1]
-	bo := boff[:m2]
-	for cj := range bo {
-		bo[cj] = bl[cj] - int32(lj)
+	blab := b.labels[lj : j+1][:len(bl)]
+	tdRow := td[i][lj : j+1][:len(bl)]
+	left := del    // fd[1][0]
+	up := int32(0) // fd[0][cj], the ramp
+	for cj, l := range bl {
+		diag := up
+		up += ins
+		d := up + del
+		if l == lj {
+			if la != blab[cj] {
+				diag += ren
+			}
+			d = min(d, diag)
+			d = min(d, left+ins)
+			tdRow[cj] = d
+		} else {
+			d = min(d, (l-lj)*ins+tdRow[cj])
+			d = min(d, left+ins)
+		}
+		left = d
 	}
-	blab := b.labels[lj : j+1]
+}
 
+// leafCol is treedist for a leaf b keyroot j: the b-forest is the one node
+// j, so the DP is the single column fd[·][1]. The recurrence reads fdA
+// only at column 0, where fd[lmld(di)−li][0] = (lmld(di)−li)·Delete, and
+// carries the column's running cell (the next row's up) in a register, so
+// the column writes no fd.
+func leafCol(a, b *flat, i, j int, c Costs, td [][]int32) {
+	li := a.lmld[i]
+	ins, del, ren := int32(c.Insert), int32(c.Delete), int32(c.Rename)
+	lb := b.labels[j]
+	al := a.lmld[li : i+1]
+	alab := a.labels[li : i+1][:len(al)]
+	tdRows := td[li : i+1][:len(al)]
+	up := ins        // fd[0][1]
+	left := int32(0) // fd[r][0] = r·Delete
+	for r, l := range al {
+		diag := left
+		left += del
+		tdCell := &tdRows[r][j]
+		d := left + ins
+		if l == li {
+			if alab[r] != lb {
+				diag += ren
+			}
+			d = min(d, diag)
+			d = min(d, up+del)
+			*tdCell = d
+		} else {
+			d = min(d, (l-li)*del+*tdCell)
+			d = min(d, up+del)
+		}
+		up = d
+	}
+}
+
+// treedistFrom is the general kernel. It fills fd rows r+1 for r in
+// [r0, m1) over columns 1..m2 and the td cells of the pair's whole-forest
+// positions. Row 0 (the insertion ramp) and column 0 (the deletion ramp)
+// are the same for every pair, so dpTables writes them once per tree pair
+// and no kernel writes them again. fdA, the row where a split a-forest's
+// left part ends, is indexed by bl[cj]−lj, the column where the split
+// b-forest's left part ends. Each cell first takes min(up+Delete,
+// fdA+td), which does not depend on the west neighbour, and then makes one
+// compare against left+Insert, so the row's serial chain is one
+// compare-and-move per cell.
+//
+// Checkpoint resume (§13): when r0 > 0, the memoised fd row `resume` (the
+// row completed at a-forest prefix [0..r0-1], m2+1 cells) is installed as
+// the predecessor row and the row loop starts at prefix length r0. Only
+// the root keyroot is ever resumed, so li == 0 and fd row indices coincide
+// with prefix lengths. The skipped rows' td cells are NOT produced; the
+// caller's all-or-nothing rule guarantees nothing later reads them, and the
+// rows that do run read only fd rows >= r0 plus row 0 (a suffix node's
+// lmld is either >= r0, or it is the root itself, whose lmld row is the
+// ramp).
+func treedistFrom(a, b *flat, i, j int, c Costs, td, fd [][]int32, r0 int, resume []int32) {
+	li := int(a.lmld[i])
+	lj := b.lmld[j]
+	ins, del, ren := int32(c.Insert), int32(c.Delete), int32(c.Rename)
+	bl := b.lmld[lj : j+1]
+	blab := b.labels[lj : j+1][:len(bl)]
+	m2 := len(bl)
 	if r0 > 0 {
-		copy(fd[r0][:m2+1], resume)
+		copy(fd[r0][1:m2+1], resume[1:])
 	}
-
 	for di := li + r0; di <= i; di++ {
 		r := di - li
-		prev := fd[r][:m2+1]
-		cur := fd[r+1][:m2+1]
-		tdRow := td[di][lj : j+1]
+		prev := fd[r][1 : m2+1][:len(bl)]
+		cur := fd[r+1][1 : m2+1][:len(bl)]
+		tdRow := td[di][lj : j+1][:len(bl)]
 		fdA := fd[int(a.lmld[di])-li]
-		left := cur[0]
+		left := int32(r+1) * del // fd[r+1][0]
 		if int(a.lmld[di]) == li {
 			// The a-forest is a whole subtree: cells where the b-forest is
-			// too (bo == 0) both close a treedist entry and use the rename
-			// recurrence.
+			// too close a treedist entry and use the rename recurrence.
 			la := a.labels[di]
-			diag := prev[0]
-			for cj := 0; cj < m2; cj++ {
-				up := prev[cj+1]
-				var d int32
-				if bo[cj] == 0 {
-					rc := int32(0)
+			diag := int32(r) * del // fd[r][0]
+			for cj, l := range bl {
+				up := prev[cj]
+				d := up + del
+				if l == lj {
 					if la != blab[cj] {
-						rc = ren
+						diag += ren
 					}
-					d = min3(up+del, left+ins, diag+rc)
+					d = min(d, diag)
+					d = min(d, left+ins)
 					tdRow[cj] = d
 				} else {
-					d = min3(up+del, left+ins, fdA[bo[cj]]+tdRow[cj])
+					d = min(d, fdA[l-lj]+tdRow[cj])
+					d = min(d, left+ins)
 				}
-				cur[cj+1] = d
+				cur[cj] = d
 				left = d
 				diag = up
 			}
 		} else {
-			for cj := 0; cj < m2; cj++ {
-				d := min3(prev[cj+1]+del, left+ins, fdA[bo[cj]]+tdRow[cj])
-				cur[cj+1] = d
+			for cj, l := range bl {
+				d := min(prev[cj]+del, fdA[l-lj]+tdRow[cj])
+				d = min(d, left+ins)
+				cur[cj] = d
 				left = d
 			}
 		}
 	}
-}
-
-func min3(a, b, c int32) int32 {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }
 
 // MaxDistance returns dmax for a tree pair (Eq. 7): the size of the
