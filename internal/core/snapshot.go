@@ -21,8 +21,9 @@ import (
 // SnapshotVersion guards the snapshot wire format; bump on any schema
 // change so stale files are rejected instead of misread. Version 2 added
 // the subtree-block section (DESIGN.md §13); version 3 keys cells on the
-// screen bit alone and records every cell's provenance.
-const SnapshotVersion = 3
+// screen bit alone and records every cell's provenance; version 4 carries
+// unit source hashes under store.FormatVersion 2's prefix-free hashing.
+const SnapshotVersion = 4
 
 // Snapshot is the warm state a watch session (or a CI baseline run)
 // persists so a later `-since` invocation can resume incrementally: every

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"silvervale/internal/corpus"
@@ -316,5 +317,28 @@ func TestCodebaseContentHashSensitivity(t *testing.T) {
 	}
 	if CodebaseContentHash(cb2) == base {
 		t.Fatal("different model hashed equal")
+	}
+}
+
+// TestCodebaseContentHashPrefixFree: file contents may hold 0 bytes, so
+// a field boundary must not be movable by shifting bytes between a file
+// and its neighbours. These two codebases split the same byte stream into
+// different files; a terminator-based encoding hashed them alike.
+func TestCodebaseContentHashPrefixFree(t *testing.T) {
+	pad := strings.Repeat("\x00", 8)
+	a := &corpus.Codebase{App: "app", Model: corpus.Serial, Lang: corpus.LangCXX,
+		Units: []corpus.Unit{{File: "a.cpp", Role: "main"}},
+		Files: map[string]string{
+			"a.cpp": "int x;\x00" + pad + "c.cpp\x00int y;",
+			"e.cpp": "int z;",
+		}}
+	b := &corpus.Codebase{App: "app", Model: corpus.Serial, Lang: corpus.LangCXX,
+		Units: []corpus.Unit{{File: "a.cpp", Role: "main"}},
+		Files: map[string]string{
+			"a.cpp": "int x;",
+			"c.cpp": "int y;\x00" + pad + "e.cpp\x00int z;",
+		}}
+	if CodebaseContentHash(a) == CodebaseContentHash(b) {
+		t.Fatal("codebases with different files share a content hash")
 	}
 }

@@ -483,7 +483,7 @@ func (e *Env) migrationFigure(id, app, base, title string) (*Result, error) {
 func (e *Env) cascadeFigure(id, app, title string) (*Result, error) {
 	plats := perf.Platforms()
 	models := corpus.CXXModels()
-	eff, phi, err := e.phiFns(app)
+	eff, phi, err := e.phiFns(app, e.PhiSource())
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +621,7 @@ func (e *Env) fig15() (*Result, error) {
 	}
 	nvOnly := []perf.Platform{h100}
 	both := []perf.Platform{h100, mi}
-	_, phi, err := e.phiFns("cloverleaf")
+	_, phi, err := e.phiFns("cloverleaf", e.PhiSource())
 	if err != nil {
 		return nil, err
 	}

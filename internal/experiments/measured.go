@@ -112,16 +112,16 @@ func (e *Env) MeasuredSet(appName string) (*perf.MeasuredSet, error) {
 	return set, nil
 }
 
-// phiFns resolves the active Φ source into the two functions the
+// phiFns resolves the Φ source src into the two functions the
 // performance figures consume: per-(model, platform) efficiency and
 // per-(model, platform-set) Φ. The modeled pair closes over the
 // hand-written landscape; the measured pair over the app's MeasuredSet.
-func (e *Env) phiFns(appName string) (
+func (e *Env) phiFns(appName, src string) (
 	eff func(corpus.Model, perf.Platform) float64,
 	phi func(corpus.Model, []perf.Platform) float64,
 	err error,
 ) {
-	if e.PhiSource() == PhiSourceMeasured {
+	if src == PhiSourceMeasured {
 		set, err := e.MeasuredSet(appName)
 		if err != nil {
 			return nil, nil, err
@@ -139,13 +139,15 @@ func (e *Env) phiFns(appName string) (
 // serial, full platform set) under the active Φ source — the JSON the
 // phi subcommand emits. Measured charts carry per-model cost summaries.
 func (e *Env) NavChart(appName string) (*navchart.Chart, error) {
-	return e.NavChartCtx(context.Background(), appName)
+	return e.NavChartCtx(context.Background(), appName, e.PhiSource())
 }
 
-// NavChartCtx is NavChart under a cancellation context (the serve
-// daemon's phi endpoint). Both FromBase sweeps check ctx at task grants;
-// a canceled request returns ctx.Err() with no chart.
-func (e *Env) NavChartCtx(ctx context.Context, appName string) (*navchart.Chart, error) {
+// NavChartCtx is NavChart under a cancellation context and an explicit Φ
+// source (the serve daemon's phi endpoint, where each request may pick
+// its own). It reads no source from the environment, so the chart's
+// label and its efficiencies always agree. Both FromBase sweeps check ctx
+// at task grants; a canceled request returns ctx.Err() with no chart.
+func (e *Env) NavChartCtx(ctx context.Context, appName, src string) (*navchart.Chart, error) {
 	idxs, order, err := e.IndexesCtx(ctx, appName)
 	if err != nil {
 		return nil, err
@@ -158,11 +160,10 @@ func (e *Env) NavChartCtx(ctx context.Context, appName string) (*navchart.Chart,
 	if err != nil {
 		return nil, err
 	}
-	eff, _, err := e.phiFns(appName)
+	eff, _, err := e.phiFns(appName, src)
 	if err != nil {
 		return nil, err
 	}
-	src := e.PhiSource()
 	ch := navchart.BuildPhi(appName, "serial", tsem, tsrc, corpus.CXXModels(), perf.Platforms(), src, eff)
 	// Stamp each point with its units' tsem fingerprints: the chart then
 	// content-addresses the trees it was computed from (DESIGN.md §12).

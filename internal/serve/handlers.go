@@ -172,7 +172,8 @@ func (s *Server) handleFromBase(w http.ResponseWriter, r *http.Request) error {
 type phiRequest struct {
 	App string `json:"app"`
 	// PhiSource optionally selects "modeled" or "measured" for this
-	// environment (measured requires a C++ app and profiles it once).
+	// request only; empty means the daemon's own source. Measured
+	// requires a C++ app and profiles it once per environment.
 	PhiSource string `json:"phi_source"`
 }
 
@@ -184,15 +185,15 @@ func (s *Server) handlePhi(w http.ResponseWriter, r *http.Request) error {
 	if err := validateApp(req.App); err != nil {
 		return err
 	}
-	if req.PhiSource != "" {
-		if req.PhiSource != experiments.PhiSourceModeled && req.PhiSource != experiments.PhiSourceMeasured {
-			return badRequest("unknown phi source %q", req.PhiSource)
-		}
-		if err := s.env.SetPhiSource(req.PhiSource); err != nil {
-			return badRequest("%v", err)
-		}
+	src := req.PhiSource
+	switch src {
+	case "":
+		src = s.env.PhiSource()
+	case experiments.PhiSourceModeled, experiments.PhiSourceMeasured:
+	default:
+		return badRequest("unknown phi source %q", req.PhiSource)
 	}
-	ch, err := s.env.NavChartCtx(r.Context(), req.App)
+	ch, err := s.env.NavChartCtx(r.Context(), req.App, src)
 	if err != nil {
 		return err
 	}

@@ -228,6 +228,31 @@ func TestPhiByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPhiSourceIsPerRequest: a request's phi_source applies to that
+// request only. A measured chart followed by a request that names no
+// source must return the daemon's default, modeled chart.
+func TestPhiSourceIsPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("C++ phi sweep is too slow under -race; plain suite covers it")
+	}
+	want := phiRef(t, phiApp)
+	s := newServer(t, 2, 2, 8)
+	w := post(s, "/v1/phi", fmt.Sprintf(`{"app":%q,"phi_source":"measured"}`, phiApp))
+	if w.Code != http.StatusOK {
+		t.Fatalf("measured: status %d: %s", w.Code, w.Body)
+	}
+	if !strings.Contains(w.Body.String(), `"phi_source": "measured"`) {
+		t.Fatalf("measured request did not get a measured chart: %.200s", w.Body)
+	}
+	w = post(s, "/v1/phi", fmt.Sprintf(`{"app":%q}`, phiApp))
+	if w.Code != http.StatusOK {
+		t.Fatalf("default: status %d: %s", w.Code, w.Body)
+	}
+	if !bytes.Equal(w.Body.Bytes(), want) {
+		t.Errorf("request without phi_source after a measured one differs from the modeled chart:\n%.300s", w.Body)
+	}
+}
+
 // TestSweepStreamsPerMetricLines: /v1/sweep streams one NDJSON line per
 // metric, in request order, each carrying the exact matrix the one-shot
 // path computes.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
-	"math"
 
 	"silvervale/internal/cbdb"
 	"silvervale/internal/msgpack"
@@ -17,14 +16,14 @@ import (
 // change, a key derivation change): old records stop resolving and the
 // store refills cleanly instead of serving stale answers. Index records
 // additionally mix in cbdb.FormatVersion, so a Codebase-DB schema bump
-// invalidates the index tier on its own.
-const FormatVersion = 1
+// invalidates the index tier on its own. Version 2 length-prefixes the
+// strings fed to Hasher, which moves every name and content hash.
+const FormatVersion = 2
 
 // Record kinds, one per store tier.
 const (
-	kindDist  = "ted"  // exact TED distance for one canonical tree pair
-	kindIndex = "idx"  // indexed codebase in cbdb encoding
-	kindTier  = "tier" // tiered (estimated) distance under one tier policy
+	kindDist  = "ted" // exact TED distance for one canonical tree pair
+	kindIndex = "idx" // indexed codebase in cbdb encoding
 )
 
 // DistKey addresses one exact tree-edit distance: the canonical fingerprint
@@ -34,17 +33,6 @@ const (
 type DistKey struct {
 	A, B                   tree.Fingerprint
 	Insert, Delete, Rename int
-}
-
-// TierKey addresses one tiered (estimated) distance: the canonical
-// fingerprint pair (A before B under Fingerprint.Less) and which routing
-// tier fired. The screening settings and the unit cost model are fixed,
-// so nothing else can change an estimate. Exact and tiered records live
-// in different store tiers under different kinds, so a warm start can
-// never serve an exact run an estimate.
-type TierKey struct {
-	A, B tree.Fingerprint
-	Tier uint8
 }
 
 // ContentHash is a 128-bit content address over arbitrary input bytes,
@@ -92,13 +80,14 @@ func (h *Hasher) writeByte(b byte) {
 	h.h2 = h.h2*33 + uint64(b)
 }
 
-// WriteString feeds a string followed by a terminator, so concatenations
-// of different splits hash differently.
+// WriteString feeds a string's length and then its bytes. The length
+// prefix makes the encoding prefix-free: no split of the same bytes into
+// other fields can hash alike, even when the strings contain 0 bytes.
 func (h *Hasher) WriteString(s string) {
+	h.WriteUint64(uint64(len(s)))
 	for i := 0; i < len(s); i++ {
 		h.writeByte(s[i])
 	}
-	h.writeByte(0)
 }
 
 // WriteUint64 feeds a fixed-width big-endian integer.
@@ -130,22 +119,6 @@ func distName(k DistKey) string {
 	h.WriteUint64(uint64(k.Insert))
 	h.WriteUint64(uint64(k.Delete))
 	h.WriteUint64(uint64(k.Rename))
-	s := h.Sum()
-	return fmt.Sprintf("%016x%016x", s.H1, s.H2)
-}
-
-// tierName derives the record file name for a tiered-distance key.
-func tierName(k TierKey) string {
-	h := NewHasher()
-	h.WriteUint64(FormatVersion)
-	h.WriteString(kindTier)
-	h.WriteUint64(k.A.H1)
-	h.WriteUint64(k.A.H2)
-	h.WriteUint64(uint64(k.A.Size))
-	h.WriteUint64(k.B.H1)
-	h.WriteUint64(k.B.H2)
-	h.WriteUint64(uint64(k.B.Size))
-	h.WriteUint64(uint64(k.Tier))
 	s := h.Sum()
 	return fmt.Sprintf("%016x%016x", s.H1, s.H2)
 }
@@ -206,45 +179,6 @@ func decodeDist(data []byte, k DistKey) (int, error) {
 		return 0, fmt.Errorf("store: distance record has no distance")
 	}
 	return int(d), nil
-}
-
-// encodeTier renders a tiered-distance record: the full key echo —
-// fingerprints and routing tier — alongside the estimate (as IEEE-754
-// bits, so the round trip is exact).
-func encodeTier(k TierKey, d float64) ([]byte, error) {
-	payload := map[string]any{
-		"v":    int64(FormatVersion),
-		"kind": kindTier,
-		"a1":   k.A.H1, "a2": k.A.H2, "as": int64(k.A.Size),
-		"b1": k.B.H1, "b2": k.B.H2, "bs": int64(k.B.Size),
-		"tr": int64(k.Tier),
-		"d":  math.Float64bits(d),
-	}
-	return encodeEnvelope(payload)
-}
-
-// decodeTier parses and verifies a tiered-distance record against the key
-// it was looked up under. As with distances, any decode failure or field
-// mismatch is an error the caller counts as corrupt-skipped, never a
-// wrong answer.
-func decodeTier(data []byte, k TierKey) (float64, error) {
-	m, err := decodeEnvelope(data, kindTier)
-	if err != nil {
-		return 0, err
-	}
-	ok := matchU64(m["a1"], k.A.H1) && matchU64(m["a2"], k.A.H2) &&
-		matchU64(m["as"], uint64(k.A.Size)) &&
-		matchU64(m["b1"], k.B.H1) && matchU64(m["b2"], k.B.H2) &&
-		matchU64(m["bs"], uint64(k.B.Size)) &&
-		matchU64(m["tr"], uint64(k.Tier))
-	if !ok {
-		return 0, fmt.Errorf("store: tier record key mismatch")
-	}
-	bits, ok := asU64(m["d"])
-	if !ok {
-		return 0, fmt.Errorf("store: tier record has no distance")
-	}
-	return math.Float64frombits(bits), nil
 }
 
 // encodeIndex renders an index record: the key echo plus the codebase DB

@@ -1,20 +1,20 @@
 // Package store implements the persistent content-addressed artifact
 // store: cross-run warm starts for the expensive products of the TBMD
-// pipeline — exact TED distances, indexed codebases and screening
-// estimates. The paper's own workflow already persists the index step as
-// a portable Codebase DB (Zstd+MessagePack, package cbdb); this package
-// generalises that idea into a three-tier on-disk cache addressed by
-// content, so a repeat sweep (re-running figures, CI checks, per-PR
-// metric runs) is bounded by decode time instead of the quadratic TED
-// core.
+// pipeline — exact TED distances and indexed codebases. The paper's own
+// workflow already persists the index step as a portable Codebase DB
+// (Zstd+MessagePack, package cbdb); this package generalises that idea
+// into a two-tier on-disk cache addressed by content, so a repeat sweep
+// (re-running figures, CI checks, per-PR metric runs) is bounded by
+// decode time instead of the quadratic TED core. Screening estimates are
+// not stored: they are recomputed from per-tree memo entries (DESIGN.md
+// §10).
 //
 // Layout: <root>/<tier>/<shard>/<name>, where tier is "ted" (exact
-// distances), "idx" (indexes) or "tier" (screening estimates), name is a
-// 128-bit hash over the full record key (fingerprint pair + cost model +
-// format version for distances; app/model/content hash + format versions
-// for indexes; fingerprint pair + routing tier for estimates) and shard
-// is the name's first byte in hex — a 256-way fan-out that keeps directories small at
-// millions of records.
+// distances) or "idx" (indexes), name is a 128-bit hash over the full
+// record key (fingerprint pair + cost model + format version for
+// distances; app/model/content hash + format versions for indexes) and
+// shard is the name's first byte in hex — a 256-way fan-out that keeps
+// directories small at millions of records.
 //
 // Durability model: records are immutable and written via temp-file +
 // fsync + rename, so a reader never observes a partial record under its
@@ -59,12 +59,11 @@ import (
 const (
 	distDir  = "ted"
 	indexDir = "idx"
-	tierDir  = "tier"
 )
 
 // tierNames lists every tier directory in stable display order; per-tier
 // byte accounting and Clear iterate it.
-var tierNames = [...]string{distDir, indexDir, tierDir}
+var tierNames = [...]string{distDir, indexDir}
 
 // tierIndex maps a tier directory to its accounting slot.
 func tierIndex(tier string) int {
@@ -258,7 +257,7 @@ type Stats struct {
 	Degraded       bool   // breaker tripped: store is memory-only
 
 	// TierBytes splits the byte totals per tier, keyed by tier directory
-	// name ("ted", "idx", "tier"); every tier is present, zeros
+	// name ("ted", "idx"); every tier is present, zeros
 	// included, so callers can index without existence checks.
 	TierBytes map[string]TierIO
 }
@@ -334,37 +333,6 @@ func (s *Store) PutDist(k DistKey, d int) {
 	if s.writable() {
 		data, err := encodeDist(k, d)
 		s.put(distDir, distName(k), data, err)
-	}
-}
-
-// LookupTierDist returns the stored tiered-distance estimate for a key,
-// if a valid record exists. A record written for another pair or routing
-// tier hashes to a different name and can never be served here; a
-// corrupted or colliding record fails its key echo and is counted in
-// corrupt_skipped, surfacing as a miss.
-func (s *Store) LookupTierDist(k TierKey) (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	data, ok := s.load(tierDir, tierName(k))
-	if !ok {
-		return 0, false
-	}
-	d, err := decodeTier(data, k)
-	if err != nil {
-		s.skipCorrupt()
-		return 0, false
-	}
-	s.hit()
-	return d, true
-}
-
-// PutTierDist commits a tiered-distance record. No-op on nil, readonly,
-// degraded, or closed stores.
-func (s *Store) PutTierDist(k TierKey, d float64) {
-	if s.writable() {
-		data, err := encodeTier(k, d)
-		s.put(tierDir, tierName(k), data, err)
 	}
 }
 

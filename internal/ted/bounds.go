@@ -45,7 +45,7 @@ func boundGate(a, b *flat, c Costs, sc *dpScratch) (int, bool) {
 	if n2 == 1 {
 		return singleNode(b.labels[0], a.labels, c.Insert, c.Delete, c.Rename), true
 	}
-	lb := labelLowerBound(n1, n2, multisetIntersection(a, b, sc), c)
+	lb := labelLowerBound(n1, n2, multisetIntersection(a.labels, b.labels, sc), c)
 	if lb == n1*c.Delete+n2*c.Insert {
 		return lb, true
 	}
@@ -103,13 +103,13 @@ func singleNode(lone int32, labels []int32, drop, fill, ren int) int {
 	return min(unmapped, mapped)
 }
 
-// multisetIntersection counts, over interned label ids, the size of the
-// multiset intersection of the two trees' labels. The pooled stamp/count
-// tables make this allocation-free: ids touched by a stamp the current
-// epoch, so no clearing pass is needed between calls.
-func multisetIntersection(a, b *flat, sc *dpScratch) int {
+// multisetIntersection counts the size of the multiset intersection of
+// two interned label-id lists. The pooled stamp/count tables make this
+// allocation-free: ids touched by a stamp the current epoch, so no
+// clearing pass is needed between calls.
+func multisetIntersection(a, b []int32, sc *dpScratch) int {
 	stamp, cnt, epoch := sc.stampTables()
-	for _, id := range a.labels {
+	for _, id := range a {
 		if stamp[id] != epoch {
 			stamp[id] = epoch
 			cnt[id] = 1
@@ -118,7 +118,7 @@ func multisetIntersection(a, b *flat, sc *dpScratch) int {
 		}
 	}
 	isect := 0
-	for _, id := range b.labels {
+	for _, id := range b {
 		if stamp[id] == epoch && cnt[id] > 0 {
 			cnt[id]--
 			isect++

@@ -14,9 +14,10 @@ import (
 // distances. Entries are keyed by (Fingerprint(a), Fingerprint(b), Costs),
 // so the cache is shared safely across codebases, metrics, and goroutines:
 // any two structurally identical trees hit the same entry no matter where
-// they came from. pq-gram profiles are memoised under the same addressing
-// scheme; a pq-gram distance is a linear merge of two memoised profiles
-// and is not memoised itself.
+// they came from. Each tree's screening state (pq-gram profile, minhash
+// signature, interned label ids) is memoised in one entry under the same
+// addressing scheme; a pq-gram distance is a linear merge of two memoised
+// profiles and is not memoised itself.
 //
 // Identical-tree pairs short-circuit to distance 0 without running
 // Zhang–Shasha at all: on fingerprint equality the trees are verified with
@@ -35,12 +36,11 @@ import (
 //
 // The zero value is not usable; call NewCache.
 type Cache struct {
-	mu       sync.RWMutex
-	dist     map[pairKey]int
-	profiles map[tree.Fingerprint]PQGramProfile
-	flats    map[tree.Fingerprint]*flat
-	mirrors  map[tree.Fingerprint]*flat // mirrored flats, keyed by the unmirrored tree's fingerprint
-	sigs     map[tree.Fingerprint]Signature
+	mu      sync.RWMutex
+	dist    map[pairKey]int
+	flats   map[tree.Fingerprint]*flat
+	mirrors map[tree.Fingerprint]*flat // mirrored flats, keyed by the unmirrored tree's fingerprint
+	screens map[tree.Fingerprint]*screen
 
 	// Subtree-block memo (DESIGN.md §13): treedist outputs per keyroot
 	// pair, content-addressed by subtree fingerprint pair + costs, under
@@ -122,18 +122,17 @@ type pairKey struct {
 // block memo starts enabled with its default threshold and bound.
 func NewCache() *Cache {
 	c := &Cache{
-		dist:     map[pairKey]int{},
-		profiles: map[tree.Fingerprint]PQGramProfile{},
-		flats:    map[tree.Fingerprint]*flat{},
-		mirrors:  map[tree.Fingerprint]*flat{},
-		sigs:     map[tree.Fingerprint]Signature{},
-		subs:     map[subKey]*subBlock{},
-		subMax:   subDefaultMaxBytes,
-		subMin:   subDefaultMinCells,
-		ckpts:    map[ckptKey][]int32{},
-		ckptMax:  ckptDefaultMaxBytes,
-		pathMin:  pathDefaultMinSaving,
-		counts:   &cacheCounters{},
+		dist:    map[pairKey]int{},
+		flats:   map[tree.Fingerprint]*flat{},
+		mirrors: map[tree.Fingerprint]*flat{},
+		screens: map[tree.Fingerprint]*screen{},
+		subs:    map[subKey]*subBlock{},
+		subMax:  subDefaultMaxBytes,
+		subMin:  subDefaultMinCells,
+		ckpts:   map[ckptKey][]int32{},
+		ckptMax: ckptDefaultMaxBytes,
+		pathMin: pathDefaultMinSaving,
+		counts:  &cacheCounters{},
 	}
 	return c
 }
@@ -211,7 +210,7 @@ type CacheStats struct {
 	FlatHits    uint64 // flattened-tree lookups served from the flat memo
 	FlatMisses  uint64 // trees flattened and interned for the first time
 	Entries     int    // stored exact distances
-	Profiles    int    // stored pq-gram profiles
+	Profiles    int    // stored screening entries (one pq-gram profile each)
 	Flats       int    // stored flattened trees
 
 	// Subtree-block memo traffic (DESIGN.md §13). Hits and misses count
@@ -251,7 +250,7 @@ type CacheStats struct {
 // Stats returns current counters. Hits include identity short-circuits.
 func (c *Cache) Stats() CacheStats {
 	c.mu.RLock()
-	entries, profiles, flats := len(c.dist), len(c.profiles), len(c.flats)
+	entries, profiles, flats := len(c.dist), len(c.screens), len(c.flats)
 	c.mu.RUnlock()
 	c.subMu.RLock()
 	subBlocks, subBytes := len(c.subs), c.subBytes
@@ -477,23 +476,7 @@ func (c *Cache) mirrorFlat(t *tree.Node, fp tree.Fingerprint) *flat {
 
 // Profile returns the memoised pq-gram profile of a tree.
 func (c *Cache) Profile(t *tree.Node) PQGramProfile {
-	return c.profile(t, t.Fingerprint())
-}
-
-// profile is Profile with the tree's fingerprint already in hand, so a
-// memo hit does not walk the tree.
-func (c *Cache) profile(t *tree.Node, f tree.Fingerprint) PQGramProfile {
-	c.mu.RLock()
-	p, ok := c.profiles[f]
-	c.mu.RUnlock()
-	if ok {
-		return p
-	}
-	p = NewPQGramProfile(t)
-	c.mu.Lock()
-	c.profiles[f] = p
-	c.mu.Unlock()
-	return p
+	return c.screenFor(t, t.Fingerprint()).profile
 }
 
 // ApproxDistance is the cached form of ApproxDistance: the pq-gram
@@ -501,11 +484,11 @@ func (c *Cache) profile(t *tree.Node, f tree.Fingerprint) PQGramProfile {
 // the hit/miss counters nor the distance memo, which account exact TED
 // only.
 func (c *Cache) ApproxDistance(t1, t2 *tree.Node) float64 {
-	return c.approxDistance(t1, t2, t1.Fingerprint(), t2.Fingerprint())
+	return c.approxDistance(c.screenFor(t1, t1.Fingerprint()), c.screenFor(t2, t2.Fingerprint()))
 }
 
-// approxDistance is ApproxDistance with both fingerprints already in hand.
-func (c *Cache) approxDistance(t1, t2 *tree.Node, fa, fb tree.Fingerprint) float64 {
+// approxDistance is ApproxDistance over two screening entries in hand.
+func (c *Cache) approxDistance(a, b *screen) float64 {
 	c.counts.approxCalls.Add(1)
-	return PQGramDistance(c.profile(t1, fa), c.profile(t2, fb))
+	return PQGramDistance(a.profile, b.profile)
 }

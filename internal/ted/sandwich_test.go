@@ -76,7 +76,7 @@ func sandwichCheck(t *testing.T, t1, t2 *tree.Node, c Costs) bool {
 	a, b := newFlat(t1), newFlat(t2)
 	sc := getScratch()
 	defer putScratch(sc)
-	lb := labelLowerBound(len(a.labels), len(b.labels), multisetIntersection(a, b, sc), c)
+	lb := labelLowerBound(len(a.labels), len(b.labels), multisetIntersection(a.labels, b.labels, sc), c)
 	ub := topDownBound(a, b, c, sc)
 	if lb > want || want > ub {
 		t.Fatalf("costs %+v: lb %d, seed %d, ub %d: not a sandwich\na=%s\nb=%s", c, lb, want, ub, t1, t2)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"silvervale/internal/store"
 	"silvervale/internal/tree"
 )
 
@@ -227,14 +226,13 @@ const (
 )
 
 // calibratedRaw is the screening-grade estimate for a far-routed pair,
-// in unit edit ops.
-func (c *Cache) calibratedRaw(t1, t2 *tree.Node, fa, fb tree.Fingerprint, approx float64) float64 {
-	a := c.flatFor(t1, fa)
-	b := c.flatFor(t2, fb)
+// in unit edit ops. The label-multiset intersection runs over the two
+// screening entries' label ids, so no flat is built.
+func calibratedRaw(a, b *screen, approx float64) float64 {
 	sc := getScratch()
-	isect := multisetIntersection(a, b, sc)
+	isect := multisetIntersection(a.labels, b.labels, sc)
 	putScratch(sc)
-	n1, n2 := int(fa.Size), int(fb.Size)
+	n1, n2 := len(a.labels), len(b.labels)
 	mx, mn := n1, n2
 	if mx < mn {
 		mx, mn = mn, mx
@@ -253,26 +251,59 @@ func (c *Cache) calibratedRaw(t1, t2 *tree.Node, fa, fb tree.Fingerprint, approx
 	return est
 }
 
-// SignatureFor returns the memoised minhash signature of a tree, building
-// profile and signature on first sight.
-func (c *Cache) SignatureFor(t *tree.Node) Signature {
-	return c.signature(t, t.Fingerprint())
+// screen is one tree's screening state, memoised by content fingerprint:
+// its pq-gram profile, the minhash signature over that profile, and its
+// interned label ids (in pre-order; the estimate uses them only as a
+// multiset). Entries are immutable once built and shared across
+// goroutines.
+type screen struct {
+	profile PQGramProfile
+	sig     Signature
+	labels  []int32
 }
 
-// signature is SignatureFor with the tree's fingerprint already in hand,
-// so a memo hit does not walk the tree.
-func (c *Cache) signature(t *tree.Node, fp tree.Fingerprint) Signature {
+// screenFor returns the memoised screening entry of t (fp =
+// t.Fingerprint()), building it on first sight. Racing builders keep the
+// first, like flatFor.
+func (c *Cache) screenFor(t *tree.Node, fp tree.Fingerprint) *screen {
 	c.mu.RLock()
-	s, ok := c.sigs[fp]
+	s, ok := c.screens[fp]
 	c.mu.RUnlock()
 	if ok {
 		return s
 	}
-	s = NewSignature(c.profile(t, fp), sigBands, sigRows)
+	p := NewPQGramProfile(t)
+	s = &screen{
+		profile: p,
+		sig:     NewSignature(p, sigBands, sigRows),
+		labels:  appendLabelIDs(make([]int32, 0, fp.Size), t),
+	}
 	c.mu.Lock()
-	c.sigs[fp] = s
+	if prior, ok := c.screens[fp]; ok {
+		s = prior
+	} else {
+		c.screens[fp] = s
+	}
 	c.mu.Unlock()
 	return s
+}
+
+// appendLabelIDs appends the interned label id of every node of t, in
+// pre-order.
+func appendLabelIDs(ids []int32, t *tree.Node) []int32 {
+	if t == nil {
+		return ids
+	}
+	ids = append(ids, internID(t.Label))
+	for _, c := range t.Children {
+		ids = appendLabelIDs(ids, c)
+	}
+	return ids
+}
+
+// SignatureFor returns the memoised minhash signature of a tree.
+func (c *Cache) SignatureFor(t *tree.Node) Signature {
+	return c.screenFor(t, t.Fingerprint()).sig
 }
 
 // TierRoute decides how a pair should be evaluated under a policy without
@@ -280,19 +311,13 @@ func (c *Cache) signature(t *tree.Node, fp tree.Fingerprint) Signature {
 // refined exactly (including every policy below ScreeningBudget), and
 // (estimate, tier) when the pair is far enough that the estimate honours
 // the budget. The decision and the estimate are pure functions of the two
-// trees — bit-identical across runs, schedulers, and worker counts — and
-// every step beneath it (signatures, pq-gram distance, flats) is memoised
-// by content fingerprint, so a repeated route recomputes only the two
-// fingerprints, the signature comparison and the multiset intersection
-// (or, with a store attached, re-reads the estimate's record). The
-// fingerprints are the only tree walks a repeated route makes: every
-// memo beneath is keyed by them, and TierRouteFP skips even those.
-//
-// With a persistent store attached, estimated values read through the
-// store's tier records, keyed by the canonical fingerprint pair and the
-// routing tier that fired: the screening settings are constants, so a
-// warm start can never serve an estimate produced under other settings,
-// and the records live apart from the exact tier.
+// trees — bit-identical across runs, schedulers, and worker counts. Each
+// tree's profile, signature and label ids are memoised in one entry keyed
+// by its content fingerprint, so a repeated route recomputes only the two
+// fingerprints, the signature comparison, the pq-gram merge and the
+// multiset intersection. The fingerprints are the only tree walks a
+// repeated route makes, and TierRouteFP skips even those. Routing reads
+// and writes nothing in a persistent store.
 func (c *Cache) TierRoute(t1, t2 *tree.Node, p TierPolicy) (float64, Tier) {
 	if !p.Enabled() {
 		return 0, TierExact
@@ -313,41 +338,19 @@ func (c *Cache) TierRouteFP(t1, t2 *tree.Node, fa, fb tree.Fingerprint, p TierPo
 	if fa.Size < tierMinNodes || fb.Size < tierMinNodes {
 		return 0, TierExact // below the calibration population; DP is cheap
 	}
-	sa := c.signature(t1, fa)
-	sb := c.signature(t2, fb)
-	if !SharesBand(sa, sb) {
-		if d := EstimateDistance(sa, sb); d >= screeningThreshold+farMargin {
+	sa := c.screenFor(t1, fa)
+	sb := c.screenFor(t2, fb)
+	if !SharesBand(sa.sig, sb.sig) {
+		if d := EstimateDistance(sa.sig, sb.sig); d >= screeningThreshold+farMargin {
 			// Provably-far bucket: no band collision and the signature
 			// estimate clears the threshold with margin — skip even the
 			// profile merge.
-			return c.tieredEstimate(t1, t2, fa, fb, d, TierFar), TierFar
+			return calibratedRaw(sa, sb, d), TierFar
 		}
 	}
-	approx := c.approxDistance(t1, t2, fa, fb)
+	approx := c.approxDistance(sa, sb)
 	if approx >= screeningThreshold {
-		return c.tieredEstimate(t1, t2, fa, fb, approx, TierEstimated), TierEstimated
+		return calibratedRaw(sa, sb, approx), TierEstimated
 	}
 	return 0, TierExact
-}
-
-// tieredEstimate produces the estimate for a far-routed pair, reading
-// through (and writing into) the store's tier records when a store
-// is attached. The store key carries the routing tier, so records from
-// the two estimated tiers never mix.
-func (c *Cache) tieredEstimate(t1, t2 *tree.Node, fa, fb tree.Fingerprint, approx float64, tier Tier) float64 {
-	st := c.backing.Load()
-	if st == nil {
-		return c.calibratedRaw(t1, t2, fa, fb, approx)
-	}
-	a, b := fa, fb
-	if b.Less(a) {
-		a, b = b, a // unit-cost estimates are symmetric, as exact TED is
-	}
-	tk := store.TierKey{A: a, B: b, Tier: uint8(tier)}
-	if d, ok := st.LookupTierDist(tk); ok {
-		return d
-	}
-	est := c.calibratedRaw(t1, t2, fa, fb, approx)
-	st.PutTierDist(tk, est)
-	return est
 }

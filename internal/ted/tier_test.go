@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"silvervale/internal/store"
 	"silvervale/internal/tree"
 )
 
@@ -53,6 +54,36 @@ func disjointTree(r *rand.Rand, n int) *tree.Node {
 
 // screening is the one policy that routes pairs away from exact.
 var screening = TierPolicy{Budget: ScreeningBudget}
+
+// TestTierRouteLeavesStoreUntouched: screening estimates are recomputed
+// from the per-tree memo entries, so routing a batch of estimated and
+// far pairs on a store-backed cache neither reads nor writes a record.
+func TestTierRouteLeavesStoreUntouched(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	c := NewCache()
+	c.SetStore(st)
+	r := rand.New(rand.NewSource(5))
+	routed := map[Tier]int{}
+	for i := 0; i < 24; i++ {
+		t1 := randTree(r, 200)
+		t2 := disjointTree(r, 220)
+		if i%2 == 1 {
+			t2 = relabelSome(r, t1, 30+i)
+		}
+		_, tier := c.TierRoute(t1, t2, screening)
+		routed[tier]++
+	}
+	if routed[TierEstimated] == 0 || routed[TierFar] == 0 {
+		t.Fatalf("batch routed %v, want estimated and far pairs", routed)
+	}
+	if s := st.Stats(); s.Hits != 0 || s.Misses != 0 || s.BytesRead != 0 || s.BytesWritten != 0 {
+		t.Fatalf("routing touched the store: %+v", s)
+	}
+}
 
 // TestTierRouteNeverEstimatesClosePairs: the lower-bound property of the
 // prefilter — a pair whose exact TED is small relative to its size (a
