@@ -16,7 +16,7 @@ const (
 
 	goldenWarmStoreCache = "ted cache: 17 hits (3 identity), 73 misses, 46 symmetric canonicalisations, 73 entries, 0 profiles, hit rate 18.9%, 0 bound-pruned, flat memo 0/0 hit rate 0.0%, subtree blocks 0 hit/0 miss, 0 resident (0B), 0 evicted, ckpt rows 0 hit/0 miss, 0 resident (0B), 0 evicted, store 83 hits, 0 misses, 65889B read, 0B written, 0 corrupt-skipped, ted tier 0B written/8572B read, idx tier 0B written/57317B read"
 
-	goldenColdStoreCache = "ted cache: 17 hits (3 identity), 73 misses, 46 symmetric canonicalisations, 73 entries, 0 profiles, hit rate 18.9%, 1 bound-pruned, flat memo 128/146 hit rate 87.7%, subtree blocks 234201 hit/103100 miss, 52022 resident (11595256B), 0 evicted, ckpt rows 7144 hit/5893 miss, 38067 resident (8807520B), 0 evicted, store 0 hits, 83 misses, 0B read, 65889B written, 0 corrupt-skipped, ted tier 8572B written/0B read, idx tier 57317B written/0B read"
+	goldenColdStoreCache = "ted cache: 17 hits (3 identity), 73 misses, 46 symmetric canonicalisations, 73 entries, 0 profiles, hit rate 18.9%, 1 bound-pruned, flat memo 128/146 hit rate 87.7%, subtree blocks 234201 hit/103100 miss, 52022 resident (7254244B), 0 evicted, ckpt rows 7144 hit/5893 miss, 38067 resident (3686493B), 0 evicted, store 0 hits, 83 misses, 0B read, 65889B written, 0 corrupt-skipped, ted tier 8572B written/0B read, idx tier 57317B written/0B read"
 
 	goldenTierLine = "ted tiering (budget 0.5, threshold 0.450, lsh 16x4): 90 pairs: 27 exact, 7 estimated, 56 lsh-far"
 

@@ -42,11 +42,15 @@ type Cache struct {
 	mirrors map[tree.Fingerprint]*flat // mirrored flats, keyed by the unmirrored tree's fingerprint
 	screens map[tree.Fingerprint]*screen
 
+	// ids interns the memo keys below: subtree fingerprints and prefix
+	// folds of installed flats, and cost models (DESIGN.md §13).
+	ids *memoIDs
+
 	// Subtree-block memo (DESIGN.md §13): treedist outputs per keyroot
-	// pair, content-addressed by subtree fingerprint pair + costs, under
+	// pair, content-addressed by interned subtree pair + cost model, under
 	// their own lock so grid probes never contend with distance lookups.
 	subMu    sync.RWMutex
-	subs     map[subKey]*subBlock
+	subs     map[subKey]subBlock
 	subBytes int64 // accounted payload + overhead, guarded by subMu
 	subMax   int64 // eviction bound in bytes
 	subMin   int   // memoisation threshold in DP cells (m1*m2)
@@ -54,7 +58,7 @@ type Cache struct {
 	// Forest-prefix checkpoint memo (DESIGN.md §13): root-keyroot-row DP
 	// rows captured at root-children boundaries, shared under subMu with
 	// the block memo but accounted and bounded separately.
-	ckpts     map[ckptKey][]int32
+	ckpts     map[ckptKey]string
 	ckptBytes int64 // guarded by subMu
 	ckptMax   int64 // eviction bound in bytes
 
@@ -126,10 +130,11 @@ func NewCache() *Cache {
 		flats:   map[tree.Fingerprint]*flat{},
 		mirrors: map[tree.Fingerprint]*flat{},
 		screens: map[tree.Fingerprint]*screen{},
-		subs:    map[subKey]*subBlock{},
+		ids:     newMemoIDs(),
+		subs:    map[subKey]subBlock{},
 		subMax:  subDefaultMaxBytes,
 		subMin:  subDefaultMinCells,
-		ckpts:   map[ckptKey][]int32{},
+		ckpts:   map[ckptKey]string{},
 		ckptMax: ckptDefaultMaxBytes,
 		pathMin: pathDefaultMinSaving,
 		counts:  &cacheCounters{},
@@ -440,7 +445,7 @@ func (c *Cache) flatFor(t *tree.Node, fp tree.Fingerprint) *flat {
 		return f
 	}
 	c.counts.flatMisses.Add(1)
-	f = newFlat(t)
+	f = newFlat(t, c.ids)
 	c.mu.Lock()
 	if prior, ok := c.flats[fp]; ok {
 		f = prior
@@ -453,8 +458,8 @@ func (c *Cache) flatFor(t *tree.Node, fp tree.Fingerprint) *flat {
 
 // mirrorFlat returns the memoised flat of t's mirror image, building it on
 // first sight of fp, t's own fingerprint. The mirrored flat carries the
-// true fingerprints of the mirrored subtrees, so the blocks keyed on them
-// stay content-addressed.
+// interned fingerprints of the mirrored subtrees, so the blocks keyed on
+// them stay content-addressed.
 // Racing builders keep the first, like flatFor.
 func (c *Cache) mirrorFlat(t *tree.Node, fp tree.Fingerprint) *flat {
 	c.mu.RLock()
@@ -463,7 +468,7 @@ func (c *Cache) mirrorFlat(t *tree.Node, fp tree.Fingerprint) *flat {
 	if ok {
 		return f
 	}
-	f = newFlat(mirrorTree(t))
+	f = newFlat(mirrorTree(t), c.ids)
 	c.mu.Lock()
 	if prior, ok := c.mirrors[fp]; ok {
 		f = prior

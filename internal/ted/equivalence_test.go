@@ -557,7 +557,7 @@ func TestMirrorMap(t *testing.T) {
 	r := rand.New(rand.NewSource(92))
 	for trial := 0; trial < 40; trial++ {
 		tr := randTree(r, 1+r.Intn(80))
-		f := newFlat(tr)
+		f := newFlat(tr, newMemoIDs())
 		nodes := postorderNodes(tr, nil)
 		mnodes := postorderNodes(mirrorTree(tr), nil)
 		for p, x := range f.mir {

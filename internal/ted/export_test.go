@@ -14,3 +14,34 @@ func RefDistance(t1, t2 *tree.Node, costs Costs) int { return refDistanceWithCos
 
 // KernelCostModels are the kernel test's cost models (kernelCostModels).
 var KernelCostModels = kernelCostModels
+
+// DropMemos empties the subtree-block and checkpoint memos, so a test can
+// measure the heap they held.
+func DropMemos(c *Cache) {
+	c.subMu.Lock()
+	c.subs, c.ckpts = map[subKey]subBlock{}, map[ckptKey]string{}
+	c.subBytes, c.ckptBytes = 0, 0
+	c.subMu.Unlock()
+}
+
+// WideMemoEntries counts the memo entries stored on the wide path: blocks
+// whose cells take four bytes each and checkpoint rows holding a
+// multi-byte cell.
+func WideMemoEntries(c *Cache) (blocks, rows int) {
+	c.subMu.RLock()
+	defer c.subMu.RUnlock()
+	for _, b := range c.subs {
+		if len(b.cells) != 2*int(b.l1)*int(b.l2) {
+			blocks++
+		}
+	}
+	for _, cells := range c.ckpts {
+		for i := 0; i < len(cells); i++ {
+			if cells[i] >= 0x80 { // a varint continuation byte
+				rows++
+				break
+			}
+		}
+	}
+	return blocks, rows
+}

@@ -51,7 +51,7 @@ func internTableSize() int {
 // flats (see Cache) are shared across goroutines on that basis.
 //
 // Memoised flats (newFlat) additionally carry the keyroot content
-// plumbing the subtree-block memo needs (DESIGN.md §13): the fingerprint
+// plumbing the subtree-block memo needs (DESIGN.md §13): the interned id
 // of the subtree rooted at each keyroot, and the partition of post-order
 // indices into per-keyroot left spines. Every node belongs to exactly one
 // keyroot's spine (the keyroot of its lmld class), which is precisely the
@@ -63,17 +63,19 @@ type flat struct {
 	lmld   []int32 // leftmost leaf descendant per post-order index
 	kr     []int   // keyroots in increasing order
 
-	krFP     []tree.Fingerprint // content address of subtree rooted at kr[k]
-	spine    []int32            // post-order indices grouped by owning keyroot
-	spineOff []int32            // spine[spineOff[k]:spineOff[k+1]] = kr[k]'s spine, ascending
+	fp       tree.Fingerprint // the whole tree's fingerprint (mirror-flat memo key)
+	krID     []uint32         // interned fingerprint of the subtree rooted at kr[k]
+	spine    []int32          // post-order indices grouped by owning keyroot
+	spineOff []int32          // spine[spineOff[k]:spineOff[k+1]] = kr[k]'s spine, ascending
 
 	// Forest-prefix checkpoints for the root keyroot's DP row (DESIGN.md
 	// §13): ckptRow[k] is the fd row index completed at the boundary after
-	// the root's (k+1)-th child, and ckptFP[k] content-addresses the cut
-	// forest C1..C(k+1) as a fold of the children's subtree fingerprints.
-	// Used as the tree's left-operand state only; nil on the pooled path.
+	// the root's (k+1)-th child, and ckptID[k] is the interned content
+	// address of the cut forest C1..C(k+1), a fold of the children's
+	// subtree fingerprints. Used as the tree's left-operand state only; nil
+	// on the pooled path.
 	ckptRow []int32
-	ckptFP  []tree.Fingerprint
+	ckptID  []uint32
 
 	// Path-strategy shape data (DESIGN.md §13), nil/zero on the pooled
 	// path. wL and wR are the tree's left- and right-path keyroot weights
@@ -153,10 +155,11 @@ func fillFlat(f *flat, t *tree.Node, seen []bool) {
 	}
 }
 
-// newFlat builds an exactly-sized, immutable flat for memoisation. Unlike
-// the pooled path it allocates fresh backing arrays so the result can
-// outlive any scratch buffers.
-func newFlat(t *tree.Node) *flat {
+// newFlat builds an exactly-sized, immutable flat for memoisation, its
+// memo-key fingerprints interned in ids. Unlike the pooled path it
+// allocates fresh backing arrays so the result can outlive any scratch
+// buffers.
+func newFlat(t *tree.Node, ids *memoIDs) *flat {
 	n := t.Size()
 	f := &flat{
 		labels: make([]int32, n),
@@ -166,25 +169,28 @@ func newFlat(t *tree.Node) *flat {
 	// Trim the keyroot slice to size: memoised flats live for the whole
 	// sweep, so the append slack is worth returning to the allocator.
 	f.kr = append(make([]int, 0, len(f.kr)), f.kr...)
-	f.buildSpines(t)
+	f.buildSpines(t, ids)
 	return f
 }
 
 // buildSpines fills the keyroot content plumbing of a memoised flat: per-
-// keyroot subtree fingerprints (one amortised SubtreeFingerprints walk,
-// post-order-aligned with the flat arrays) and the spine partition. Spines
-// are built counting-sort style — keyroots and lmld values are in
+// keyroot subtree ids (interned from one amortised SubtreeFingerprints
+// walk, post-order-aligned with the flat arrays) and the spine partition.
+// Spines are built counting-sort style — keyroots and lmld values are in
 // bijection, so a slot table indexed by lmld value maps every node to its
 // owning keyroot in O(n) with no hashing, and the ascending scan leaves
 // each spine slice sorted, the order treedist writes its td cells in.
-func (f *flat) buildSpines(t *tree.Node) {
+func (f *flat) buildSpines(t *tree.Node, ids *memoIDs) {
 	n := len(f.labels)
 	sub := t.SubtreeFingerprints()
+	f.fp = sub[n-1]
 	k := len(f.kr)
-	f.krFP = make([]tree.Fingerprint, k)
+	// keys holds the keyroot subtree fingerprints, then the prefix folds,
+	// so one intern call covers the flat.
+	keys := make([]tree.Fingerprint, k, k+len(t.Children))
 	slot := make([]int32, n)
 	for ki, i := range f.kr {
-		f.krFP[ki] = sub[i]
+		keys[ki] = sub[i]
 		slot[f.lmld[i]] = int32(ki)
 	}
 	f.spineOff = make([]int32, k+1)
@@ -208,15 +214,19 @@ func (f *flat) buildSpines(t *tree.Node) {
 	// boundary reuses the amortised per-subtree fingerprints.
 	if nch := len(t.Children); nch > 0 {
 		f.ckptRow = make([]int32, nch)
-		f.ckptFP = make([]tree.Fingerprint, nch)
 		var acc tree.Fingerprint
 		end := int32(-1)
 		for ci, ch := range t.Children {
 			end += int32(ch.Size())
 			acc = ckptFold(acc, sub[end])
 			f.ckptRow[ci] = end + 1
-			f.ckptFP[ci] = acc
+			keys = append(keys, acc)
 		}
+	}
+	all := ids.intern(keys)
+	f.krID = all[:k:k]
+	if len(all) > k {
+		f.ckptID = all[k:]
 	}
 	f.buildPaths(t, sub)
 }

@@ -105,7 +105,7 @@ func TestKernelShapesMatchOracle(t *testing.T) {
 
 		want := refDistanceWithCosts(a, b, costs)
 		sc := getScratch()
-		mono := zsDistance(newFlat(a), newFlat(b), costs, sc)
+		mono := zsDistance(newFlat(a, newMemoIDs()), newFlat(b, newMemoIDs()), costs, sc)
 		putScratch(sc)
 		if mono != want {
 			t.Fatalf("monolithic %d != oracle %d\na=%s\nb=%s costs=%+v", mono, want, a, b, costs)

@@ -22,13 +22,16 @@ type dpScratch struct {
 	fa, fb flat   // uncached-path flatten targets
 	seen   []bool // keyroot collection table; all-false between uses
 
-	td, fd         []int32     // DP matrix backings
-	tdRows, fdRows [][]int32   // row headers over td/fd
-	blocks         []*subBlock // per-keyroot-pair probe results (memoised path)
-	done           []bool      // per-keyroot-pair lazily-restored marks (memoised path)
-	ckrefs         []ckptRef   // per-b-keyroot checkpoint probe results (memoised path)
-	mirrored       []bool      // per-root-child mirrored-orientation marks (path strategy)
-	skip           []bool      // per-a-keyroot rows owned by a mirrored sub-DP (path strategy)
+	td, fd         []int32   // DP matrix backings
+	tdRows, fdRows [][]int32 // row headers over td/fd
+	blocks         []int32   // per-keyroot-pair probe results: 1 + index into hits, 0 on no hit (memoised path)
+	hits           []string  // the hit blocks' payloads, in probe order (memoised path)
+	done           []bool    // per-keyroot-pair lazily-restored marks (memoised path)
+	ckrefs         []ckptRef // per-b-keyroot checkpoint probe results (memoised path)
+	mirrored       []bool    // per-root-child mirrored-orientation marks (path strategy)
+	skip           []bool    // per-a-keyroot rows owned by a mirrored sub-DP (path strategy)
+	cells          []int32   // a harvested block's cells (memoised path)
+	enc            []byte    // a block or checkpoint row being encoded (memoised path)
 
 	stamp []int32 // bound gate: label-id stamps, indexed by interned id
 	cnt   []int32 // bound gate: label multiplicities for stamped ids
@@ -82,20 +85,23 @@ func (s *dpScratch) dpTables(n1, n2 int, c Costs) (td, fd [][]int32) {
 	return td, fd
 }
 
-// blockRefs returns a scratch slice of n block pointers with unspecified
+// blockRefs returns a scratch slice of n grid slots with unspecified
 // contents; the memoised path's probe phase overwrites every slot before
-// any is read. The parallel done slice (returned cleared) marks grid
-// slots whose block has already been materialised into td.
-func (s *dpScratch) blockRefs(n int) ([]*subBlock, []bool) {
+// any is read, with 0 or 1 + the index of the hit block's payload in the
+// returned hits slice, which starts empty. The parallel done slice
+// (returned cleared) marks grid slots whose block has already been
+// materialised into td.
+func (s *dpScratch) blockRefs(n int) ([]int32, []bool, []string) {
 	if cap(s.blocks) < n {
-		s.blocks = make([]*subBlock, n)
+		s.blocks = make([]int32, n)
 		s.done = make([]bool, n)
 	}
 	done := s.done[:n]
 	for i := range done {
 		done[i] = false
 	}
-	return s.blocks[:n], done
+	clear(s.hits)
+	return s.blocks[:n], done, s.hits[:0]
 }
 
 // ckptRefs returns a scratch slice of n checkpoint probe slots with

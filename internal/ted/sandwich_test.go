@@ -73,7 +73,7 @@ func nearDuplicate(r *rand.Rand, t *tree.Node, edit string) *tree.Node {
 func sandwichCheck(t *testing.T, t1, t2 *tree.Node, c Costs) bool {
 	t.Helper()
 	want := refDistanceWithCosts(t1, t2, c)
-	a, b := newFlat(t1), newFlat(t2)
+	a, b := newFlat(t1, newMemoIDs()), newFlat(t2, newMemoIDs())
 	sc := getScratch()
 	defer putScratch(sc)
 	lb := labelLowerBound(len(a.labels), len(b.labels), multisetIntersection(a.labels, b.labels, sc), c)
@@ -173,7 +173,7 @@ func TestBoundGateAllocationFree(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	a := randTree(r, 400)
 	b := nearDuplicate(r, a, "insert")
-	fa, fb := newFlat(a), newFlat(b)
+	fa, fb := newFlat(a, newMemoIDs()), newFlat(b, newMemoIDs())
 	sc := new(dpScratch)
 	if _, fired := boundGate(fa, fb, UnitCosts(), sc); !fired {
 		t.Fatal("gate did not answer the near-duplicate pair")

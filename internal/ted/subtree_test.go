@@ -11,6 +11,8 @@ package ted
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -52,7 +54,8 @@ func postorderNodes(t *tree.Node, out []*tree.Node) []*tree.Node {
 
 // TestKeyrootSpineInvariants pins the flatten-side contract zsDistanceMemo
 // depends on: keyroots ascending with the root last, each the highest node
-// of its lmld class; krFP the content address of the keyroot's subtree;
+// of its lmld class; krID the interned content address of the keyroot's
+// subtree;
 // the spine partition covering every post-order index exactly once, each
 // spine ascending and containing exactly its keyroot's lmld class; and the
 // whole structure reproducible from a re-flatten (content addressing is
@@ -62,7 +65,8 @@ func TestKeyrootSpineInvariants(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		tr := randTree(r, 1+r.Intn(120))
 		n := tr.Size()
-		f := newFlat(tr)
+		ids := newMemoIDs()
+		f := newFlat(tr, ids)
 		nodes := postorderNodes(tr, nil)
 
 		if len(f.kr) == 0 || f.kr[len(f.kr)-1] != n-1 {
@@ -84,8 +88,8 @@ func TestKeyrootSpineInvariants(t *testing.T) {
 					t.Fatalf("keyroot %d is not the highest of lmld class %d (node %d above)", k, l, x)
 				}
 			}
-			if got, want := f.krFP[ki], nodes[k].Fingerprint(); got != want {
-				t.Fatalf("krFP[%d] = %+v, want subtree fingerprint %+v", ki, got, want)
+			if want, ok := ids.ids[nodes[k].Fingerprint()]; !ok || f.krID[ki] != want {
+				t.Fatalf("krID[%d] = %d, want the id of the subtree fingerprint (%d, interned %v)", ki, f.krID[ki], want, ok)
 			}
 		}
 
@@ -122,13 +126,13 @@ func TestKeyrootSpineInvariants(t *testing.T) {
 		}
 
 		// re-flatten stability: a second newFlat of the same tree must
-		// reproduce keyroots, fingerprints, and the partition exactly
-		g := newFlat(tr)
+		// reproduce keyroots, subtree ids, and the partition exactly
+		g := newFlat(tr, ids)
 		if len(g.kr) != len(f.kr) {
 			t.Fatalf("re-flatten changed keyroot count: %d vs %d", len(g.kr), len(f.kr))
 		}
 		for ki := range f.kr {
-			if g.kr[ki] != f.kr[ki] || g.krFP[ki] != f.krFP[ki] {
+			if g.kr[ki] != f.kr[ki] || g.krID[ki] != f.krID[ki] {
 				t.Fatalf("re-flatten diverged at keyroot %d", ki)
 			}
 		}
@@ -308,6 +312,100 @@ func TestSubtreeBlockExportImportRoundTrip(t *testing.T) {
 	bad := []SubtreeBlockRecord{{L1: 2, L2: 2, Vals: []int32{1, 2, 3}}}
 	if n := memoCache().ImportSubtreeBlocks(bad); n != 0 {
 		t.Fatalf("installed %d malformed records", n)
+	}
+}
+
+// TestImportedShapeMismatchIsAMiss imports records under real keys whose
+// shape does not match the spines of the keyroot pair they are keyed
+// under. Served as blocks they would return a wrong root distance (the
+// record's cell) or index past a short payload on restore; the probe must
+// count them as misses, so the distance equals the monolithic DP and no
+// block is served.
+func TestImportedShapeMismatchIsAMiss(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	a := randTree(r, 181)
+	b := randTree(r, 184)
+	costs := UnitCosts()
+	want := DistanceWithCosts(a, b, costs)
+	src := memoCache()
+	dpDistance(src, a, b, costs)
+	recs := src.ExportSubtreeBlocks()
+	rootA, rootB := a.Fingerprint(), b.Fingerprint()
+	reshapes := []struct {
+		name string
+		f    func(SubtreeBlockRecord) SubtreeBlockRecord
+	}{
+		{"1x1", func(rec SubtreeBlockRecord) SubtreeBlockRecord {
+			rec.L1, rec.L2, rec.Vals = 1, 1, []int32{12345}
+			return rec
+		}},
+		{"transposed", func(rec SubtreeBlockRecord) SubtreeBlockRecord {
+			rec.L1, rec.L2 = rec.L2, rec.L1
+			return rec
+		}},
+	}
+	for _, rs := range reshapes {
+		name, f := rs.name, rs.f
+		for _, withRoot := range []bool{true, false} {
+			var bad []SubtreeBlockRecord
+			for _, rec := range recs {
+				if g := f(rec); g.L1 == rec.L1 && g.L2 == rec.L2 {
+					continue // already that shape: a wrong value, not a wrong shape
+				}
+				if !withRoot && rec.A == rootA && rec.B == rootB {
+					continue // inner pairs only: the root pair recomputes and restores them
+				}
+				bad = append(bad, f(rec))
+			}
+			dst := memoCache()
+			dst.ImportSubtreeBlocks(bad)
+			if got := dpDistance(dst, a, b, costs); got != want {
+				t.Fatalf("%s records (root pair %v): distance %d, monolithic %d", name, withRoot, got, want)
+			}
+			if s := dst.Stats(); s.SubtreeHits != 0 {
+				t.Fatalf("%s records (root pair %v): %d mis-shaped blocks served", name, withRoot, s.SubtreeHits)
+			}
+		}
+	}
+}
+
+// TestExportImportAcrossInterners moves blocks between caches whose
+// interners assign different ids: the destination interns other trees and
+// another cost model first. Exporting the destination must give back the
+// source's records exactly, narrow and wide cells alike.
+func TestExportImportAcrossInterners(t *testing.T) {
+	r := rand.New(rand.NewSource(30))
+	wide := Costs{Insert: 1000, Delete: 900, Rename: 1200}
+	src := memoCache()
+	for i := 0; i < 6; i++ {
+		a := randTree(r, 40+r.Intn(60))
+		b := relabelSome(r, a, 1+r.Intn(6))
+		dpDistance(src, a, b, UnitCosts())
+		dpDistance(src, b, a, wide)
+	}
+	recs := src.ExportSubtreeBlocks()
+	dst := memoCache()
+	for i := 0; i < 4; i++ {
+		tr := randTree(r, 30+r.Intn(30))
+		dst.flatFor(tr, tr.Fingerprint())
+	}
+	dst.ids.costID(Costs{Insert: 2, Delete: 3, Rename: 4})
+	if n := dst.ImportSubtreeBlocks(recs); n != len(recs) {
+		t.Fatalf("imported %d of %d records", n, len(recs))
+	}
+	if got := dst.ExportSubtreeBlocks(); !reflect.DeepEqual(got, recs) {
+		t.Fatalf("re-export differs from the imported records (%d vs %d records)", len(got), len(recs))
+	}
+	var narrow, wideCells int
+	for _, rec := range recs {
+		if slices.ContainsFunc(rec.Vals, func(v int32) bool { return v > 0xffff }) {
+			wideCells++
+		} else {
+			narrow++
+		}
+	}
+	if narrow == 0 || wideCells == 0 {
+		t.Fatalf("round trip covered %d narrow and %d wide blocks, want both", narrow, wideCells)
 	}
 }
 

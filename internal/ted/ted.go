@@ -102,7 +102,7 @@ func zsDistance(a, b *flat, c Costs, sc *dpScratch) int {
 //   - its td reads are confined to cells owned by strictly earlier pairs
 //     in the ascending keyroot enumeration.
 //
-// So a block keyed by (subtree fingerprint pair, costs) can be restored
+// So a block keyed by (subtree pair, cost model) can be restored
 // into td in enumeration order in place of re-running the DP, and every
 // later read — including the final root pair — sees bit-identical values.
 // This is why the memo is exact where a subtree-alignment DP is only an
@@ -147,7 +147,8 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 	td, fd := sc.dpTables(n1, n2, costs)
 	k1 := len(a.kr)
 	k2 := len(b.kr)
-	blocks, done := sc.blockRefs(k1 * k2)
+	blocks, done, hitCells := sc.blockRefs(k1 * k2)
+	cid := c.ids.costID(costs)
 	minCells := c.subMin
 	lastKi := k1 - 1
 	var computed int64 // forest-distance cells this run computes
@@ -177,23 +178,26 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 		mirrored, skip = c.planPaths(a, b, sc)
 	}
 
-	var hits, misses, ckHits, ckMisses int64
+	var misses, ckHits, ckMisses int64
 	c.subMu.RLock()
 	for ki, i := range a.kr {
 		if skip != nil && skip[ki] {
 			continue
 		}
 		m1 := i - int(a.lmld[i]) + 1
+		l1 := a.spineOff[ki+1] - a.spineOff[ki]
 		row := blocks[ki*k2 : (ki+1)*k2]
 		for kj, j := range b.kr {
+			row[kj] = 0 // scratch slot may hold a stale index
 			if m1*(j-int(b.lmld[j])+1) < minCells {
-				row[kj] = nil // scratch slot may hold a stale pointer
 				continue
 			}
-			bl := c.subs[subKey{a: a.krFP[ki], b: b.krFP[kj], costs: costs}]
-			row[kj] = bl
-			if bl != nil {
-				hits++
+			// A resident block whose shape does not match the two spines
+			// (an imported record keyed to the wrong trees) is a miss.
+			bl, ok := c.subs[subKey{a: a.krID[ki], b: b.krID[kj], costs: cid}]
+			if ok && bl.l1 == l1 && bl.l2 == b.spineOff[kj+1]-b.spineOff[kj] {
+				hitCells = append(hitCells, bl.cells)
+				row[kj] = int32(len(hitCells))
 			}
 		}
 	}
@@ -201,17 +205,16 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 	minR0 := n1
 	if ckEligible {
 		row := blocks[lastKi*k2:]
-		for kj, j := range b.kr {
+		for kj := range b.kr {
 			resume[kj] = ckptRef{}
-			if row[kj] != nil {
+			if row[kj] != 0 {
 				continue
 			}
-			m2 := j - int(b.lmld[j]) + 1
 			found := false
 			for t := len(a.ckptRow) - 1; t >= 0; t-- {
-				vals, ok := c.ckpts[ckptKey{prefix: a.ckptFP[t], b: b.krFP[kj], costs: costs}]
-				if ok && len(vals) == m2+1 {
-					resume[kj] = ckptRef{row: a.ckptRow[t], vals: vals}
+				cells, ok := c.ckpts[ckptKey{prefix: a.ckptID[t], b: b.krID[kj], costs: cid}]
+				if ok {
+					resume[kj] = ckptRef{row: a.ckptRow[t], cells: cells}
 					found = true
 					if r := int(a.ckptRow[t]); r < minR0 {
 						minR0 = r
@@ -226,6 +229,7 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 		}
 	}
 	c.subMu.RUnlock()
+	sc.hits = hitCells // keep the grown capacity for the next pair
 
 	// materialise produces every pending td cell inside the post-order
 	// rectangle [aLo..aHi] x [bLo..bHi] — the cells the next DP run may
@@ -258,12 +262,12 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 				if rdone[kj] {
 					continue
 				}
-				if bl := row[kj]; bl != nil {
+				if h := row[kj]; h != 0 {
 					rdone[kj] = true
 					if rows == nil {
 						rows = a.spine[a.spineOff[ki]:a.spineOff[ki+1]]
 					}
-					restoreBlock(td, rows, b.spine[b.spineOff[kj]:b.spineOff[kj+1]], bl.vals)
+					restoreBlock(td, rows, b.spine[b.spineOff[kj]:b.spineOff[kj+1]], hitCells[h-1])
 				} else if j := b.kr[kj]; m1*(j-int(b.lmld[j])+1) < minCells {
 					rdone[kj] = true
 					treedist(a, b, i, j, costs, td, fd)
@@ -314,7 +318,7 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 		rdone := done[ki*k2 : (ki+1)*k2]
 		isRoot := ki == lastKi
 		for kj, j := range b.kr {
-			if row[kj] != nil {
+			if row[kj] != 0 {
 				continue // hit: materialised lazily if a later DP reads it
 			}
 			lj := int(b.lmld[j])
@@ -338,10 +342,12 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 					materialise(li+minR0, i, 0, n2-1)
 					suffixDone = true
 				}
-				treedistFrom(a, b, i, j, costs, td, fd, r0, resume[kj].vals)
+				fdR0 := fd[r0][:j-lj+2]
+				decodeRow(fdR0[1:], resume[kj].cells, fdR0[0])
+				treedistFrom(a, b, i, j, costs, td, fd, r0)
 				computed += int64((m1 - r0) * (j - lj + 1))
 				rdone[kj] = true
-				freshCk = captureCkpts(freshCk, a, b.krFP[kj], j, lj, costs, fd, r0)
+				freshCk = captureCkpts(freshCk, sc, a, ckptKey{b: b.krID[kj], costs: cid}, j-lj+1, fd, r0)
 				continue
 			}
 			misses++
@@ -354,21 +360,19 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 			// keyroot is a leaf: leafCol writes no fd.
 			capture := isRoot && ckEligible
 			if capture {
-				treedistFrom(a, b, i, j, costs, td, fd, 0, nil)
+				treedistFrom(a, b, i, j, costs, td, fd, 0)
 			} else {
 				treedist(a, b, i, j, costs, td, fd)
 			}
 			computed += int64(cells)
 			rdone[kj] = true
 			cols := b.spine[b.spineOff[kj]:b.spineOff[kj+1]]
-			key := subKey{a: a.krFP[ki], b: b.krFP[kj], costs: costs}
-			fresh = append(fresh, subEntry{key: key, block: &subBlock{
-				l1:   int32(len(rows)),
-				l2:   int32(len(cols)),
-				vals: harvestBlock(td, rows, cols),
-			}})
+			sc.cells = harvestBlock(sc.cells, td, rows, cols)
+			var bl subBlock
+			bl, sc.enc = encodeBlock(sc.cells, int32(len(rows)), int32(len(cols)), sc.enc)
+			fresh = append(fresh, subEntry{key: subKey{a: a.krID[ki], b: b.krID[kj], costs: cid}, block: bl})
 			if capture {
-				freshCk = captureCkpts(freshCk, a, b.krFP[kj], j, lj, costs, fd, 0)
+				freshCk = captureCkpts(freshCk, sc, a, ckptKey{b: b.krID[kj], costs: cid}, j-lj+1, fd, 0)
 			}
 		}
 	}
@@ -377,10 +381,11 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 		materialise(0, n1-1, 0, n2-1)
 	}
 	var d int
-	if bl := blocks[k1*k2-1]; bl != nil {
+	if h := blocks[k1*k2-1]; h != 0 {
 		// Root-pair hit that nothing recomputed ever read: the distance is
 		// the block's last cell, no materialisation needed.
-		d = int(bl.vals[len(bl.vals)-1])
+		n := int(a.spineOff[k1]-a.spineOff[k1-1]) * int(b.spineOff[k2]-b.spineOff[k2-1])
+		d = int(blockCell(hitCells[h-1], n, n-1))
 	} else {
 		if !done[k1*k2-1] {
 			// The root pair itself was below the memo threshold — then so is
@@ -397,7 +402,7 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 	}
 	k := c.counts
 	k.dpCells.Add(computed)
-	k.subHits.Add(hits)
+	k.subHits.Add(int64(len(hitCells)))
 	k.subMisses.Add(misses)
 	k.ckptHits.Add(ckHits)
 	k.ckptMisses.Add(ckMisses)
@@ -442,35 +447,59 @@ func (c *Cache) planPaths(a, b *flat, sc *dpScratch) (mirrored, skip []bool) {
 // so the copied cells equal those the left-path rows would have written.
 func (c *Cache) mirroredSubDP(tk *tree.Node, k *kidShape, a *flat, tb *tree.Node, b *flat, costs Costs, td [][]int32) {
 	ma := c.mirrorFlat(tk, k.fp)
-	mb := c.mirrorFlat(tb, b.krFP[len(b.kr)-1])
+	mb := c.mirrorFlat(tb, b.fp)
 	sc := getScratch()
 	c.zsDistanceMemo(ma, mb, costs, sc, nil, nil)
-	restoreBlock(td, a.mir[k.off:k.off+k.size], b.mir, sc.td[:len(ma.labels)*len(mb.labels)])
+	restoreRect(td, a.mir[k.off:k.off+k.size], b.mir, sc.td[:len(ma.labels)*len(mb.labels)])
 	putScratch(sc)
 }
 
-// captureCkpts copies the fd rows completed at root-child boundaries
-// deeper than r0 out of the pooled DP table, keyed by (prefix fold, b
-// subtree, costs) for publication. Boundaries at or above r0 were either
-// restored from the memo (r0 itself) or never computed this run.
-func captureCkpts(dst []ckptEntry, a *flat, bFP tree.Fingerprint, j, lj int, costs Costs, fd [][]int32, r0 int) []ckptEntry {
-	m2 := j - lj + 1
+// captureCkpts encodes the fd rows (m2+1 cells) completed at root-child
+// boundaries deeper than r0 out of the pooled DP table, keyed by (prefix
+// fold, b subtree, costs) for publication; key carries the last two.
+// Boundaries at or above r0 were either restored from the memo (r0
+// itself) or never computed this run.
+func captureCkpts(dst []ckptEntry, sc *dpScratch, a *flat, key ckptKey, m2 int, fd [][]int32, r0 int) []ckptEntry {
 	for t, r := range a.ckptRow {
 		if int(r) <= r0 {
 			continue
 		}
-		vals := append([]int32(nil), fd[r][:m2+1]...)
-		dst = append(dst, ckptEntry{
-			key:  ckptKey{prefix: a.ckptFP[t], b: bFP, costs: costs},
-			vals: vals,
-		})
+		row := fd[r][:m2+1]
+		sc.enc = appendRow(sc.enc[:0], row[1:], row[0])
+		key.prefix = a.ckptID[t]
+		dst = append(dst, ckptEntry{key: key, cells: string(sc.enc)})
 	}
 	return dst
 }
 
-// restoreBlock writes a memoised block's values into the td cells the
+// restoreBlock writes a memoised block's cells into the td cells the
 // originating treedist call wrote: the row-major spine(i) x spine(j) grid.
-func restoreBlock(td [][]int32, rows, cols []int32, vals []int32) {
+// cells holds len(rows)·len(cols) cells of two or four bytes (subBlock).
+func restoreBlock(td [][]int32, rows, cols []int32, cells string) {
+	w := 2 * len(cols)
+	if len(cells) != w*len(rows) {
+		w *= 2
+		for r, x := range rows {
+			tdRow := td[x]
+			v := cells[r*w : (r+1)*w]
+			for ci, y := range cols {
+				tdRow[y] = cell32(v, ci)
+			}
+		}
+		return
+	}
+	for r, x := range rows {
+		tdRow := td[x]
+		v := cells[r*w : (r+1)*w]
+		for ci, y := range cols {
+			tdRow[y] = cell16(v, ci)
+		}
+	}
+}
+
+// restoreRect writes the row-major rectangle vals into td at the given
+// rows and columns.
+func restoreRect(td [][]int32, rows, cols []int32, vals []int32) {
 	for r, x := range rows {
 		tdRow := td[x]
 		v := vals[r*len(cols):]
@@ -480,18 +509,17 @@ func restoreBlock(td [][]int32, rows, cols []int32, vals []int32) {
 	}
 }
 
-// harvestBlock copies the td cells a treedist call just wrote into a
-// fresh backing array, the immutable payload of a new block.
-func harvestBlock(td [][]int32, rows, cols []int32) []int32 {
-	vals := make([]int32, len(rows)*len(cols))
-	for r, x := range rows {
+// harvestBlock copies the td cells a treedist call just wrote, the
+// row-major spine(i) x spine(j) grid, into dst (reused scratch).
+func harvestBlock(dst []int32, td [][]int32, rows, cols []int32) []int32 {
+	dst = dst[:0]
+	for _, x := range rows {
 		tdRow := td[x]
-		v := vals[r*len(cols):]
-		for ci, y := range cols {
-			v[ci] = tdRow[y]
+		for _, y := range cols {
+			dst = append(dst, tdRow[y])
 		}
 	}
-	return vals
+	return dst
 }
 
 // treedist fills td for the subtree pair rooted at post-order indices (i, j)
@@ -510,7 +538,7 @@ func treedist(a, b *flat, i, j int, c Costs, td, fd [][]int32) {
 	case int(b.lmld[j]) == j:
 		leafCol(a, b, i, j, c, td)
 	default:
-		treedistFrom(a, b, i, j, c, td, fd, 0, nil)
+		treedistFrom(a, b, i, j, c, td, fd, 0)
 	}
 }
 
@@ -591,25 +619,21 @@ func leafCol(a, b *flat, i, j int, c Costs, td [][]int32) {
 // compare against left+Insert, so the row's serial chain is one
 // compare-and-move per cell.
 //
-// Checkpoint resume (§13): when r0 > 0, the memoised fd row `resume` (the
-// row completed at a-forest prefix [0..r0-1], m2+1 cells) is installed as
-// the predecessor row and the row loop starts at prefix length r0. Only
-// the root keyroot is ever resumed, so li == 0 and fd row indices coincide
-// with prefix lengths. The skipped rows' td cells are NOT produced; the
-// caller's all-or-nothing rule guarantees nothing later reads them, and the
-// rows that do run read only fd rows >= r0 plus row 0 (a suffix node's
-// lmld is either >= r0, or it is the root itself, whose lmld row is the
-// ramp).
-func treedistFrom(a, b *flat, i, j int, c Costs, td, fd [][]int32, r0 int, resume []int32) {
+// Checkpoint resume (§13): when r0 > 0, the caller has installed the
+// memoised fd row completed at a-forest prefix [0..r0-1] as fd[r0], and
+// the row loop starts at prefix length r0. Only the root keyroot is ever
+// resumed, so li == 0 and fd row indices coincide with prefix lengths.
+// The skipped rows' td cells are NOT produced; the caller's
+// all-or-nothing rule guarantees nothing later reads them, and the rows
+// that do run read only fd rows >= r0 plus row 0 (a suffix node's lmld is
+// either >= r0, or it is the root itself, whose lmld row is the ramp).
+func treedistFrom(a, b *flat, i, j int, c Costs, td, fd [][]int32, r0 int) {
 	li := int(a.lmld[i])
 	lj := b.lmld[j]
 	ins, del, ren := int32(c.Insert), int32(c.Delete), int32(c.Rename)
 	bl := b.lmld[lj : j+1]
 	blab := b.labels[lj : j+1][:len(bl)]
 	m2 := len(bl)
-	if r0 > 0 {
-		copy(fd[r0][1:m2+1], resume[1:])
-	}
 	for di := li + r0; di <= i; di++ {
 		r := di - li
 		prev := fd[r][1 : m2+1][:len(bl)]
