@@ -91,7 +91,7 @@ func TestGoldenColdStoreCacheLine(t *testing.T) {
 // thresholds and the path plan, so a DP kernel change that computes
 // different cells fails here even when every distance still matches.
 var goldenColdDPCells = []string{
-	"silvervale_ted_dp_cells 204184742",
+	"silvervale_ted_dp_cells 160334285",
 	"silvervale_ted_subdp_left 54",
 	"silvervale_ted_subdp_mirrored 481",
 }

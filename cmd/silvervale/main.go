@@ -329,7 +329,7 @@ error budget, and print a post-sweep tier stats line:
   0 <= b < 0.5  the exact sweep (byte-identical output), every pair exact
   b < 0         off (the default): no tiering, no stats line
 
-  silvervale matrix tealeaf -metric tsem -tier-budget 0.5   # screening: ~2.6x faster than exact (5.9 s -> 2.2 s, 2 CPUs)
+  silvervale matrix tealeaf -metric tsem -tier-budget 0.5   # screening: ~3x faster than exact (2.3 s -> 0.75 s, 2 CPUs)
 
 phi and experiment accept -phi-source measured: performance figures are
 derived from interpreter-measured cost vectors (statements, loop trips,

@@ -101,6 +101,7 @@ type cacheCounters struct {
 	ckptMisses  obs.Counter // root-row misses with no usable checkpoint
 	ckptEvicted obs.Counter // checkpoint rows dropped by the byte bound
 	dpCells     obs.Counter // forest-distance cells computed by the DP
+	twinBlocks  obs.Counter // keyroot-pair blocks copied from a twin pair in the same DP
 	subdpLeft   obs.Counter // root-child sub-DPs run in left-path orientation
 	subdpMirror obs.Counter // root-child sub-DPs run on mirrored trees
 	approxCalls obs.Counter // pq-gram distance lookups
@@ -145,6 +146,7 @@ func NewCache() *Cache {
 // SetRecorder attaches an observability recorder. It adopts the cache's
 // always-on counters ("ted.cache.*", "ted.flat_memo.*", "ted.bound_pruned",
 // the subtree and checkpoint memo counters, "ted.dp_cells",
+// "ted.twin_blocks",
 // "ted.subdp_*" and "ted.approx.calls"), whose counts cover the cache's
 // whole lifetime, and turns on the opt-in instruments: the "ted.calls"
 // counter, the "ted.pair_nodes" size histogram, and — on misses —
@@ -170,6 +172,7 @@ func (c *Cache) SetRecorder(rec *obs.Recorder) {
 		"ted.ckpt_rows_miss":         &k.ckptMisses,
 		"ted.ckpt_rows_evicted":      &k.ckptEvicted,
 		"ted.dp_cells":               &k.dpCells,
+		"ted.twin_blocks":            &k.twinBlocks,
 		"ted.subdp_left":             &k.subdpLeft,
 		"ted.subdp_mirrored":         &k.subdpMirror,
 		"ted.approx.calls":           &k.approxCalls,
@@ -468,7 +471,7 @@ func (c *Cache) mirrorFlat(t *tree.Node, fp tree.Fingerprint) *flat {
 	if ok {
 		return f
 	}
-	f = newFlat(mirrorTree(t), c.ids)
+	f = newMirrorFlat(mirrorTree(t), c.ids)
 	c.mu.Lock()
 	if prior, ok := c.mirrors[fp]; ok {
 		f = prior

@@ -65,7 +65,7 @@ func corpusTsemTrees(t *testing.T, appName string, maxNodes int) []*tree.Node {
 // pairs of every size class.
 func TestCorpusTreesMatchOracle(t *testing.T) {
 	maxNodes := corpusOracleMaxNodes
-	if raceEnabled {
+	if ted.RaceEnabled {
 		maxNodes = corpusOracleRaceMaxNodes
 	}
 	trees := corpusTsemTrees(t, "babelstream", maxNodes)

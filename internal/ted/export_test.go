@@ -12,6 +12,9 @@ func DPDistance(c *Cache, t1, t2 *tree.Node, costs Costs) int { return dpDistanc
 // RefDistance is the seed Zhang–Shasha oracle (refDistanceWithCosts).
 func RefDistance(t1, t2 *tree.Node, costs Costs) int { return refDistanceWithCosts(t1, t2, costs) }
 
+// RaceEnabled reports whether the race detector is on (raceEnabled).
+const RaceEnabled = raceEnabled
+
 // KernelCostModels are the kernel test's cost models (kernelCostModels).
 var KernelCostModels = kernelCostModels
 

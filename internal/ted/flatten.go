@@ -57,7 +57,7 @@ func internTableSize() int {
 // keyroot's spine (the keyroot of its lmld class), which is precisely the
 // set of treedist cells that keyroot pair writes into td — so a block
 // restore needs only these index lists. The pooled package-level path
-// leaves all three nil and always runs the monolithic DP.
+// leaves them nil and always runs the monolithic DP.
 type flat struct {
 	labels []int32 // interned label id per post-order index
 	lmld   []int32 // leftmost leaf descendant per post-order index
@@ -68,21 +68,27 @@ type flat struct {
 	spine    []int32          // post-order indices grouped by owning keyroot
 	spineOff []int32          // spine[spineOff[k]:spineOff[k+1]] = kr[k]'s spine, ascending
 
+	// twin[k] is the first keyroot whose subtree equals kr[k]'s in labels
+	// and shape, k itself when none does (DESIGN.md §13): a keyroot pair's
+	// td block equals its twin pair's.
+	twin []int32
+
 	// Forest-prefix checkpoints for the root keyroot's DP row (DESIGN.md
 	// §13): ckptRow[k] is the fd row index completed at the boundary after
 	// the root's (k+1)-th child, and ckptID[k] is the interned content
 	// address of the cut forest C1..C(k+1), a fold of the children's
 	// subtree fingerprints. Used as the tree's left-operand state only; nil
-	// on the pooled path.
+	// on the pooled path and on mirrored flats.
 	ckptRow []int32
 	ckptID  []uint32
 
 	// Path-strategy shape data (DESIGN.md §13), nil/zero on the pooled
-	// path. wL and wR are the tree's left- and right-path keyroot weights
-	// W(T) = Σ |T(k)| over keyroots k, the factors of the Zhang–Shasha cell
-	// count W(T1)·W(T2). mir[r] is the post-order index of the node at
-	// post-order r of the mirrored tree (post_mirror(x) = n−1−pre(x)), and
-	// kids describes each root child as the row side of a sub-DP.
+	// path and on mirrored flats. wL and wR are the tree's left- and
+	// right-path keyroot weights W(T) = Σ |T(k)| over keyroots k, the
+	// factors of the Zhang–Shasha cell count W(T1)·W(T2). mir[r] is the
+	// post-order index of the node at post-order r of the mirrored tree
+	// (post_mirror(x) = n−1−pre(x)), and kids describes each root child as
+	// the row side of a sub-DP.
 	wL, wR int64
 	mir    []int32
 	kids   []kidShape
@@ -159,7 +165,15 @@ func fillFlat(f *flat, t *tree.Node, seen []bool) {
 // memo-key fingerprints interned in ids. Unlike the pooled path it
 // allocates fresh backing arrays so the result can outlive any scratch
 // buffers.
-func newFlat(t *tree.Node, ids *memoIDs) *flat {
+func newFlat(t *tree.Node, ids *memoIDs) *flat { return buildFlat(t, ids, true) }
+
+// newMirrorFlat builds the memoised flat of a mirrored tree. A mirrored
+// sub-DP runs the plain keyroot loop: it never resumes its root row from a
+// checkpoint and never plans paths, so the flat carries no checkpoint
+// boundaries (nor their interned ids) and no path-strategy shape data.
+func newMirrorFlat(t *tree.Node, ids *memoIDs) *flat { return buildFlat(t, ids, false) }
+
+func buildFlat(t *tree.Node, ids *memoIDs, rootRow bool) *flat {
 	n := t.Size()
 	f := &flat{
 		labels: make([]int32, n),
@@ -169,7 +183,7 @@ func newFlat(t *tree.Node, ids *memoIDs) *flat {
 	// Trim the keyroot slice to size: memoised flats live for the whole
 	// sweep, so the append slack is worth returning to the allocator.
 	f.kr = append(make([]int, 0, len(f.kr)), f.kr...)
-	f.buildSpines(t, ids)
+	f.buildSpines(t, ids, rootRow)
 	return f
 }
 
@@ -180,7 +194,8 @@ func newFlat(t *tree.Node, ids *memoIDs) *flat {
 // bijection, so a slot table indexed by lmld value maps every node to its
 // owning keyroot in O(n) with no hashing, and the ascending scan leaves
 // each spine slice sorted, the order treedist writes its td cells in.
-func (f *flat) buildSpines(t *tree.Node, ids *memoIDs) {
+// With rootRow it also fills the checkpoint boundaries and the path data.
+func (f *flat) buildSpines(t *tree.Node, ids *memoIDs, rootRow bool) {
 	n := len(f.labels)
 	sub := t.SubtreeFingerprints()
 	f.fp = sub[n-1]
@@ -212,7 +227,7 @@ func (f *flat) buildSpines(t *tree.Node, ids *memoIDs) {
 	// forest starts at post-order 0, so the DP row completed after child
 	// Ck ends at cumulative-size offset end(Ck)+1. The prefix fold at each
 	// boundary reuses the amortised per-subtree fingerprints.
-	if nch := len(t.Children); nch > 0 {
+	if nch := len(t.Children); rootRow && nch > 0 {
 		f.ckptRow = make([]int32, nch)
 		var acc tree.Fingerprint
 		end := int32(-1)
@@ -228,7 +243,45 @@ func (f *flat) buildSpines(t *tree.Node, ids *memoIDs) {
 	if len(all) > k {
 		f.ckptID = all[k:]
 	}
-	f.buildPaths(t, sub)
+	f.buildTwins()
+	if rootRow {
+		f.buildPaths(t, sub)
+	}
+}
+
+// buildTwins fills twin. Keyroots with equal ids are only candidates: each
+// is checked against the first keyroot of its id node by node, so an id
+// shared by two different subtrees (a fingerprint collision) leaves the
+// later one without a twin rather than pairing them.
+func (f *flat) buildTwins() {
+	first := make(map[uint32]int32, len(f.kr))
+	f.twin = make([]int32, len(f.kr))
+	for ki, i := range f.kr {
+		f.twin[ki] = int32(ki)
+		t, ok := first[f.krID[ki]]
+		if !ok {
+			first[f.krID[ki]] = int32(ki)
+		} else if f.sameSubtree(f.kr[t], i) {
+			f.twin[ki] = t
+		}
+	}
+}
+
+// sameSubtree reports whether the subtrees rooted at post-order indices p
+// and q have the same labels and shape. A subtree is the post-order range
+// [lmld, root], and labels plus leftmost-leaf offsets over that range
+// determine an ordered labelled tree.
+func (f *flat) sameSubtree(p, q int) bool {
+	lp, lq := int(f.lmld[p]), int(f.lmld[q])
+	if p-lp != q-lq {
+		return false
+	}
+	for d := 0; d <= p-lp; d++ {
+		if f.labels[lp+d] != f.labels[lq+d] || int(f.lmld[lp+d])-lp != int(f.lmld[lq+d])-lq {
+			return false
+		}
+	}
+	return true
 }
 
 // buildPaths fills the path-strategy shape data: the mirror map and the

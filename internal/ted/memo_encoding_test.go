@@ -49,7 +49,7 @@ func appendFunction(tr *tree.Node) *tree.Node {
 // three trees instead of five.
 func TestMemoEncodingsExact(t *testing.T) {
 	n := 5
-	if raceEnabled {
+	if ted.RaceEnabled {
 		n = 3
 	}
 	trees := functionTrees(t, 350, n)
@@ -138,7 +138,7 @@ func liveHeap() uint64 {
 // babelstream runs.
 func TestMemoBytesMatchHeap(t *testing.T) {
 	apps := []string{"babelstream", "minibude"}
-	if raceEnabled {
+	if ted.RaceEnabled {
 		apps = apps[:1]
 	}
 	for _, app := range apps {

@@ -27,6 +27,8 @@ type dpScratch struct {
 	blocks         []int32   // per-keyroot-pair probe results: 1 + index into hits, 0 on no hit (memoised path)
 	hits           []string  // the hit blocks' payloads, in probe order (memoised path)
 	done           []bool    // per-keyroot-pair lazily-restored marks (memoised path)
+	full           []bool    // per-a-keyroot marks: every pair of the row produced (memoised path)
+	twinCols       []int32   // td columns awaiting one twin gather, each followed by its source column (memoised path)
 	ckrefs         []ckptRef // per-b-keyroot checkpoint probe results (memoised path)
 	mirrored       []bool    // per-root-child mirrored-orientation marks (path strategy)
 	skip           []bool    // per-a-keyroot rows owned by a mirrored sub-DP (path strategy)
@@ -102,6 +104,16 @@ func (s *dpScratch) blockRefs(n int) ([]int32, []bool, []string) {
 	}
 	clear(s.hits)
 	return s.blocks[:n], done, s.hits[:0]
+}
+
+// fullRows returns k cleared per-a-keyroot row marks.
+func (s *dpScratch) fullRows(k int) []bool {
+	if cap(s.full) < k {
+		s.full = make([]bool, k)
+	}
+	full := s.full[:k]
+	clear(full)
+	return full
 }
 
 // ckptRefs returns a scratch slice of n checkpoint probe slots with

@@ -1,5 +1,5 @@
 //go:build !race
 
-package ted_test
+package ted
 
 const raceEnabled = false

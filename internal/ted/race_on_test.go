@@ -1,8 +1,9 @@
 //go:build race
 
-package ted_test
+package ted
 
-// raceEnabled mirrors the race detector state so the corpus oracle test
-// can trim its trees: the detector multiplies the seed oracle's cost about
-// tenfold, and the test runs on one goroutine, so it has no race to find.
+// raceEnabled mirrors the race detector state so the oracle tests can trim
+// their trees: the detector multiplies the seed oracle's cost about
+// tenfold, and most of them run on one goroutine, so they have no race to
+// find.
 const raceEnabled = true

@@ -110,7 +110,7 @@ func zsDistance(a, b *flat, c Costs, sc *dpScratch) int {
 // rather than re-deriving the distance from per-subtree distances, which
 // cannot express forest mappings that split a subtree (§12).
 //
-// Two refinements keep the warm path off the recompute floor (§13):
+// Three refinements keep the warm path off the recompute floor (§13):
 //
 //   - Lazy materialisation. A hit block's cells are only written into td
 //     when a DP run may actually read them. treedist(i, j) reads td cells
@@ -134,6 +134,13 @@ func zsDistance(a, b *flat, c Costs, sc *dpScratch) int {
 //     fully-recomputed pair remains in the row to read them (non-root
 //     keyroots never own root-spine cells — the root is the only keyroot
 //     of its lmld class).
+//   - Twin keyroot pairs. By the purity fact above, a pair whose two
+//     subtrees equal those of an earlier pair (its twin pair, the first
+//     keyroots with those subtrees) owns the same block. Once the twin
+//     pair's cells are in td, the pair copies them instead of running its
+//     DP, in materialise and in the main loop alike; a twin miss publishes
+//     nothing and captures nothing, because its twin already did so under
+//     the same keys. Hits, misses and checkpoint hits count as before.
 //
 // Map traffic is batched: one read-lock probes the whole keyroot grid
 // slot by slot plus the root-row checkpoints (phase 1), the
@@ -178,7 +185,8 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 		mirrored, skip = c.planPaths(a, b, sc)
 	}
 
-	var misses, ckHits, ckMisses int64
+	var misses, ckHits, ckMisses, twins int64
+	full := sc.fullRows(k1)
 	c.subMu.RLock()
 	for ki, i := range a.kr {
 		if skip != nil && skip[ki] {
@@ -246,6 +254,12 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 	// main loop already computed them (their done mark distinguishes them
 	// from deferred below-threshold slots); the requesting pair itself is
 	// skipped by the threshold test.
+	//
+	// Twin keyroot pairs are copied instead (DESIGN.md §13). A row whose
+	// twin row is complete copies its spine rows over the rectangle's
+	// columns, one copy per td row. Otherwise a deferred pair whose twin
+	// pair is produced queues its columns for one gather per td row, run
+	// before the next DP that may read them and at the end of the row.
 	materialise := func(aLo, aHi, bLo, bHi int) {
 		kiLo := sort.SearchInts(a.kr, aLo)
 		kjLo := sort.SearchInts(b.kr, bLo)
@@ -257,23 +271,62 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 			m1 := i - int(a.lmld[i]) + 1
 			row := blocks[ki*k2 : (ki+1)*k2]
 			rdone := done[ki*k2 : (ki+1)*k2]
-			var rows []int32
-			for kj := kjLo; kj < k2 && b.kr[kj] <= bHi; kj++ {
+			rows := a.spine[a.spineOff[ki]:a.spineOff[ki+1]]
+			ti := int(a.twin[ki])
+			trows := a.spine[a.spineOff[ti]:a.spineOff[ti+1]]
+			kj := kjLo
+			if ti != ki && full[ti] {
+				for r, x := range rows {
+					copy(td[x][bLo:bHi+1], td[trows[r]][bLo:bHi+1])
+				}
+				for ; kj < k2 && b.kr[kj] <= bHi; kj++ {
+					if !rdone[kj] {
+						rdone[kj] = true
+						twins++
+					}
+				}
+				full[ki] = kjLo == 0 && kj == k2
+				continue
+			}
+			complete := true
+			cols := sc.twinCols[:0]
+			for ; kj < k2 && b.kr[kj] <= bHi; kj++ {
 				if rdone[kj] {
 					continue
 				}
 				if h := row[kj]; h != 0 {
 					rdone[kj] = true
-					if rows == nil {
-						rows = a.spine[a.spineOff[ki]:a.spineOff[ki+1]]
-					}
 					restoreBlock(td, rows, b.spine[b.spineOff[kj]:b.spineOff[kj+1]], hitCells[h-1])
-				} else if j := b.kr[kj]; m1*(j-int(b.lmld[j])+1) < minCells {
-					rdone[kj] = true
-					treedist(a, b, i, j, costs, td, fd)
-					computed += int64(m1 * (j - int(b.lmld[j]) + 1))
+					continue
 				}
+				j := b.kr[kj]
+				lj := int(b.lmld[j])
+				if m1*(j-lj+1) >= minCells {
+					complete = false
+					continue
+				}
+				rdone[kj] = true
+				if tj := int(b.twin[kj]); (ti != ki || tj != kj) && done[ti*k2+tj] {
+					shift := int32(lj) - b.lmld[b.kr[tj]]
+					for _, y := range b.spine[b.spineOff[kj]:b.spineOff[kj+1]] {
+						cols = append(cols, y, y-shift)
+					}
+					twins++
+					continue
+				}
+				if len(cols) > 0 && int(cols[len(cols)-2]) >= lj {
+					// This DP reads inside subtree(j): gather first.
+					gatherTwin(td, rows, trows, cols)
+					cols = cols[:0]
+				}
+				treedist(a, b, i, j, costs, td, fd)
+				computed += int64(m1 * (j - lj + 1))
 			}
+			if len(cols) > 0 {
+				gatherTwin(td, rows, trows, cols)
+			}
+			sc.twinCols = cols
+			full[ki] = complete && kjLo == 0 && kj == k2
 		}
 	}
 
@@ -314,6 +367,8 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 		li := int(a.lmld[i])
 		m1 := i - li + 1
 		rows := a.spine[a.spineOff[ki]:a.spineOff[ki+1]]
+		ti := int(a.twin[ki])
+		trows := a.spine[a.spineOff[ti]:a.spineOff[ti+1]]
 		row := blocks[ki*k2 : (ki+1)*k2]
 		rdone := done[ki*k2 : (ki+1)*k2]
 		isRoot := ki == lastKi
@@ -326,12 +381,32 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 			if cells < minCells {
 				continue // deferred: materialised only if a later DP reads it
 			}
+			misses++
+			cols := b.spine[b.spineOff[kj]:b.spineOff[kj+1]]
+			if tj := int(b.twin[kj]); (ti != ki || tj != kj) && done[ti*k2+tj] {
+				// Twin miss: the twin pair missed under the same block key
+				// and already produced its cells, published its block and
+				// captured its checkpoint rows, so this pair only copies
+				// the cells. In a resumed root row both pairs resumed from
+				// the same checkpoint row, and only the rows past it exist.
+				dst, src := rows, trows
+				if isRoot && resumable {
+					ckHits++
+					r0 := int(resume[kj].row)
+					for len(dst) > 0 && int(dst[0]) < r0 {
+						dst, src = dst[1:], src[1:]
+					}
+				}
+				copyTwin(td, dst, src, cols, int32(lj)-b.lmld[b.kr[tj]])
+				rdone[kj] = true
+				twins++
+				continue
+			}
 			if isRoot && resumable {
 				// Block miss served by a checkpoint: recompute only the
 				// rows after the deepest matching prefix boundary. No
 				// block is harvested (the prefix-spine cells were never
 				// written); boundaries passed on the way down are.
-				misses++
 				ckHits++
 				r0 := int(resume[kj].row)
 				if !suffixDone {
@@ -350,7 +425,6 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 				freshCk = captureCkpts(freshCk, sc, a, ckptKey{b: b.krID[kj], costs: cid}, j-lj+1, fd, r0)
 				continue
 			}
-			misses++
 			if isRoot {
 				runKids(0)
 			}
@@ -366,7 +440,6 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 			}
 			computed += int64(cells)
 			rdone[kj] = true
-			cols := b.spine[b.spineOff[kj]:b.spineOff[kj+1]]
 			sc.cells = harvestBlock(sc.cells, td, rows, cols)
 			var bl subBlock
 			bl, sc.enc = encodeBlock(sc.cells, int32(len(rows)), int32(len(cols)), sc.enc)
@@ -402,6 +475,7 @@ func (c *Cache) zsDistanceMemo(a, b *flat, costs Costs, sc *dpScratch, ta, tb *t
 	}
 	k := c.counts
 	k.dpCells.Add(computed)
+	k.twinBlocks.Add(twins)
 	k.subHits.Add(int64(len(hitCells)))
 	k.subMisses.Add(misses)
 	k.ckptHits.Add(ckHits)
@@ -493,6 +567,28 @@ func restoreBlock(td [][]int32, rows, cols []int32, cells string) {
 		v := cells[r*w : (r+1)*w]
 		for ci, y := range cols {
 			tdRow[y] = cell16(v, ci)
+		}
+	}
+}
+
+// copyTwin writes the td cells rows × cols from the twin pair's cells:
+// row rows[r] reads row trows[r], and column y reads column y − shift.
+func copyTwin(td [][]int32, rows, trows, cols []int32, shift int32) {
+	for r, x := range rows {
+		dst, src := td[x], td[trows[r]]
+		for _, y := range cols {
+			dst[y] = src[y-shift]
+		}
+	}
+}
+
+// gatherTwin is copyTwin over the columns of several pairs: cols holds
+// each column followed by the column of the twin pair it reads.
+func gatherTwin(td [][]int32, rows, trows, cols []int32) {
+	for r, x := range rows {
+		dst, src := td[x], td[trows[r]]
+		for k := 0; k+1 < len(cols); k += 2 {
+			dst[cols[k]] = src[cols[k+1]]
 		}
 	}
 }
