@@ -18,8 +18,6 @@ const (
 
 	goldenColdStoreCache = "ted cache: 17 hits (3 identity), 73 misses, 46 symmetric canonicalisations, 73 entries, 0 profiles, hit rate 18.9%, 1 bound-pruned, flat memo 128/146 hit rate 87.7%, subtree blocks 234201 hit/103100 miss, 52022 resident (7254244B), 0 evicted, ckpt rows 7144 hit/5893 miss, 38067 resident (3686493B), 0 evicted, store 0 hits, 83 misses, 0B read, 65889B written, 0 corrupt-skipped, ted tier 8572B written/0B read, idx tier 57317B written/0B read"
 
-	goldenTierLine = "ted tiering (budget 0.5, threshold 0.450, lsh 16x4): 90 pairs: 27 exact, 7 estimated, 56 lsh-far"
-
 	goldenWatchEdit = "incremental: 1 cells reused, 2 recomputed; 5 units reused, 1 reparsed; 4298 subtree blocks reused, 143 recomputed"
 )
 
@@ -108,17 +106,6 @@ func TestGoldenColdDPCells(t *testing.T) {
 		name, _, _ := strings.Cut(want, " ")
 		assertGolden(t, lineWith(t, out, name+" "), want)
 	}
-}
-
-func TestGoldenTierLine(t *testing.T) {
-	if raceEnabled {
-		t.Skip("C++ BabelStream sweep is too slow under -race")
-	}
-	_, stderr, err := captureBoth(t, "matrix", "babelstream", "-metric", "tsem", "-tier-budget", "0.5", "-workers", "1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGolden(t, lineWith(t, stderr, "ted tiering"), goldenTierLine)
 }
 
 // TestGoldenWatchEditLine is the scripted one-function edit: three ports,

@@ -23,17 +23,14 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"silvervale/internal/cluster"
@@ -72,7 +69,6 @@ type obsConfig struct {
 	cacheReadonly bool
 	cacheClear    bool
 	cacheStrict   bool
-	tierBudget    float64
 
 	rec          *obs.Recorder
 	st           *store.Store
@@ -88,22 +84,6 @@ func (c *obsConfig) register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.cacheReadonly, "cache-readonly", c.cacheReadonly, "serve lookups from -cache-dir but write nothing back")
 	fs.BoolVar(&c.cacheClear, "cache-clear", c.cacheClear, "clear the -cache-dir record tiers before running")
 	fs.BoolVar(&c.cacheStrict, "cache-strict", c.cacheStrict, "treat cache I/O errors as fatal instead of degrading to memory-only")
-	fs.Func("tier-budget", "tiered matrix sweeps: per-cell error `budget` (>= 0.5 screening; 0 to <0.5 exact; <0 off, the default: no stats line)", c.setTierBudget)
-}
-
-// setTierBudget parses -tier-budget. Non-finite values are usage errors:
-// NaN would compare false against every threshold and silently disable
-// tiering, and +Inf is no budget at all.
-func (c *obsConfig) setTierBudget(s string) error {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return errors.New("parse error")
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return errors.New("must be a finite number")
-	}
-	c.tierBudget = v
-	return nil
 }
 
 func (c *obsConfig) enabled() bool {
@@ -233,20 +213,11 @@ func (c *obsConfig) newEnv(workers int) (*experiments.Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := experiments.NewEnvStore(workers, rec, st)
-	if c.tierRequested() {
-		env.SetTierPolicy(ted.TierPolicy{Budget: c.tierBudget})
-	}
-	return env, nil
+	return experiments.NewEnvStore(workers, rec, st), nil
 }
 
-// tierRequested reports whether -tier-budget was given (>= 0): the tiered
-// matrix path is engaged (below ted.ScreeningBudget as the exact sweep)
-// and the post-sweep tier stats line is printed.
-func (c *obsConfig) tierRequested() bool { return c.tierBudget >= 0 }
-
 func run(args []string) error {
-	cfg := &obsConfig{metricsFormat: "text", tierBudget: -1}
+	cfg := &obsConfig{metricsFormat: "text"}
 	gfs := flag.NewFlagSet("silvervale", flag.ContinueOnError)
 	cfg.register(gfs)
 	if err := gfs.Parse(args); err != nil {
@@ -321,15 +292,6 @@ The same commands accept -cache-dir <dir>: a persistent content-addressed
 artifact store that warm-starts TED distances and codebase indexes across
 runs (results are byte-identical to a cold run). -cache-readonly serves
 lookups without writing back; -cache-clear empties the store first.
-
-matrix and experiment additionally accept -tier-budget <b>, a per-cell
-error budget, and print a post-sweep tier stats line:
-  b >= 0.5      screening: an LSH + pq-gram prefilter estimates far pairs,
-                exact Zhang–Shasha runs only for close/borderline pairs
-  0 <= b < 0.5  the exact sweep (byte-identical output), every pair exact
-  b < 0         off (the default): no tiering, no stats line
-
-  silvervale matrix tealeaf -metric tsem -tier-budget 0.5   # screening: ~3x faster than exact (2.3 s -> 0.75 s, 2 CPUs)
 
 phi and experiment accept -phi-source measured: performance figures are
 derived from interpreter-measured cost vectors (statements, loop trips,
@@ -594,11 +556,6 @@ func cmdMatrix(args []string, cfg *obsConfig) error {
 		// cold vs warm.
 		fmt.Fprintln(os.Stderr, env.Engine().CacheStats())
 	}
-	if cfg.tierRequested() {
-		// Tier stats go to stderr for the same reason the cache stats do:
-		// matrix stdout stays byte-identical exact vs tiered at budget 0.
-		fmt.Fprintln(os.Stderr, env.Engine().TierStats().Line(env.TierPolicy()))
-	}
 	return nil
 }
 
@@ -695,9 +652,6 @@ func cmdExperiment(args []string, cfg *obsConfig) error {
 		fmt.Printf("==== %s: %s ====\n%s\n", res.ID, res.Title, res.Text)
 	}
 	fmt.Println(env.Engine().CacheStats())
-	if cfg.tierRequested() {
-		fmt.Println(env.Engine().TierStats().Line(env.TierPolicy()))
-	}
 	return nil
 }
 

@@ -31,6 +31,51 @@ func capture(t *testing.T, args ...string) (string, error) {
 	return <-done, runErr
 }
 
+// captureBoth runs a CLI invocation with stdout and stderr captured
+// separately.
+func captureBoth(t *testing.T, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
+	oldOut, oldErr := os.Stdout, os.Stderr
+	ro, wo, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, we, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout, os.Stderr = wo, we
+	outCh, errCh := make(chan string), make(chan string)
+	go func() { data, _ := io.ReadAll(ro); outCh <- string(data) }()
+	go func() { data, _ := io.ReadAll(re); errCh <- string(data) }()
+	runErr := run(args)
+	wo.Close()
+	we.Close()
+	os.Stdout, os.Stderr = oldOut, oldErr
+	return <-outCh, <-errCh, runErr
+}
+
+// TestTierBudgetFlagRemoved: the screening engine and its -tier-budget
+// flag are gone, so every subcommand that used to accept it — serve
+// through the shared engine flags — rejects it at flag parsing, before
+// any sweep runs. The flag package reports the undefined flag on stderr;
+// experiment then fails with its own usage error.
+func TestTierBudgetFlagRemoved(t *testing.T) {
+	for _, args := range [][]string{
+		{"matrix", "babelstream", "-tier-budget", "0.5"},
+		{"experiment", "fig4", "-tier-budget", "0.5"},
+		{"serve", "-tier-budget", "0.5"},
+	} {
+		out, stderr, err := captureBoth(t, args...)
+		if err == nil || !strings.Contains(stderr, "flag provided but not defined: -tier-budget") {
+			t.Errorf("%v: err = %v, stderr %q, want an undefined-flag usage error", args, err, stderr)
+		}
+		if out != "" {
+			t.Errorf("%v: printed %q on stdout before rejecting the flag", args, out)
+		}
+	}
+}
+
 func TestList(t *testing.T) {
 	out, err := capture(t, "list")
 	if err != nil {

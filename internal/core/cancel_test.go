@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"silvervale/internal/corpus"
-	"silvervale/internal/ted"
 )
 
 // TestRunParallelCtxBoundedGrants pins the grant-boundary contract
@@ -129,34 +128,6 @@ func TestCanceledMatrixPublishesNothing(t *testing.T) {
 	}
 	if n := memoLen(e); n == 0 {
 		t.Fatal("completed sweep published nothing — memo wiring broken")
-	}
-}
-
-// TestCanceledTieredMatrixPublishesNothing extends the regression to a
-// routed sweep: a canceled tiered sweep publishes no cells (and no tier
-// provenance) to the memo.
-func TestCanceledTieredMatrixPublishesNothing(t *testing.T) {
-	idxs, order := buildIndexes(t, "babelstream-fortran")
-	e := NewEngine(1)
-	policy := ted.TierPolicy{Budget: ted.ScreeningBudget}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.MatrixTieredCtx(ctx, idxs, order, MetricTsem, policy); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled MatrixTieredCtx returned %v, want context.Canceled", err)
-	}
-	if n := memoLen(e); n != 0 {
-		t.Fatalf("canceled tiered sweep published %d cells, want 0", n)
-	}
-	want, err := NewEngine(1).MatrixTiered(idxs, order, MetricTsem, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.MatrixTiered(idxs, order, MetricTsem, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if matrixBytes(got.Values) != matrixBytes(want.Values) {
-		t.Fatalf("post-cancel tiered sweep differs from fresh engine")
 	}
 }
 

@@ -144,21 +144,31 @@ func divergeSource(a, b *Index, metric string) Divergence {
 	return Divergence{Metric: metric, Raw: raw, DMax: dmax, Norm: safeDiv(raw, dmax)}
 }
 
-// divergeTrees: Eq. (6)/(7) — summed TED over matched tree pairs,
+// DivergeWithCosts computes a tree-metric divergence under a non-unit TED
+// cost model — the ablation the paper leaves as future work: "adding new
+// code may have a different productivity impact than removing existing
+// code".
+func DivergeWithCosts(a, b *Index, metric string, costs ted.Costs) (Divergence, error) {
+	return divergeWithCosts(a, b, metric, costs, plainDist)
+}
+
+// divergeWithCosts: Eq. (6)/(7) — summed TED over matched tree pairs,
 // normalised by the total node count of b's trees, under a TED cost model
-// (inserting b's nodes and deleting a's). pair yields one matched pair's
-// distance — exact TED, or a tier-routed estimate. This is the one
-// accumulation every tree-metric cell runs: matched pairs, then only-A,
-// then only-B. Under unit costs every multiplier is 1, so the sums are
-// bit-identical to the unweighted Eq. 6/7. pair also receives both trees'
+// (inserting b's nodes and deleting a's). This is the one accumulation
+// every tree-metric divergence runs: matched pairs, then only-A, then
+// only-B. Under unit costs every multiplier is 1, so the sums are
+// bit-identical to the unweighted Eq. 6/7. dist also receives both trees'
 // recorded fingerprints, so a memoised distance costs no tree walk.
-func divergeTrees(a, b *Index, metric string, costs ted.Costs, pair func(ta, tb *tree.Node, fa, fb tree.Fingerprint) float64) Divergence {
+func divergeWithCosts(a, b *Index, metric string, costs ted.Costs, dist distFunc) (Divergence, error) {
+	if !isTreeMetric(metric) {
+		return Divergence{}, fmt.Errorf("core: weighted divergence needs a tree metric, got %q", metric)
+	}
 	pairs, onlyA, onlyB := match(a, b)
 	raw, dmax := 0.0, 0.0
 	for _, p := range pairs {
 		ta := p[0].Trees[metric]
 		tb := p[1].Trees[metric]
-		raw += pair(ta, tb, p[0].TreeFingerprint(metric), p[1].TreeFingerprint(metric))
+		raw += float64(dist(ta, tb, p[0].TreeFingerprint(metric), p[1].TreeFingerprint(metric), costs))
 		dmax += float64(p[1].treeSize(metric) * costs.Insert)
 	}
 	for _, u := range onlyA {
@@ -169,24 +179,7 @@ func divergeTrees(a, b *Index, metric string, costs ted.Costs, pair func(ta, tb 
 		raw += n
 		dmax += n
 	}
-	return Divergence{Metric: metric, Raw: raw, DMax: dmax, Norm: safeDiv(raw, dmax)}
-}
-
-// DivergeWithCosts computes a tree-metric divergence under a non-unit TED
-// cost model — the ablation the paper leaves as future work: "adding new
-// code may have a different productivity impact than removing existing
-// code".
-func DivergeWithCosts(a, b *Index, metric string, costs ted.Costs) (Divergence, error) {
-	return divergeWithCosts(a, b, metric, costs, plainDist)
-}
-
-func divergeWithCosts(a, b *Index, metric string, costs ted.Costs, dist distFunc) (Divergence, error) {
-	if !isTreeMetric(metric) {
-		return Divergence{}, fmt.Errorf("core: weighted divergence needs a tree metric, got %q", metric)
-	}
-	return divergeTrees(a, b, metric, costs, func(ta, tb *tree.Node, fa, fb tree.Fingerprint) float64 {
-		return float64(dist(ta, tb, fa, fb, costs))
-	}), nil
+	return Divergence{Metric: metric, Raw: raw, DMax: dmax, Norm: safeDiv(raw, dmax)}, nil
 }
 
 // ApproxDiverge computes a tree-metric divergence with the pq-gram

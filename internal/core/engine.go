@@ -13,7 +13,6 @@ import (
 	"silvervale/internal/obs"
 	"silvervale/internal/store"
 	"silvervale/internal/ted"
-	"silvervale/internal/tree"
 )
 
 // Engine is the concurrent divergence engine: a bounded worker pool plus a
@@ -43,18 +42,18 @@ type Engine struct {
 	taskNS     *obs.Histogram // engine.task_ns — per-task latency
 	queueDepth *obs.Histogram // engine.queue_depth — remaining tasks at dequeue
 
-	// counts is the engine's always-on accounting (tier routing and
-	// incremental reuse), adopted by the recorder under the ted.tier_* and
-	// incr.* names. subReused/subRecomputed are the cache's own subtree-
-	// block counters: the sub-cell reuse split is counted once, by the
-	// cache that sees it (DESIGN.md §13).
+	// counts is the engine's always-on incremental-reuse accounting,
+	// adopted by the recorder under the incr.* names. subReused/
+	// subRecomputed are the cache's own subtree-block counters: the
+	// sub-cell reuse split is counted once, by the cache that sees it
+	// (DESIGN.md §13).
 	counts                   *engineCounters
 	subReused, subRecomputed *obs.Counter
 
 	// cell memo: the matrix-cell invalidation layer (DESIGN.md §12) and
-	// the only matrix memo. Every sweep memoises each computed cell, with
-	// its tier provenance, under (per-side metric hash, metric, screen
-	// bit); warm re-sweeps recompute only cells whose key changed.
+	// the only matrix memo. Every sweep memoises each computed cell under
+	// (per-side metric hash, metric); warm re-sweeps recompute only cells
+	// whose key changed.
 	cellMu   sync.Mutex
 	cellMemo map[cellKey]cellVal
 
@@ -66,11 +65,6 @@ type Engine struct {
 // engineCounters are the engine's cumulative counts since construction,
 // allocated apart from the Engine like the cache's (ted.cacheCounters).
 type engineCounters struct {
-	tierPairs     obs.Counter // pairs routed by a tier policy
-	tierExact     obs.Counter // pairs refined with exact Zhang–Shasha
-	tierEstimated obs.Counter // pairs estimated from the pq-gram distance
-	tierFar       obs.Counter // pairs estimated from LSH signatures alone
-
 	unitsReused     obs.Counter // parsed units served from the unit memo
 	unitsReparsed   obs.Counter // units re-run through the frontend
 	cellsReused     obs.Counter // matrix cells served from the cell memo
@@ -105,10 +99,6 @@ func NewEngineObs(workers int, cache *ted.Cache, rec *obs.Recorder) *Engine {
 	cache.SetRecorder(rec)
 	k := e.counts
 	for name, c := range map[string]*obs.Counter{
-		"ted.tier_pairs":                 &k.tierPairs,
-		"ted.tier_exact":                 &k.tierExact,
-		"ted.tier_estimated":             &k.tierEstimated,
-		"ted.tier_far":                   &k.tierFar,
 		"incr.cells_reused":              &k.cellsReused,
 		"incr.cells_recomputed":          &k.cellsRecomputed,
 		"incr.subtree_blocks_reused":     e.subReused,
@@ -165,8 +155,8 @@ func (e *Engine) DivergeWithCosts(a, b *Index, metric string, costs ted.Costs) (
 	return divergeWithCosts(a, b, metric, costs, e.cache.DistanceFP)
 }
 
-// ApproxDiverge is the engine form of ApproxDiverge: pq-gram profiles and
-// pair distances are memoised in the shared cache.
+// ApproxDiverge is the engine form of ApproxDiverge: pq-gram profiles are
+// memoised in the shared cache.
 func (e *Engine) ApproxDiverge(a, b *Index, metric string) (Divergence, error) {
 	return approxDivergeWith(a, b, metric, e.cache.ApproxDistance)
 }
@@ -191,16 +181,6 @@ func (e *Engine) Matrix(idxs map[string]*Index, order []string, metric string) (
 // the cancellation remain in the shared cache; each is a complete exact
 // result, so a later identical request stays bit-identical to cold.
 func (e *Engine) MatrixCtx(ctx context.Context, idxs map[string]*Index, order []string, metric string) ([][]float64, error) {
-	return e.matrixMemo(ctx, idxs, order, metric, ted.TierPolicy{}, nil)
-}
-
-// matrixMemo is the one memoised matrix sweep (DESIGN.md §12), behind
-// Matrix and MatrixTiered. Clean cells are served from the cell memo;
-// each dirty cell is one worker-pool task. A screening sweep (a policy
-// that routes, on a tree metric) sends matched pairs through
-// Cache.TierRoute and runs exact TED only on the pairs routed exact.
-// When cells is non-nil it receives every cell's tier provenance.
-func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order []string, metric string, policy ted.TierPolicy, cells [][]TierCell) ([][]float64, error) {
 	n := len(order)
 	for _, name := range order {
 		if _, ok := idxs[name]; !ok {
@@ -219,10 +199,6 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 		}
 	}
 	sp := e.rec.Start("engine.matrix").Arg("metric", metric)
-	screen := policy.Enabled() && isTreeMetric(metric)
-	if screen {
-		sp.Arg("policy", policy.String())
-	}
 
 	// Memo pass: serve clean cells, keep the dirty ones as work. The
 	// metric hash per side is computed once per sweep; map lookups are
@@ -233,14 +209,11 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 	}
 	set := func(c pos, v cellVal) {
 		m[c.i][c.j], m[c.j][c.i] = v.norm, v.rev
-		if cells != nil {
-			cells[c.i][c.j], cells[c.j][c.i] = v.tc, v.tc
-		}
 	}
 	var work []pos
 	keys := make([]cellKey, 0, len(all))
 	for _, c := range all {
-		key := cellKey{a: hs[c.i], b: hs[c.j], metric: metric, screen: screen}
+		key := cellKey{a: hs[c.i], b: hs[c.j], metric: metric}
 		if v, ok := e.cellLookup(key); ok {
 			set(c, v)
 			continue
@@ -253,7 +226,7 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 	errs := make([]error, len(work))
 	vals := make([]cellVal, len(work))
 	ctxErr := e.runParallel(ctx, len(work), sp, "engine.cell", func(k int) {
-		vals[k], errs[k] = e.cell(idxs[order[work[k].i]], idxs[order[work[k].j]], metric, policy, screen)
+		vals[k], errs[k] = e.cell(idxs[order[work[k].i]], idxs[order[work[k].j]], metric)
 	})
 	sp.End()
 	if ctxErr != nil {
@@ -274,41 +247,21 @@ func (e *Engine) matrixMemo(ctx context.Context, idxs map[string]*Index, order [
 	return m, nil
 }
 
-// cell computes one matrix cell: both normalised orientations and its
-// tier provenance. A tree-metric cell runs divergeTrees' one
+// cell computes one matrix cell: both normalised orientations of
+// e.Diverge(a, b, metric). A tree-metric cell runs divergeWithCosts' one
 // accumulation order over its matched pairs, so its value is
-// bit-identical across runs and worker counts; on a screening sweep each
-// pair first routes through Cache.TierRoute, and only pairs routed exact
-// run exact TED. The absolute metrics are symmetric; every other metric
-// normalises the reverse direction by a's weight (Eq. 7).
-func (e *Engine) cell(a, b *Index, metric string, policy ted.TierPolicy, screen bool) (cellVal, error) {
-	var d Divergence
-	var tc TierCell
-	if isTreeMetric(metric) {
-		d = divergeTrees(a, b, metric, ted.UnitCosts(), func(ta, tb *tree.Node, fa, fb tree.Fingerprint) float64 {
-			if screen {
-				switch est, tier := e.cache.TierRouteFP(ta, tb, fa, fb, policy); tier {
-				case ted.TierEstimated:
-					tc.Estimated++
-					return est
-				case ted.TierFar:
-					tc.Far++
-					return est
-				}
-			}
-			tc.Exact++
-			return float64(e.cache.DistanceFP(ta, tb, fa, fb, ted.UnitCosts()))
-		})
-	} else {
-		var err error
-		if d, err = e.Diverge(a, b, metric); err != nil {
-			return cellVal{}, err
-		}
+// bit-identical across runs and worker counts. The absolute metrics are
+// symmetric; every other metric normalises the reverse direction by a's
+// weight (Eq. 7).
+func (e *Engine) cell(a, b *Index, metric string) (cellVal, error) {
+	d, err := e.Diverge(a, b, metric)
+	if err != nil {
+		return cellVal{}, err
 	}
 	if metric == MetricSLOC || metric == MetricLLOC {
 		return cellVal{norm: d.Norm, rev: d.Norm}, nil
 	}
-	return cellVal{norm: d.Norm, rev: safeDiv(d.Raw, Weight(a, metric)), tc: tc}, nil
+	return cellVal{norm: d.Norm, rev: safeDiv(d.Raw, Weight(a, metric))}, nil
 }
 
 // FromBase computes the same per-model divergence-from-base map as the

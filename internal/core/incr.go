@@ -21,7 +21,7 @@ import (
 //     flags, missing-include absences) matches the one recorded at index
 //     time — only edited units re-run MiniC or MiniFortran;
 //   - matrix cells: the engine memoises every divergence cell under
-//     (per-side metric hash, metric, screen bit), so a warm
+//     (per-side metric hash, metric), so a warm
 //     re-sweep recomputes exactly the cells whose fingerprint pair changed
 //     and serves the rest from the memo, bit-identically.
 //
@@ -242,22 +242,17 @@ func MetricHash(idx *Index, metric string) store.ContentHash {
 }
 
 // cellKey addresses one memoised matrix cell: the two sides' metric
-// hashes (orientation preserved — the reverse normalisation differs), the
-// metric, and whether the sweep screens (a tier policy at or above
-// ted.ScreeningBudget on a tree metric; every screening budget routes
-// identically). Everything that can change a cell's value is in the key,
-// so a memo hit is bit-identical to recomputation by construction.
+// hashes (orientation preserved — the reverse normalisation differs) and
+// the metric. Everything that can change a cell's value is in the key, so
+// a memo hit is bit-identical to recomputation by construction.
 type cellKey struct {
 	a, b   store.ContentHash
 	metric string
-	screen bool
 }
 
-// cellVal is one memoised cell: both normalised orientations plus the
-// tier provenance recorded when the cell was computed.
+// cellVal is one memoised cell: both normalised orientations.
 type cellVal struct {
 	norm, rev float64
-	tc        TierCell
 }
 
 // cellLookup consults the engine's cell memo.
@@ -282,7 +277,7 @@ func (e *Engine) countCells(reused, recomputed int) {
 }
 
 // IncrStats returns the engine's cumulative incremental accounting: cells
-// reused/recomputed across every Matrix and MatrixTiered call, units
+// reused/recomputed across every Matrix call, units
 // reused/reparsed across every engine index that ran the pipeline
 // (IndexCodebase on a store miss or without a store, and
 // IndexCodebaseIncremental), and the

@@ -272,49 +272,6 @@ func mustApp(tb testing.TB, name string) corpus.App {
 	return app
 }
 
-// TestTieredMemoPolicyKey: a screening sweep never reuses cells memoised
-// by the exact path — the screen bit is part of the cell key — while a
-// repeated screening sweep, under the same or any other screening budget,
-// is answered entirely from the memo with its tier provenance intact.
-func TestTieredMemoPolicyKey(t *testing.T) {
-	idxs, order := buildIndexes(t, "babelstream-fortran")
-	n := len(order)
-	cells := n * (n - 1) / 2
-	e := NewEngine(2)
-	if _, err := e.Matrix(idxs, order, MetricTsem); err != nil {
-		t.Fatal(err)
-	}
-	base := e.IncrStats()
-
-	policy := ted.TierPolicy{Budget: ted.ScreeningBudget}
-	tm, err := e.MatrixTiered(idxs, order, MetricTsem, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := e.IncrStats().Delta(base)
-	if d.CellsReused != 0 || d.CellsRecomputed != cells {
-		t.Fatalf("tiered sweep was served exact-path cells: %+v", d)
-	}
-
-	for _, budget := range []float64{ted.ScreeningBudget, 0.7} {
-		before := e.IncrStats()
-		tm2, err := e.MatrixTiered(idxs, order, MetricTsem, ted.TierPolicy{Budget: budget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d = e.IncrStats().Delta(before)
-		if d.CellsReused != cells || d.CellsRecomputed != 0 {
-			t.Fatalf("budget %g: repeat screening sweep missed the memo: %+v", budget, d)
-		}
-		if !sameBits(tm.Values, tm2.Values) {
-			t.Fatalf("budget %g: memoised tiered matrix differs from the computed one", budget)
-		}
-		if tm2.Stats != tm.Stats {
-			t.Fatalf("budget %g: memo hits lost tier provenance: %+v vs %+v", budget, tm2.Stats, tm.Stats)
-		}
-	}
-}
-
 // TestIncrementalDeterminismAcrossWorkers is the PR 8 determinism gate:
 // cold sweep, one-function edit, warm incremental re-sweep — bit-identical
 // to a cold engine at every worker count.
@@ -349,21 +306,15 @@ func TestIncrementalDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: the watch snapshot (indexes + memoised cells,
-// exact and screened) survives Save/Load, and a restored engine answers a
-// repeat exact sweep and a repeat screening sweep entirely from the
-// imported memo, bit-identically and with the same tier provenance.
+// TestSnapshotRoundTrip: the watch snapshot (indexes + memoised cells)
+// survives Save/Load, and a restored engine answers a repeat sweep
+// entirely from the imported memo, bit-identically.
 func TestSnapshotRoundTrip(t *testing.T) {
 	cbs, order := generateAll(t, "babelstream-fortran")
 	e := NewEngine(1)
 	idxs, cold := pr8Sweep(t, e, cbs, nil, order, MetricTsem)
 	n := len(order)
 	cells := n * (n - 1) / 2
-	policy := ted.TierPolicy{Budget: ted.ScreeningBudget}
-	screened, err := e.MatrixTiered(idxs, order, MetricTsem, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	snap := &Snapshot{Metric: MetricTsem, Models: map[string]*cbdb.DB{}}
 	for name, idx := range idxs {
@@ -372,16 +323,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Entries can undercount cells: ports with bit-identical trees share
 	// a metric hash, so their cells collapse onto one memo key.
 	snap.Cells = e.ExportCells()
-	var exactRecs, screenRecs int
-	for _, c := range snap.Cells {
-		if c.Screen {
-			screenRecs++
-		} else {
-			exactRecs++
-		}
-	}
-	if exactRecs == 0 || exactRecs > cells || screenRecs == 0 || screenRecs > cells {
-		t.Fatalf("exported %d exact and %d screened cells, want 1..%d each", exactRecs, screenRecs, cells)
+	if len(snap.Cells) == 0 || len(snap.Cells) > cells {
+		t.Fatalf("exported %d cells, want 1..%d", len(snap.Cells), cells)
 	}
 	path := filepath.Join(t.TempDir(), "warm.svsnap")
 	if err := snap.Save(path); err != nil {
@@ -408,7 +351,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		prior[name] = idx
 	}
-	warmIdxs, warm := pr8Sweep(t, e2, cbs, prior, order, MetricTsem)
+	_, warm := pr8Sweep(t, e2, cbs, prior, order, MetricTsem)
 	st := e2.IncrStats()
 	if st.CellsRecomputed != 0 || st.CellsReused != cells {
 		t.Fatalf("restored engine recomputed cells: %+v", st)
@@ -418,20 +361,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !sameBits(warm, cold) {
 		t.Fatal("restored sweep differs from the original")
-	}
-
-	tm, err := e2.MatrixTiered(warmIdxs, order, MetricTsem, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := e2.IncrStats().Delta(st); d.CellsRecomputed != 0 || d.CellsReused != cells {
-		t.Fatalf("restored engine recomputed screened cells: %+v", d)
-	}
-	if !sameBits(tm.Values, screened.Values) {
-		t.Fatal("restored screening sweep differs from the original")
-	}
-	if tm.Stats != screened.Stats {
-		t.Fatalf("restored screening provenance %+v, want %+v", tm.Stats, screened.Stats)
 	}
 }
 

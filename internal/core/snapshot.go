@@ -22,8 +22,10 @@ import (
 // change so stale files are rejected instead of misread. Version 2 added
 // the subtree-block section (DESIGN.md §13); version 3 keys cells on the
 // screen bit alone and records every cell's provenance; version 4 carries
-// unit source hashes under store.FormatVersion 2's prefix-free hashing.
-const SnapshotVersion = 4
+// unit source hashes under store.FormatVersion 2's prefix-free hashing;
+// version 5 drops the screen bit and the provenance counts with the
+// screening engine (DESIGN.md §10).
+const SnapshotVersion = 5
 
 // Snapshot is the warm state a watch session (or a CI baseline run)
 // persists so a later `-since` invocation can resume incrementally: every
@@ -40,16 +42,13 @@ type Snapshot struct {
 }
 
 // CellRecord is the portable form of one memoised matrix cell: the two
-// sides' metric hashes, the rest of the key (metric, screen bit) and the
-// value (both normalised orientations, tier provenance). Floats travel as
-// IEEE-754 bit patterns, so a restored cell is bit-identical to the one
-// exported.
+// sides' metric hashes, the metric and the value (both normalised
+// orientations). Floats travel as IEEE-754 bit patterns, so a restored
+// cell is bit-identical to the one exported.
 type CellRecord struct {
-	A, B                  [2]uint64
-	Metric                string
-	Screen                bool
-	Norm, Rev             float64
-	Exact, Estimated, Far int
+	A, B      [2]uint64
+	Metric    string
+	Norm, Rev float64
 }
 
 // ExportCells returns the engine's memoised matrix cells in a canonical
@@ -60,9 +59,8 @@ func (e *Engine) ExportCells() []CellRecord {
 	for k, v := range e.cellMemo {
 		recs = append(recs, CellRecord{
 			A: [2]uint64{k.a.H1, k.a.H2}, B: [2]uint64{k.b.H1, k.b.H2},
-			Metric: k.metric, Screen: k.screen,
-			Norm: v.norm, Rev: v.rev,
-			Exact: v.tc.Exact, Estimated: v.tc.Estimated, Far: v.tc.Far,
+			Metric: k.metric,
+			Norm:   v.norm, Rev: v.rev,
 		})
 	}
 	e.cellMu.Unlock()
@@ -74,10 +72,7 @@ func (e *Engine) ExportCells() []CellRecord {
 		if a.B != b.B {
 			return a.B[0] < b.B[0] || (a.B[0] == b.B[0] && a.B[1] < b.B[1])
 		}
-		if a.Metric != b.Metric {
-			return a.Metric < b.Metric
-		}
-		return !a.Screen && b.Screen
+		return a.Metric < b.Metric
 	})
 	return recs
 }
@@ -89,12 +84,9 @@ func (e *Engine) ImportCells(recs []CellRecord) {
 		k := cellKey{
 			a:      store.ContentHash{H1: r.A[0], H2: r.A[1]},
 			b:      store.ContentHash{H1: r.B[0], H2: r.B[1]},
-			metric: r.Metric, screen: r.Screen,
+			metric: r.Metric,
 		}
-		e.cellMemo[k] = cellVal{
-			norm: r.Norm, rev: r.Rev,
-			tc: TierCell{Exact: r.Exact, Estimated: r.Estimated, Far: r.Far},
-		}
+		e.cellMemo[k] = cellVal{norm: r.Norm, rev: r.Rev}
 	}
 	e.cellMu.Unlock()
 }
@@ -126,9 +118,8 @@ func (s *Snapshot) Write(w io.Writer) error {
 	for i, c := range s.Cells {
 		cells[i] = []any{
 			c.A[0], c.A[1], c.B[0], c.B[1],
-			c.Metric, c.Screen,
+			c.Metric,
 			math.Float64bits(c.Norm), math.Float64bits(c.Rev),
-			int64(c.Exact), int64(c.Estimated), int64(c.Far),
 		}
 	}
 	subs := make([]any, len(s.Subs))
@@ -194,7 +185,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	rawCells, _ := m["cells"].([]any)
 	for i, rc := range rawCells {
 		parts, ok := rc.([]any)
-		if !ok || len(parts) != 11 {
+		if !ok || len(parts) != 7 {
 			return nil, fmt.Errorf("core: snapshot: malformed cell %d", i)
 		}
 		u := make([]uint64, len(parts))
@@ -207,12 +198,10 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			}
 		}
 		metric, _ := parts[4].(string)
-		screen, _ := parts[5].(bool)
 		s.Cells = append(s.Cells, CellRecord{
 			A: [2]uint64{u[0], u[1]}, B: [2]uint64{u[2], u[3]},
-			Metric: metric, Screen: screen,
-			Norm: math.Float64frombits(u[6]), Rev: math.Float64frombits(u[7]),
-			Exact: int(u[8]), Estimated: int(u[9]), Far: int(u[10]),
+			Metric: metric,
+			Norm:   math.Float64frombits(u[5]), Rev: math.Float64frombits(u[6]),
 		})
 	}
 	rawSubs, _ := m["subs"].([]any)

@@ -51,8 +51,6 @@ type Env struct {
 	mu     sync.Mutex
 	engine *core.Engine
 	rec    *obs.Recorder
-	policy ted.TierPolicy
-	tiered bool
 	cache  map[string]map[string]*core.Index
 	// phiSource selects where performance figures draw Φ from: "modeled"
 	// (default, the hand-written landscape) or "measured" (interpreter
@@ -101,26 +99,6 @@ func NewEnvStore(workers int, rec *obs.Recorder, st *store.Store) *Env {
 // statistics and for callers that want to reuse the same memo).
 func (e *Env) Engine() *core.Engine { return e.engine }
 
-// SetTierPolicy routes all subsequent matrix sweeps through the tiered
-// engine path (core.MatrixTiered) under the given policy. A budget below
-// ted.ScreeningBudget delegates to the exact path (byte-identical values)
-// but still reports routing provenance in the engine's tier stats.
-// The engine's cell key carries the routing policy, so an environment
-// never serves a tiered matrix to an exact request or across budgets.
-func (e *Env) SetTierPolicy(p ted.TierPolicy) {
-	e.mu.Lock()
-	e.policy = p
-	e.tiered = true
-	e.mu.Unlock()
-}
-
-// TierPolicy returns the environment's active tier policy.
-func (e *Env) TierPolicy() ted.TierPolicy {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.policy
-}
-
 // Recorder exposes the environment's observability recorder (nil when
 // observability is off).
 func (e *Env) Recorder() *obs.Recorder { return e.rec }
@@ -140,21 +118,11 @@ func (e *Env) MatrixCtx(ctx context.Context, appName, metric string) ([][]float6
 	if err != nil {
 		return nil, nil, err
 	}
-	e.mu.Lock()
-	policy, tiered := e.policy, e.tiered
-	e.mu.Unlock()
-	if !tiered {
-		m, err := e.engine.MatrixCtx(ctx, idxs, order, metric)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, order, nil
-	}
-	tm, err := e.engine.MatrixTieredCtx(ctx, idxs, order, metric, policy)
+	m, err := e.engine.MatrixCtx(ctx, idxs, order, metric)
 	if err != nil {
 		return nil, nil, err
 	}
-	return tm.Values, order, nil
+	return m, order, nil
 }
 
 // FromBaseCtx computes the per-model divergence-from-base map of an app

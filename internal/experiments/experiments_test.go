@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-
-	"silvervale/internal/core"
-	"silvervale/internal/ted"
 )
 
 // The heavy clustering figures (fig4/5/6 full cartesian matrices) are
@@ -31,12 +31,24 @@ func TestAblationExperiments(t *testing.T) {
 			t.Errorf("ablation-costs missing %q", want)
 		}
 	}
-	approx, err := env.Run("ablation-approx")
+}
+
+// TestGoldenAblationApprox pins the full text of ablation-approx, the
+// paper's §VII pq-gram mode, in the block `silvervale experiment` prints
+// for it. Its pq-gram column reads the cache's per-tree profile memo, so
+// a change to how profiles are built or looked up shows here byte for
+// byte.
+func TestGoldenAblationApprox(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "ablation_approx.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(approx.Text, "pq-gram") {
-		t.Error("ablation-approx malformed")
+	res, err := NewEnvWorkers(2).Run("ablation-approx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("==== %s: %s ====\n%s\n", res.ID, res.Title, res.Text); got != string(want) {
+		t.Fatalf("ablation-approx drifted from its golden\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -157,54 +169,6 @@ func TestFortranDendrograms(t *testing.T) {
 	for _, want := range []string{"f-acc", "f-doconcurrent", "tsem", "sloc"} {
 		if !strings.Contains(r.Text, want) {
 			t.Errorf("fig6 missing %q:\n%s", want, r.Text)
-		}
-	}
-}
-
-// TestEnvMatrixKeepsPoliciesApart: the environment keeps no matrices of
-// its own, so the engine's cell key alone must keep tier policies apart.
-// One Env answers the same matrix exact, at the screening budget, below
-// it, and exact again; each answer must be bit-identical to a fresh
-// engine's under that policy.
-func TestEnvMatrixKeepsPoliciesApart(t *testing.T) {
-	const app, metric = "babelstream-fortran", core.MetricTsem
-	env := NewEnvWorkers(2)
-	idxs, order, err := env.Indexes(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := core.NewEngine(2).Matrix(idxs, order, metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := []struct {
-		name   string
-		policy *ted.TierPolicy // nil: the Env's default exact sweep
-	}{
-		{"exact", nil},
-		{"budget 0.5", &ted.TierPolicy{Budget: ted.ScreeningBudget}},
-		{"budget 0.2", &ted.TierPolicy{Budget: 0.2}},
-		{"exact again", &ted.TierPolicy{}},
-	}
-	for _, s := range steps {
-		want := exact
-		if s.policy != nil {
-			env.SetTierPolicy(*s.policy)
-			tm, err := core.NewEngine(2).MatrixTiered(idxs, order, metric, *s.policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = tm.Values
-			if s.policy.Enabled() && sameBits(want, exact) {
-				t.Fatalf("%s: screening matrix equals the exact one; the test proves nothing", s.name)
-			}
-		}
-		got, _, err := env.Matrix(app, metric)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameBits(got, want) {
-			t.Fatalf("%s: Env matrix differs from a fresh engine's\ngot:  %v\nwant: %v", s.name, got, want)
 		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"silvervale/internal/corpus"
 	"silvervale/internal/experiments"
 	"silvervale/internal/obs"
-	"silvervale/internal/ted"
 )
 
 const (
@@ -551,9 +550,9 @@ func TestRequestHardening(t *testing.T) {
 
 // TestHealthAndStatsEndpoints: the unauthenticated always-on surface.
 // With a recorder attached at construction, every typed stats view —
-// serve.Stats, and the engine's CacheStats, IncrStats and TierStats —
-// agrees field for field with the recorder counter of its stable name
-// after an exact sweep, a tiered sweep and an incremental index.
+// serve.Stats, and the engine's CacheStats and IncrStats — agrees field
+// for field with the recorder counter of its stable name after a sweep
+// and an incremental index.
 func TestHealthAndStatsEndpoints(t *testing.T) {
 	rec := obs.NewRecorder()
 	env := experiments.NewEnvObs(1, rec)
@@ -581,11 +580,7 @@ func TestHealthAndStatsEndpoints(t *testing.T) {
 	}
 
 	if w := post(s, "/v1/matrix", matrixBody(serveApp, core.MetricTsem)); w.Code != http.StatusOK {
-		t.Fatalf("exact sweep = %d %s", w.Code, w.Body)
-	}
-	env.SetTierPolicy(ted.TierPolicy{Budget: ted.ScreeningBudget})
-	if w := post(s, "/v1/matrix", matrixBody(serveApp, core.MetricTsem)); w.Code != http.StatusOK {
-		t.Fatalf("tiered sweep = %d %s", w.Code, w.Body)
+		t.Fatalf("sweep = %d %s", w.Code, w.Body)
 	}
 	app, err := corpus.AppByName(serveApp)
 	if err != nil {
@@ -600,9 +595,9 @@ func TestHealthAndStatsEndpoints(t *testing.T) {
 	}
 
 	eng := env.Engine()
-	sv, cs, is, ts := s.Stats(), eng.CacheStats(), eng.IncrStats(), eng.TierStats()
-	if ts.Pairs == 0 || cs.SubtreeMisses == 0 || is.UnitsReparsed == 0 {
-		t.Fatalf("sweeps left counters idle: tier %+v, incr %+v", ts, is)
+	sv, cs, is := s.Stats(), eng.CacheStats(), eng.IncrStats()
+	if cs.SubtreeMisses == 0 || is.UnitsReparsed == 0 {
+		t.Fatalf("sweeps left counters idle: cache %+v, incr %+v", cs, is)
 	}
 	got := rec.Snapshot().Counters
 	for name, want := range map[string]int64{
@@ -632,11 +627,6 @@ func TestHealthAndStatsEndpoints(t *testing.T) {
 		"incr.cells_recomputed":          int64(is.CellsRecomputed),
 		"incr.subtree_blocks_reused":     int64(is.SubtreeBlocksReused),
 		"incr.subtree_blocks_recomputed": int64(is.SubtreeBlocksRecomputed),
-
-		"ted.tier_pairs":     int64(ts.Pairs),
-		"ted.tier_exact":     int64(ts.Exact),
-		"ted.tier_estimated": int64(ts.Estimated),
-		"ted.tier_far":       int64(ts.Far),
 	} {
 		if v, ok := got[name]; !ok || v != want {
 			t.Errorf("recorder %s = %d (present %v), typed stats say %d", name, v, ok, want)

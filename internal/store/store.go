@@ -5,9 +5,7 @@
 // (Zstd+MessagePack, package cbdb); this package generalises that idea
 // into a two-tier on-disk cache addressed by content, so a repeat sweep
 // (re-running figures, CI checks, per-PR metric runs) is bounded by
-// decode time instead of the quadratic TED core. Screening estimates are
-// not stored: they are recomputed from per-tree memo entries (DESIGN.md
-// §10).
+// decode time instead of the quadratic TED core.
 //
 // Layout: <root>/<tier>/<shard>/<name>, where tier is "ted" (exact
 // distances) or "idx" (indexes), name is a 128-bit hash over the full

@@ -14,8 +14,7 @@ import (
 // distances. Entries are keyed by (Fingerprint(a), Fingerprint(b), Costs),
 // so the cache is shared safely across codebases, metrics, and goroutines:
 // any two structurally identical trees hit the same entry no matter where
-// they came from. Each tree's screening state (pq-gram profile, minhash
-// signature, interned label ids) is memoised in one entry under the same
+// they came from. Each tree's pq-gram profile is memoised under the same
 // addressing scheme; a pq-gram distance is a linear merge of two memoised
 // profiles and is not memoised itself.
 //
@@ -23,8 +22,12 @@ import (
 // Zhang–Shasha at all: on fingerprint equality the trees are verified with
 // tree.Equal (O(n), negligible next to the O(n^2+) distance computation),
 // so the shortcut is exact, not probabilistic. Distinct-pair hits rely on
-// fingerprint uniqueness, which holds up to a simultaneous collision of
-// two independent 64-bit hashes plus the node count.
+// fingerprint uniqueness, which does not hold in general: labels are fed
+// to the hashes without a length prefix, so distinct trees can be built
+// that collide, and a colliding pair would be served the other pair's
+// distance. No colliding pair of corpus trees is known. The fix changes
+// fingerprint bytes the benchmark's golden digests pin, so it waits on
+// the next change to the benchmark (see tree.Fingerprint).
 //
 // Alongside the distance memo the cache keeps a per-tree flat memo: the
 // post-order labels/lmld/keyroot arrays Zhang–Shasha consumes, addressed
@@ -36,11 +39,11 @@ import (
 //
 // The zero value is not usable; call NewCache.
 type Cache struct {
-	mu      sync.RWMutex
-	dist    map[pairKey]int
-	flats   map[tree.Fingerprint]*flat
-	mirrors map[tree.Fingerprint]*flat // mirrored flats, keyed by the unmirrored tree's fingerprint
-	screens map[tree.Fingerprint]*screen
+	mu       sync.RWMutex
+	dist     map[pairKey]int
+	flats    map[tree.Fingerprint]*flat
+	mirrors  map[tree.Fingerprint]*flat // mirrored flats, keyed by the unmirrored tree's fingerprint
+	profiles map[tree.Fingerprint]PQGramProfile
 
 	// ids interns the memo keys below: subtree fingerprints and prefix
 	// folds of installed flats, and cost models (DESIGN.md §13).
@@ -127,18 +130,18 @@ type pairKey struct {
 // block memo starts enabled with its default threshold and bound.
 func NewCache() *Cache {
 	c := &Cache{
-		dist:    map[pairKey]int{},
-		flats:   map[tree.Fingerprint]*flat{},
-		mirrors: map[tree.Fingerprint]*flat{},
-		screens: map[tree.Fingerprint]*screen{},
-		ids:     newMemoIDs(),
-		subs:    map[subKey]subBlock{},
-		subMax:  subDefaultMaxBytes,
-		subMin:  subDefaultMinCells,
-		ckpts:   map[ckptKey]string{},
-		ckptMax: ckptDefaultMaxBytes,
-		pathMin: pathDefaultMinSaving,
-		counts:  &cacheCounters{},
+		dist:     map[pairKey]int{},
+		flats:    map[tree.Fingerprint]*flat{},
+		mirrors:  map[tree.Fingerprint]*flat{},
+		profiles: map[tree.Fingerprint]PQGramProfile{},
+		ids:      newMemoIDs(),
+		subs:     map[subKey]subBlock{},
+		subMax:   subDefaultMaxBytes,
+		subMin:   subDefaultMinCells,
+		ckpts:    map[ckptKey]string{},
+		ckptMax:  ckptDefaultMaxBytes,
+		pathMin:  pathDefaultMinSaving,
+		counts:   &cacheCounters{},
 	}
 	return c
 }
@@ -218,7 +221,7 @@ type CacheStats struct {
 	FlatHits    uint64 // flattened-tree lookups served from the flat memo
 	FlatMisses  uint64 // trees flattened and interned for the first time
 	Entries     int    // stored exact distances
-	Profiles    int    // stored screening entries (one pq-gram profile each)
+	Profiles    int    // stored pq-gram profiles
 	Flats       int    // stored flattened trees
 
 	// Subtree-block memo traffic (DESIGN.md §13). Hits and misses count
@@ -258,7 +261,7 @@ type CacheStats struct {
 // Stats returns current counters. Hits include identity short-circuits.
 func (c *Cache) Stats() CacheStats {
 	c.mu.RLock()
-	entries, profiles, flats := len(c.dist), len(c.screens), len(c.flats)
+	entries, profiles, flats := len(c.dist), len(c.profiles), len(c.flats)
 	c.mu.RUnlock()
 	c.subMu.RLock()
 	subBlocks, subBytes := len(c.subs), c.subBytes
@@ -482,21 +485,32 @@ func (c *Cache) mirrorFlat(t *tree.Node, fp tree.Fingerprint) *flat {
 	return f
 }
 
-// Profile returns the memoised pq-gram profile of a tree.
-func (c *Cache) Profile(t *tree.Node) PQGramProfile {
-	return c.screenFor(t, t.Fingerprint()).profile
-}
-
 // ApproxDistance is the cached form of ApproxDistance: the pq-gram
 // distance over the memoised profiles of both trees. It touches neither
 // the hit/miss counters nor the distance memo, which account exact TED
 // only.
 func (c *Cache) ApproxDistance(t1, t2 *tree.Node) float64 {
-	return c.approxDistance(c.screenFor(t1, t1.Fingerprint()), c.screenFor(t2, t2.Fingerprint()))
+	c.counts.approxCalls.Add(1)
+	return PQGramDistance(c.profileFor(t1), c.profileFor(t2))
 }
 
-// approxDistance is ApproxDistance over two screening entries in hand.
-func (c *Cache) approxDistance(a, b *screen) float64 {
-	c.counts.approxCalls.Add(1)
-	return PQGramDistance(a.profile, b.profile)
+// profileFor returns the memoised pq-gram profile of t, building it on
+// first sight. Racing builders keep the first, like flatFor.
+func (c *Cache) profileFor(t *tree.Node) PQGramProfile {
+	fp := t.Fingerprint()
+	c.mu.RLock()
+	p, ok := c.profiles[fp]
+	c.mu.RUnlock()
+	if ok {
+		return p
+	}
+	p = NewPQGramProfile(t)
+	c.mu.Lock()
+	if prior, ok := c.profiles[fp]; ok {
+		p = prior
+	} else {
+		c.profiles[fp] = p
+	}
+	c.mu.Unlock()
+	return p
 }

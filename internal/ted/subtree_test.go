@@ -52,6 +52,25 @@ func postorderNodes(t *tree.Node, out []*tree.Node) []*tree.Node {
 	return append(out, t)
 }
 
+// relabelSome clones t and relabels at most k nodes — a pair (t, mutant)
+// has exact TED <= k by the k-rename edit script.
+func relabelSome(r *rand.Rand, t *tree.Node, k int) *tree.Node {
+	c := t.Clone()
+	var nodes []*tree.Node
+	var walk func(n *tree.Node)
+	walk = func(n *tree.Node) {
+		nodes = append(nodes, n)
+		for _, ch := range n.Children {
+			walk(ch)
+		}
+	}
+	walk(c)
+	for i := 0; i < k; i++ {
+		nodes[r.Intn(len(nodes))].Label = "Z" + string(rune('a'+r.Intn(26)))
+	}
+	return c
+}
+
 // TestKeyrootSpineInvariants pins the flatten-side contract zsDistanceMemo
 // depends on: keyroots ascending with the root last, each the highest node
 // of its lmld class; krID the interned content address of the keyroot's

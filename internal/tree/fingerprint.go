@@ -5,9 +5,18 @@ import "strconv"
 // Fingerprint is a content address for a tree: a stable structural hash
 // over node labels and shape. Source positions are ignored, exactly like
 // Equal. Structurally equal trees always produce the same Fingerprint;
-// distinct trees are separated by two independent 64-bit hashes plus the
-// node count, so accidental collisions need a simultaneous collision in a
-// ~128-bit space. The zero Fingerprint is reserved for the nil tree.
+// distinct trees usually differ in one of two 64-bit hashes or the node
+// count, but not always. Each label's bytes are fed without a length
+// prefix, and labels may themselves contain '(', ')' and ',', so distinct
+// trees can serialise to the same bytes: the 2-node trees a[b(] (root
+// "a", child "b(") and a(b[""] (root "a(b", empty child) share a
+// Fingerprint while Equal is false. H2 is a djb2-style polynomial hash,
+// whose collisions are easy to construct as well. No colliding pair of
+// corpus trees is known. The fix (length-prefixed labels, a mixing H2)
+// changes every fingerprint, including the navchart fingerprint bytes the
+// benchmark's golden digests pin (bench/golden.go), so it waits on the
+// next change to the benchmark. The zero Fingerprint is reserved for the
+// nil tree.
 //
 // Fingerprints are comparable and compact, which makes them usable as map
 // keys — the content-addressing scheme behind ted.Cache, which keys both
